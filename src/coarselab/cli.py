@@ -4,8 +4,8 @@ Subcommands: ``space`` (generate nets), ``build`` (constructions),
 ``verify`` (cover/map checks), ``analyze`` (growth, distortion,
 sublinearity, defect, escalation).  Every command writes a run manifest
 next to its outputs; re-running the same manifest reproduces the same
-bytes.  Exit codes: 2 schema or unknown name, 3 size cap, 4 failed
-invariant, 5 truncation-dominated data.
+bytes.  Exit codes: 2 schema, unknown name or unsupported parameter,
+3 size cap, 4 failed invariant, 5 truncation-dominated data.
 
 ``COARSELAB_CACHE`` names a directory where output artifacts are also
 stored content-addressed, so later commands can reference them by hash.

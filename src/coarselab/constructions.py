@@ -19,8 +19,8 @@ from .covers import (ColoredDecomposition, Cover, kolmogorov_amplify,
                      product_decomposition, pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
                      PreconditionError)
-from .spaces import (HalfPlane, SpaceGraph, TreeAddress, build_product,
-                     generate_net, point_distance)
+from .spaces import (SpaceGraph, TreeAddress, _t_values, _within,
+                     build_product, generate_net)
 
 __all__ = [
     "MapRecord",
@@ -418,23 +418,24 @@ def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
     d = source.window.get("d", 2)
     if len(factors) != d - 1:
         raise ArityError(f"need {d - 1} plane factors, got {len(factors)}")
-    pairs: list[tuple[int, ...]] = []
-    for p in source.points:
-        if isinstance(p, HalfPlane):
-            coords = [(p.x, p.y)]
-        else:
-            coords = [(xi, p.y) for xi in p.xs]
-        snapped = []
-        for (xi, y), f in zip(coords, factors):
-            fwin = f.window
-            if fwin.get("kind") == "ball":
-                base = f.points[fwin["basepoint"]]
-                if point_distance(HalfPlane(xi, y), base) > fwin["radius"] + f.sep:
-                    raise DomainError(
-                        f"projection ({xi:.3f}; {y:.3f}) falls outside a"
-                        f" radius-{fwin['radius']} factor window")
-            snapped.append(f.nearest_point((xi,), y))
-        pairs.append(tuple(snapped))
+    xs, ys = source._coords()
+    outside = np.zeros((len(ys), len(factors)), dtype=bool)
+    for i, f in enumerate(factors):
+        fwin = f.window
+        if fwin.get("kind") == "ball":
+            bx, by = f._coords()
+            b = fwin["basepoint"]
+            t = _t_values(xs[:, i:i + 1], ys, np.broadcast_to(bx[b], (len(ys), 1)),
+                          np.full(len(ys), by[b]))
+            outside[:, i] = ~_within(t, np.full(len(ys), fwin["radius"] + f.sep))
+    if outside.any():
+        j, i = np.argwhere(outside)[0]
+        raise DomainError(
+            f"projection ({float(xs[j, i]):.3f}; {float(ys[j]):.3f}) falls outside"
+            f" a radius-{factors[i].window['radius']} factor window")
+    snapped = np.column_stack([f.nearest_points(xs[:, i:i + 1], ys)
+                               for i, f in enumerate(factors)])
+    pairs = list(map(tuple, snapped.tolist()))
     if product is None:
         if len(factors) == 1:
             target = factors[0]

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ArityError, DomainError, PreconditionError
-from .spaces import SpaceGraph
+from .spaces import SpaceGraph, _csr_take
 
 __all__ = [
     "Cover",
@@ -183,6 +183,19 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
 # multiplicity
 
 
+def _membership(pieces: list[frozenset[int]], n: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Point-to-piece inversion as CSR: ``pids[ptr[x]:ptr[x + 1]]`` lists,
+    in increasing order, the pieces that contain point x."""
+    sizes = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    pts = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.int64,
+                      count=int(sizes.sum()))
+    pids = np.repeat(np.arange(len(pieces)), sizes)[np.argsort(pts, kind="stable")]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pts, minlength=n), out=ptr[1:])
+    return ptr, pids
+
+
 def r_multiplicity(cover: PieceFamily, R: float,
                    metric: str = "graph") -> tuple[int, int]:
     """Max number of pieces met by a closed R-ball; returns (count, witness).
@@ -217,19 +230,16 @@ def r_multiplicity(cover: PieceFamily, R: float,
         return int(hit[best]), best
     if metric != "model":
         raise ValueError(f"unknown metric {metric!r}")
-    owner: list[list[int]] = [[] for _ in range(space.n)]
-    for pid, piece in enumerate(pieces):
-        for x in piece:
-            owner[x].append(pid)
-    best_count, best_center = 0, 0
-    for x in range(space.n):
-        nearby = space.points_within(x, R)
-        met = set()
-        for y in nearby:
-            met.update(owner[y])
-        if len(met) > best_count:
-            best_count, best_center = len(met), x
-    return best_count, best_center
+    mptr, mpid = _membership(pieces, space.n)
+    npieces = len(pieces)
+    met = np.zeros(space.n, dtype=np.int64)
+    for rows, indptr, nbr in space.neighbor_blocks(np.arange(space.n), R):
+        row = np.repeat(np.arange(len(rows)), np.diff(indptr))
+        owner, pid = _csr_take(mptr, mpid, nbr)
+        distinct = np.unique(row[owner] * npieces + pid)
+        met[rows] = np.bincount(distinct // npieces, minlength=len(rows))
+    best = int(met.argmax())
+    return int(met[best]), best
 
 
 # ---------------------------------------------------------------------------
@@ -242,36 +252,14 @@ def check_disjointness(decomp: ColoredDecomposition,
     default r = decomp.r).
 
     On gridded nets this scans every point's r-neighbourhood for foreign
-    same-colour points, which finds exactly the violating pairs; smaller
-    spaces fall back to exhaustive pairwise piece distances.
+    same-colour points, which finds exactly the violating pairs; other
+    models compare every same-colour pair of pieces.
     """
     if r is None:
         r = decomp.r
     space = decomp.space
-    if space.model in ("h2", "hd") and space.n > 500:
-        member: list[list[tuple[int, int]]] = [[] for _ in range(space.n)]
-        for pid, piece in enumerate(decomp.pieces):
-            c = decomp.colors[pid]
-            for x in piece:
-                member[x].append((pid, c))
-        found: dict[tuple[int, int], float] = {}
-        for x in range(space.n):
-            near = space.points_within(x, r)
-            for px, cx in member[x]:
-                for y in near:
-                    if y < x:
-                        continue
-                    d = None
-                    for py, cy in member[y]:
-                        if cy != cx or py == px:
-                            continue
-                        if d is None:
-                            d = space.model_distance(x, y)
-                        if d < r:
-                            key = (min(px, py), max(px, py))
-                            if key not in found or d < found[key]:
-                                found[key] = d
-        return [Violation(a, b, d) for (a, b), d in sorted(found.items())]
+    if space.model in ("h2", "hd"):
+        return _scan_violations(decomp, r)
     out: list[Violation] = []
     by_color: dict[int, list[int]] = {}
     for pid, c in enumerate(decomp.colors):
@@ -284,15 +272,40 @@ def check_disjointness(decomp: ColoredDecomposition,
     return out
 
 
+def _scan_violations(decomp: ColoredDecomposition, r: float) -> list[Violation]:
+    space = decomp.space
+    mptr, mpid = _membership(decomp.pieces, space.n)
+    colors = np.asarray(decomp.colors, dtype=np.int64)
+    npieces = len(decomp.pieces)
+    keys, dists = [], []
+    for rows, indptr, nbr in space.neighbor_blocks(np.arange(space.n), r):
+        x = np.repeat(rows, np.diff(indptr))
+        keep = nbr >= x
+        x, y = x[keep], nbr[keep]
+        # every (piece of x, piece of y) combination of each point pair
+        pair, px = _csr_take(mptr, mpid, x)
+        sub, py = _csr_take(mptr, mpid, y[pair])
+        pair, px = pair[sub], px[sub]
+        foe = (colors[px] == colors[py]) & (px != py)
+        pair, px, py = pair[foe], px[foe], py[foe]
+        d = np.array([space.model_distance(a, b) for a, b in
+                      zip(x[pair].tolist(), y[pair].tolist())], dtype=float)
+        close = d < r
+        keys.append(np.minimum(px, py)[close] * npieces
+                    + np.maximum(px, py)[close])
+        dists.append(d[close])
+    # the closest point pair of each piece pair, in piece-pair order
+    keys, dists = np.concatenate(keys), np.concatenate(dists)
+    order = np.lexsort((dists, keys))
+    keys, dists = keys[order], dists[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return [Violation(k // npieces, k % npieces, d) for k, d in
+            zip(keys[first].tolist(), dists[first].tolist())]
+
+
 # ---------------------------------------------------------------------------
 # iterated neighbourhoods
-
-
-def _model_neighborhood(space: SpaceGraph, pts: Iterable[int], s: float) -> set[int]:
-    out: set[int] = set()
-    for x in pts:
-        out.update(space.points_within(x, s))
-    return out
 
 
 def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
@@ -304,25 +317,22 @@ def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
     if s < 1:
         raise ValueError("s must be >= 1")
     space = family.space
-    owner: list[list[int]] = [[] for _ in range(space.n)]
-    for pid, pc in enumerate(family.pieces):
-        for x in pc:
-            owner[x].append(pid)
+    mptr, mpid = _membership(family.pieces, space.n)
     margins = space.margins()
     thr = max(s, space.edge_threshold)
     level = set(family.pieces[piece])
     levels = [frozenset(level)]
-    absorbed = {piece}
-    truncated = bool(min((margins[x] for x in level), default=math.inf) <= thr)
+    absorbed = np.zeros(len(family.pieces), dtype=bool)
+    absorbed[piece] = True
+    truncated = bool(margins[list(level)].min() <= thr)
     for _ in range(m):
-        hood = _model_neighborhood(space, level, s)
-        for x in hood:
-            for pid in owner[x]:
-                if pid not in absorbed:
-                    absorbed.add(pid)
-                    level.update(family.pieces[pid])
+        hood = np.unique(space.neighbors(sorted(level), s)[1])
+        met = np.unique(_csr_take(mptr, mpid, hood)[1])
+        for pid in met[~absorbed[met]].tolist():
+            absorbed[pid] = True
+            level.update(family.pieces[pid])
         levels.append(frozenset(level))
-        if min((margins[x] for x in level), default=math.inf) <= thr:
+        if margins[list(level)].min() <= thr:
             truncated = True
     return NeighborhoodChain(base_piece=piece, s=s, levels=levels,
                              truncated=truncated)
@@ -330,10 +340,6 @@ def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
 
 # ---------------------------------------------------------------------------
 # greedy decomposition from a bounded-multiplicity cover
-
-
-def _piece_model_ball(space: SpaceGraph, x: int, R: float) -> set[int]:
-    return set(space.points_within(x, R))
 
 
 def greedy_decomposition(cover: Cover, R: float, n: int) -> ColoredDecomposition:
@@ -382,20 +388,23 @@ def greedy_decomposition(cover: Cover, R: float, n: int) -> ColoredDecomposition
 
     covered = set().union(*class_points) if class_points else set()
     owner = cover.piece_of()
-    for x in range(space.n):
+    todo = [x for x in range(space.n) if x not in covered]
+    ptr2, near2 = space.neighbors(todo, 2 * R)
+    ptr1, near1 = space.neighbors(todo, R)
+    for i, x in enumerate(todo):
         if x in covered:
             continue
         vid = owner[x][0]
-        ball2 = _piece_model_ball(space, x, 2 * R)
+        ball2 = set(near2[ptr2[i]:ptr2[i + 1]].tolist())
         free = None
-        for i, pts in enumerate(class_points):
+        for c, pts in enumerate(class_points):
             if not (ball2 & pts):
-                free = i
+                free = c
                 break
         if free is None:
             raise PreconditionError(
                 f"no colour class avoids the 2R-ball of point {x}", witness=x)
-        clipped = piece_sets[vid] & _piece_model_ball(space, x, R)
+        clipped = piece_sets[vid] & set(near1[ptr1[i]:ptr1[i + 1]].tolist())
         out_pieces.append(clipped)
         out_colors.append(free)
         out_sources.append(vid)
@@ -458,11 +467,11 @@ def kolmogorov_amplify(decomp: ColoredDecomposition,
     n = (k + 1) - c_min
 
     # fatten each piece by r_new in the model metric
+    indptr, near = space.neighbors(np.arange(space.n), r_new)
     fat_pieces: list[set[int]] = []
     for piece in decomp.pieces:
         fat = set(piece)
-        for x in piece:
-            fat.update(space.points_within(x, r_new))
+        fat.update(_csr_take(indptr, near, sorted(piece))[1].tolist())
         fat_pieces.append(fat)
 
     in_class = [set() for _ in range(space.n)]   # colours whose class has x
@@ -674,6 +683,8 @@ def refine_connected(cover: Cover, R: float, verify: bool = True) -> Cover:
 
 
 def _components(space: SpaceGraph, idx: list[int], R: float) -> list[list[int]]:
+    if not idx:
+        return []
     if space.model == "z":
         vals = sorted((space.points[i].n, i) for i in idx)
         comps: list[list[int]] = []
@@ -688,22 +699,24 @@ def _components(space: SpaceGraph, idx: list[int], R: float) -> list[list[int]]:
         if cur:
             comps.append(cur)
         return comps
-    parent = {i: i for i in idx}
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    local = set(idx)
-    for i in idx:
-        for j in space.points_within(i, R):
-            if j in local and j != i:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for i in idx:
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)]
+    idx_arr = np.asarray(idx, dtype=np.int64)
+    local = np.full(space.n, -1, dtype=np.int64)
+    local[idx_arr] = np.arange(len(idx_arr))
+    indptr, nbr = space.neighbors(idx_arr, R)
+    row = np.repeat(np.arange(len(idx_arr)), np.diff(indptr))
+    col = local[nbr]
+    inside = col >= 0
+    graph = csr_matrix((np.ones(int(inside.sum()), dtype=np.int8),
+                        (row[inside], col[inside])),
+                       shape=(len(idx_arr), len(idx_arr)))
+    ncomp, label = connected_components(graph, directed=False)
+    # components in order of their smallest point, members in idx order
+    low = np.full(ncomp, space.n, dtype=np.int64)
+    np.minimum.at(low, label, idx_arr)
+    key = low[label]
+    order = np.argsort(key, kind="stable")
+    cuts = np.nonzero(np.diff(key[order]))[0] + 1
+    return [part.tolist() for part in np.split(idx_arr[order], cuts)]

@@ -31,6 +31,10 @@ class PreconditionError(CoarselabError):
         self.witness = witness
 
 
+class UnsupportedError(CoarselabError):
+    """A parameter the code cannot honour; rejected before any work."""
+
+
 class DomainError(CoarselabError):
     """A map is undefined on: some required point."""
 

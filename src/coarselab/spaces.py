@@ -17,7 +17,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptySpaceError, PreconditionError, SizeCapError
+from .errors import (EmptySpaceError, PreconditionError, SizeCapError,
+                     UnsupportedError)
 
 __all__ = [
     "HalfPlane",
@@ -39,13 +40,21 @@ __all__ = [
     "growth_report",
 ]
 
-# Stratified half-space nets: layers at y = exp(k*sep), horizontal grid
-# step 2*sinh(sep)*y, i.e. exactly 2*sep of hyperbolic distance within a
-# layer (arcosh(1+2*sinh(u)^2) = 2u).  The whole stream is then pairwise
-# >= sep apart, so greedy insertion keeps every candidate and the net
-# density stays near one point per 2*sep^2 of area.
+# Stratified half-space nets: layer k sits at height y_k = exp(k*h) with
+# h = _LAYER_STEP*sep, and its points at x = j*w*y_k for integer columns j
+# (each x-coordinate of a half-space point is such a multiple), with
+# w = 2*sinh(_X_STEP_SCALE*sep): exactly 2*sep of hyperbolic distance
+# within a layer (arcosh(1+2*sinh(u)^2) = 2u).  The whole stream is then
+# pairwise >= sep apart, so greedy insertion keeps every candidate and the
+# net density stays near one point per 2*sep^2 of area.  The range-query
+# engine (_StratifiedGrid) keys every point by its integer (k, j...) and
+# relies on this layout.
 _LAYER_STEP = 1.0  # vertical layer spacing, in units of sep
 _X_STEP_SCALE = 1.0  # horizontal step = 2*sinh(_X_STEP_SCALE*sep) * y
+
+# candidate pairs one engine pass may test: bounds transient arrays to a
+# few MB whatever the number of query rows
+_CANDIDATE_BUDGET = 1 << 18
 
 PRODUCT_CAP = 2_000_000
 
@@ -222,6 +231,183 @@ class GrowthReport:
 
 
 # ---------------------------------------------------------------------------
+# the range-query engine of half-plane and half-space nets
+
+
+def _grid_steps(sep: float) -> tuple[float, float]:
+    """Layer spacing h and relative column width w of a stratified net."""
+    return sep * _LAYER_STEP, 2.0 * math.sinh(_X_STEP_SCALE * sep)
+
+
+def _t_values(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
+              yb: np.ndarray) -> np.ndarray:
+    """cosh(d) - 1 of row-aligned point pairs, with the scalar arithmetic
+    of :func:`point_distance`."""
+    dx2 = (xa[:, 0] - xb[:, 0]) ** 2
+    for c in range(1, xa.shape[1]):
+        dx2 = dx2 + (xa[:, c] - xb[:, c]) ** 2
+    dy = ya - yb
+    return (dx2 + dy * dy) / (2.0 * ya * yb)
+
+
+def _within(t: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Mask of ``_acosh1p(t) <= radius``, decided exactly as the scalar test.
+
+    numpy's arccosh can differ from ``math.acosh`` in the last bit, so
+    entries whose 1 + t lies within a relative 1e-9 of cosh(radius) are
+    decided by the scalar function itself.
+    """
+    u = 1.0 + t
+    with np.errstate(over="ignore"):
+        c = np.cosh(radius)
+    keep = u <= c
+    band = np.nonzero(np.abs(u / c - 1.0) <= 1e-9)[0]
+    if len(band):
+        keep[band] = [_acosh1p(v) <= r for v, r in
+                      zip(t[band].tolist(), radius[band].tolist())]
+    return keep
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, offset) pairs enumerating range(counts[i]) for every i."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
+
+
+def _csr_take(indptr: np.ndarray, indices: np.ndarray,
+              sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the CSR rows ``sel``, as (position in sel, value) arrays."""
+    sel = np.asarray(sel, dtype=np.int64)
+    owner, offset = _expand(indptr[sel + 1] - indptr[sel])
+    return owner, indices[indptr[sel][owner] + offset]
+
+
+def _csr_from_lists(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.fromiter((j for r in rows for j in r), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _concat_csr(blocks) -> tuple[np.ndarray, np.ndarray]:
+    ptrs, parts, total = [np.zeros(1, dtype=np.int64)], [], 0
+    for indptr, indices in blocks:
+        ptrs.append(indptr[1:] + total)
+        parts.append(indices)
+        total += len(indices)
+    if not parts:
+        return ptrs[0], np.zeros(0, dtype=np.int64)
+    return np.concatenate(ptrs), np.concatenate(parts)
+
+
+class _StratifiedGrid:
+    """Batched model-metric range queries on a stratified half-space net.
+
+    Every point is keyed by its integer (layer, column[, column2]); the keys
+    are sorted once.  A query row's ball reaches layers |k*h - log y| <= r,
+    and in layer k the columns of a box (a disk, for two x-coordinates)
+    around it; each contiguous run of keys is located with one
+    ``searchsorted``, and a candidate is kept only if it passes the exact
+    test ``_acosh1p(t) <= r``.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, sep: float):
+        self.xs, self.ys = xs, ys
+        self.h, self.w = _grid_steps(sep)
+        layer = np.rint(np.log(ys) / self.h).astype(np.int64)
+        cols = np.rint(xs / (self.w * np.exp(layer * self.h))[:, None])
+        keys = np.column_stack([layer, cols.astype(np.int64)])
+        self.lo = keys.min(axis=0)
+        self.hi = keys.max(axis=0)
+        span = self.hi - self.lo + 1
+        self.strides = np.cumprod(np.r_[span[1:], 1][::-1])[::-1]
+        key = (keys - self.lo) @ self.strides
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+
+    def query(self, qx, qy, radius) -> tuple[np.ndarray, np.ndarray]:
+        return _concat_csr(b[2:] for b in self.query_blocks(qx, qy, radius))
+
+    def query_blocks(self, qx, qy, radius):
+        """Yield ``(lo, hi, indptr, indices)`` for consecutive query rows
+        [lo, hi), each block testing at most about _CANDIDATE_BUDGET pairs."""
+        qx, qy = np.asarray(qx, dtype=float), np.asarray(qy, dtype=float)
+        if not len(qy):
+            return
+        rad = np.broadcast_to(np.asarray(radius, dtype=float), qy.shape)
+        step = max(1, _CANDIDATE_BUDGET // self._candidates_per_row(rad.max()))
+        for lo in range(0, len(qy), step):
+            hi = min(len(qy), lo + step)
+            yield (lo, hi, *self._query(qx[lo:hi], qy[lo:hi], rad[lo:hi]))
+
+    def _candidates_per_row(self, r: float) -> int:
+        # rough upper bound: the ball spans 2r/h layers, and reaches at most
+        # sqrt(2 e^(r+h) (cosh r - 1)) / w columns either side in each
+        r = min(float(r), 40.0)
+        layers = 2.0 * r / self.h + 3.0
+        cols = 2.0 * math.sqrt(2.0 * math.exp(r + self.h)
+                               * (math.cosh(r) - 1.0)) / self.w + 3.0
+        return int(min(layers * cols ** (len(self.lo) - 1), len(self.ys))) + 1
+
+    def distances(self, qx: np.ndarray, qy: np.ndarray, indptr: np.ndarray,
+                  cand: np.ndarray) -> np.ndarray:
+        """Model distances of a query result, entry by entry."""
+        row = np.repeat(np.arange(len(qy)), np.diff(indptr))
+        t = _t_values(qx[row], qy[row], self.xs[cand], self.ys[cand])
+        return np.arccosh(np.maximum(1.0, 1.0 + t))
+
+    def _columns(self, c, centre, half, step):
+        # inclusive column range of coordinate c reaching [centre +- half]
+        lo, hi = self.lo[c + 1], self.hi[c + 1]
+        first = np.clip(np.floor((centre - half) / step), lo, hi + 1)
+        last = np.clip(np.ceil((centre + half) / step), lo - 1, hi)
+        return first.astype(np.int64), last.astype(np.int64)
+
+    def _query(self, qx, qy, r):
+        m, dim = qx.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            cosh_r = np.cosh(r)
+            lq = np.log(qy)
+            k_first = np.clip(np.floor((lq - r) / self.h), self.lo[0], self.hi[0] + 1)
+            k_last = np.clip(np.ceil((lq + r) / self.h), self.lo[0] - 1, self.hi[0])
+            row, off = _expand((k_last - k_first + 1).astype(np.int64))
+            k = k_first[row].astype(np.int64) + off
+            y, yk = qy[row], np.exp(k * self.h)
+            bound2 = 2.0 * y * yk * (cosh_r[row] - 1.0) - (yk - y) ** 2
+            # exactly-at-radius verticals can round bound2 slightly below 0
+            live = bound2 >= -1e-9 * y * yk * cosh_r[row]
+            row, k, bound2 = row[live], k[live], np.maximum(bound2[live], 0.0)
+            step = self.w * np.exp(k * self.h)
+            base = (k - self.lo[0]) * self.strides[0]
+            first, last = self._columns(0, qx[row, 0], np.sqrt(bound2), step)
+            if dim == 2:
+                sub, off = _expand(np.maximum(last - first + 1, 0))
+                row, step, base = row[sub], step[sub], base[sub]
+                j = first[sub] + off
+                rem = np.maximum(bound2[sub] - (j * step - qx[row, 0]) ** 2, 0.0)
+                base = base + (j - self.lo[1]) * self.strides[1]
+                first, last = self._columns(1, qx[row, 1], np.sqrt(rem), step)
+            start = base + (first - self.lo[dim]) * self.strides[dim]
+            stop = base + (last - self.lo[dim]) * self.strides[dim]
+        a = np.searchsorted(self.keys, start, side="left")
+        b = np.searchsorted(self.keys, stop, side="right")
+        sub, off = _expand(np.maximum(b - a, 0))
+        row = row[sub]
+        cand = self.order[a[sub] + off]
+        t = _t_values(qx[row], qy[row], self.xs[cand], self.ys[cand])
+        keep = _within(t, r[row])
+        row, cand = row[keep], cand[keep]
+        # rows arrive grouped in order; sort each row's indices
+        n = len(self.ys)
+        cand = np.sort(row * n + cand) - row * n
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
+        return indptr, cand
+
+
+# ---------------------------------------------------------------------------
 # the space graph
 
 
@@ -393,31 +579,115 @@ class SpaceGraph:
 
     # -- model-metric range queries ---------------------------------------
 
+    def neighbor_blocks(self, idx: Sequence[int], radius: float):
+        """Model-metric neighbourhoods of the points ``idx``, in bounded blocks.
+
+        Yields ``(rows, indptr, indices)`` for consecutive slices ``rows`` of
+        ``idx``: CSR lists whose row i holds, sorted, the points within
+        ``radius`` of ``rows[i]``.  Half-plane and half-space nets use the
+        grid engine; other models test every point, in one block.
+        """
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        if self.model in ("h2", "hd"):
+            grid = self._grid_index()
+            for lo, hi, indptr, indices in grid.query_blocks(
+                    grid.xs[idx], grid.ys[idx], radius):
+                yield idx[lo:hi], indptr, indices
+            return
+        yield (idx, *_csr_from_lists(
+            [self._brute_within(i, radius) for i in idx.tolist()]))
+
+    def neighbors(self, idx: Sequence[int], radius: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the points within ``radius`` of each
+        point of ``idx``, rows sorted (see :meth:`neighbor_blocks`)."""
+        return _concat_csr((p, i) for _, p, i in self.neighbor_blocks(idx, radius))
+
+    def _brute_within(self, i: int, radius: float) -> list[int]:
+        if self.model == "z":
+            c = self.points[i].n
+            return [j for j in range(self.n) if abs(self.points[j].n - c) <= radius]
+        return [j for j in range(self.n) if self.model_distance(i, j) <= radius]
+
+    def coords_within(self, xs, ys, radius) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the net points within model distance
+        ``radius`` (a scalar or one value per row) of each query row
+        ``(xs[i]; ys[i])``, rows sorted; ``xs`` has one column per
+        x-coordinate.  Half-plane/half-space nets only."""
+        return self._grid_index().query(xs, ys, radius)
+
     def points_within(self, i: int, radius: float) -> list[int]:
         """Indices of points at model distance <= radius of point i."""
-        p = self.points[i]
-        if self.model in ("h2", "hd") and self.n > 400:
-            coords = (p.x,) if self.model == "h2" else p.xs
-            return self.points_near_coords(coords, p.y, radius)
-        if self.model == "z":
-            return [j for j in range(self.n)
-                    if abs(self.points[j].n - p.n) <= radius]
-        out = []
-        for j in range(self.n):
-            if self.model_distance(i, j) <= radius:
-                out.append(j)
+        return self.neighbors([i], radius)[1].tolist()
+
+    def points_near_coords(self, coords: tuple[float, ...], y: float,
+                           radius: float) -> list[int]:
+        """Net points within model distance ``radius`` of arbitrary coords."""
+        return self.coords_within([coords], [y], radius)[1].tolist()
+
+    def nearest_point(self, coords: tuple[float, ...], y: float) -> int:
+        """Index of the net point nearest to the given model coordinates."""
+        return int(self.nearest_points([coords], [y])[0])
+
+    def nearest_points(self, xs, ys) -> np.ndarray:
+        """Index of the net point nearest to each query row ``(xs[i]; ys[i])``.
+
+        Distances within 1e-12 tie and go to the lower index: the key is
+        ``(round(d, 12), index)``.  The search radius starts at ``sep`` and
+        doubles, for the rows that found nothing, up to 40 times.
+        """
+        grid = self._grid_index()
+        qx, qy = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        out = np.full(len(qy), -1, dtype=np.int64)
+        todo = np.arange(len(qy))
+        radius = self.sep
+        for _ in range(40):
+            if not len(todo):
+                return out
+            indptr, cand = grid.query(qx[todo], qy[todo], radius)
+            hit = indptr[1:] > indptr[:-1]
+            if hit.any():
+                d = grid.distances(qx[todo], qy[todo], indptr, cand)
+                best = np.minimum.reduceat(d, indptr[:-1][hit])
+                rows = todo[hit]
+                # re-query at best + 1e-9: points just beyond the first
+                # radius can still tie with the best under the rounded key
+                out[rows] = self._pick_nearest(qx[rows], qy[rows], best + 1e-9)
+            todo = todo[~hit]
+            radius *= 2.0
+        if len(todo):
+            raise EmptySpaceError("nearest-point query found nothing")
         return out
 
+    def _pick_nearest(self, qx: np.ndarray, qy: np.ndarray,
+                      radius: np.ndarray) -> np.ndarray:
+        # every row's ball holds its nearest point; a candidate more than
+        # 1e-11 above the row minimum cannot win under the rounded key
+        grid = self._grid_index()
+        indptr, cand = grid.query(qx, qy, radius)
+        d = grid.distances(qx, qy, indptr, cand)
+        row = np.repeat(np.arange(len(qy)), np.diff(indptr))
+        near = d <= np.minimum.reduceat(d, indptr[:-1])[row] + 1e-11
+        ties = np.bincount(row[near], minlength=len(qy))
+        pick = np.full(len(qy), -1, dtype=np.int64)
+        alone = near & (ties[row] == 1)
+        pick[row[alone]] = cand[alone]
+        for i in np.nonzero(ties > 1)[0]:
+            lo, hi = indptr[i], indptr[i + 1]
+            coords, y = tuple(qx[i].tolist()), float(qy[i])
+            pick[i] = min(cand[lo:hi][near[lo:hi]].tolist(), key=lambda c: (
+                round(self._coord_dist(c, coords, y), 12), c))
+        return pick
+
+    def _grid_index(self) -> "_StratifiedGrid":
+        if self._grid is None:
+            self._grid = _StratifiedGrid(*_point_arrays(self.points), self.sep)
+        return self._grid
+
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
-        # cached (xs, y) arrays for half-plane/half-space nets
-        if getattr(self, "_coord_cache", None) is None:
-            if self.model == "h2":
-                xs = np.array([[p.x] for p in self.points])
-            else:
-                xs = np.array([list(p.xs) for p in self.points])
-            ys = np.array([p.y for p in self.points])
-            self._coord_cache = (xs, ys)
-        return self._coord_cache
+        # (xs, y) arrays of half-plane/half-space nets
+        grid = self._grid_index()
+        return grid.xs, grid.ys
 
     def margins(self) -> np.ndarray:
         """Cached per-point distance to the window boundary."""
@@ -432,78 +702,6 @@ class SpaceGraph:
             else:
                 self._margin_cache = np.array([self.margin(i) for i in range(self.n)])
         return self._margin_cache
-
-    def _ensure_grid(self):
-        if self._grid is None:
-            xs, ys = self._coords()
-            h = self.sep * _LAYER_STEP
-            layer = np.rint(np.log(ys) / h).astype(np.int64)
-            w = 2.0 * math.sinh(_X_STEP_SCALE * self.sep)
-            cells: dict = {}
-            for i in range(self.n):
-                cell_w = w * ys[i]
-                key = (int(layer[i]),) + tuple(
-                    int(math.floor(x / cell_w)) for x in xs[i])
-                cells.setdefault(key, []).append(i)
-            self._grid = (cells, h, w)
-        return self._grid
-
-    def points_near_coords(self, coords: tuple[float, ...], y: float,
-                           radius: float) -> list[int]:
-        """Net points within model distance ``radius`` of arbitrary coords."""
-        cells, h, w = self._ensure_grid()
-        out = []
-        k0 = math.log(y) / h
-        kspan = radius / h + 0.5
-        cosh_r = math.cosh(radius)
-        for k in range(int(math.ceil(k0 - kspan)) - 1, int(math.floor(k0 + kspan)) + 2):
-            y1 = math.exp(k * h)
-            bound2 = 2.0 * y * y1 * (cosh_r - 1.0) - (y1 - y) ** 2
-            if bound2 < 0:
-                continue
-            half = math.sqrt(bound2)
-            cell_w = w * y1
-            ranges = [range(int(math.floor((c - half) / cell_w)) - 1,
-                            int(math.floor((c + half) / cell_w)) + 2)
-                      for c in coords]
-            if len(coords) == 1:
-                keys = [(k, j) for j in ranges[0]]
-            else:
-                keys = [(k, j1, j2) for j1 in ranges[0] for j2 in ranges[1]]
-            for key in keys:
-                for c in cells.get(key, ()):
-                    p = self.points[c]
-                    px = (p.x,) if self.model == "h2" else p.xs
-                    dx2 = sum((a - b) ** 2 for a, b in zip(px, coords))
-                    t = (dx2 + (p.y - y) ** 2) / (2.0 * p.y * y)
-                    if _acosh1p(t) <= radius:
-                        out.append(c)
-        return sorted(set(out))
-
-    def nearest_point(self, coords: tuple[float, ...], y: float) -> int:
-        """Index of the net point nearest to the given model coordinates."""
-        radius = self.sep
-        for _ in range(40):
-            found = self.points_near_coords(coords, y, radius)
-            if found:
-                best = None
-                for c in found:
-                    p = self.points[c]
-                    px = (p.x,) if self.model == "h2" else p.xs
-                    dx2 = sum((a - b) ** 2 for a, b in zip(px, coords))
-                    d = _acosh1p((dx2 + (p.y - y) ** 2) / (2.0 * p.y * y))
-                    if best is None or d < best[0] - 1e-12 or (
-                            abs(d - best[0]) <= 1e-12 and c < best[1]):
-                        best = (d, c)
-                # re-query at the achieved distance to rule out missed cells
-                sure = self.points_near_coords(coords, y, best[0] + 1e-9)
-                if sure:
-                    best2 = min(
-                        ((self._coord_dist(c, coords, y), c) for c in sure),
-                        key=lambda t: (round(t[0], 12), t[1]))
-                    return best2[1]
-            radius *= 2.0
-        raise EmptySpaceError("nearest-point query found nothing")
 
     def _coord_dist(self, c: int, coords: tuple[float, ...], y: float) -> float:
         p = self.points[c]
@@ -667,7 +865,12 @@ def generate_net(model: str, window: dict, sep: float = 1.0,
     if model == "h2":
         return _net_halfspace(window, sep, edge_threshold, dim=2)
     if model == "hd":
-        return _net_halfspace(window, sep, edge_threshold, dim=int(window["d"]))
+        d = int(window["d"])
+        if d not in (2, 3):
+            # the grid engine keys at most two x-coordinates
+            raise UnsupportedError(
+                f"hd nets are generated for d in {{2, 3}}, got d={d}")
+        return _net_halfspace(window, sep, edge_threshold, dim=d)
     if model == "comb":
         return _net_comb(window, sep, edge_threshold)
     raise ValueError(f"unknown model: {model}")
@@ -805,8 +1008,8 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
     """Stratified net of a half-space region.
 
     Layers sit at y = exp(k*sep); within a layer the grid step is
-    2*sinh(1.2*sep)*y, so the whole stream is pairwise >= sep apart and
-    greedy insertion keeps every candidate.
+    2*sinh(sep)*y (see ``_LAYER_STEP``), so the whole stream is pairwise
+    >= sep apart and greedy insertion keeps every candidate.
     """
     thr = 3.0 * sep if edge_threshold is None else edge_threshold
     if thr < 2.0 * sep:
@@ -816,8 +1019,7 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
     radius = float(window["radius"])
     if radius <= 0:
         raise EmptySpaceError("window radius must be positive")
-    h = sep * _LAYER_STEP
-    w = 2.0 * math.sinh(_X_STEP_SCALE * sep)
+    h, w = _grid_steps(sep)
     kmax = int(math.floor(radius / h))
     model = "h2" if dim == 2 else "hd"
     pts: list[ModelPoint] = []
@@ -856,68 +1058,35 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
     if window.get("greedy_check"):
         # the stream is sep-separated by construction; this guard proves it
         pts = _greedy_select(pts, sep)
-    adj = _halfspace_edges(pts, thr, h, w, dim)
+    grid = _StratifiedGrid(*_point_arrays(pts), sep)
+    adj = _off_diagonal_adjacency(*grid.query(grid.xs, grid.ys, thr + 1e-12))
     space = SpaceGraph(model=model, points=pts, adj=adj, sep=sep, edge_threshold=thr,
                        window={"kind": kind, "radius": radius, "basepoint": 0,
-                               "d": dim})
-    # basepoint = index of the point nearest (0,..,0;1)
-    origin = HalfPlane(0.0, 1.0) if dim == 2 else HalfSpace((0.0,) * (dim - 1), 1.0)
-    base = min(range(space.n), key=lambda i: (point_distance(space.points[i], origin), i))
-    space.window["basepoint"] = base
+                               "d": dim}, _grid=grid)
+    # basepoint: the net point (0,..,0;1), which every window contains
+    origin = np.zeros((1, dim - 1))
+    space.window["basepoint"] = int(space.nearest_points(origin, np.ones(1))[0])
     return space
 
 
-def _halfspace_edges(pts: list[ModelPoint], thr: float, h: float, w: float,
-                     dim: int) -> list[tuple[int, ...]]:
-    """Edges of a stratified half-space net, by grid index arithmetic.
-
-    Points sit exactly at x = j * (w * y_k), y_k = exp(k*h), so the
-    neighbour window in the other layer is a closed-form index range.
-    """
-    n = len(pts)
-    if dim == 2:
-        xs = [(p.x,) for p in pts]
-        ys = [p.y for p in pts]
+def _point_arrays(pts: list[ModelPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, y) coordinate arrays of half-plane or half-space points."""
+    if isinstance(pts[0], HalfPlane):
+        xs = np.array([[p.x] for p in pts])
     else:
-        xs = [p.xs for p in pts]
-        ys = [p.y for p in pts]
-    layer = [int(round(math.log(y) / h)) for y in ys]
-    by_layer: dict[int, dict[tuple[int, ...], int]] = {}
-    for i in range(n):
-        cell = w * ys[i]
-        j = tuple(int(round(x / cell)) for x in xs[i])
-        by_layer.setdefault(layer[i], {})[j] = i
-    adj: list[list[int]] = [[] for _ in range(n)]
-    kspan = int(math.floor(thr / h + 1e-9))
-    cosh_thr = math.cosh(thr)
-    for i in range(n):
-        k = layer[i]
-        for dk in range(0, kspan + 1):
-            grid = by_layer.get(k + dk)
-            if grid is None:
-                continue
-            yb = math.exp((k + dk) * h)
-            bound2 = 2.0 * ys[i] * yb * (cosh_thr - 1.0) - (yb - ys[i]) ** 2
-            # exactly-at-threshold verticals can round bound2 slightly below 0
-            if bound2 < -1e-6 * ys[i] * yb:
-                continue
-            half = math.sqrt(max(bound2, 0.0)) / (w * yb)
-            centers = tuple(x / (w * yb) for x in xs[i])
-            ranges = [range(int(math.ceil(c - half - 1e-9)),
-                            int(math.floor(c + half + 1e-9)) + 1)
-                      for c in centers]
-            if dim == 2:
-                cand = [(j,) for j in ranges[0]]
-            else:
-                cand = [(j1, j2) for j1 in ranges[0] for j2 in ranges[1]]
-            for key in cand:
-                j = grid.get(key)
-                if j is None or j == i or (dk == 0 and j < i):
-                    continue
-                if point_distance(pts[i], pts[j]) <= thr + 1e-12:
-                    adj[i].append(j)
-                    adj[j].append(i)
-    return [tuple(sorted(set(a))) for a in adj]
+        xs = np.array([list(p.xs) for p in pts])
+    return xs, np.array([p.y for p in pts])
+
+
+def _off_diagonal_adjacency(indptr: np.ndarray,
+                            indices: np.ndarray) -> list[tuple[int, ...]]:
+    """Sorted adjacency tuples of a self-join CSR, without its diagonal."""
+    n = len(indptr) - 1
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    off = indices != row
+    flat = indices[off].tolist()
+    ends = np.cumsum(np.bincount(row[off], minlength=n)).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 # -- products ---------------------------------------------------------------

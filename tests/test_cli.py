@@ -42,6 +42,14 @@ class TestSpaceCommand:
                    "--checks", "coverage", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_unsupported_hd_dimension_exit_2(self, tmp_path, capsys):
+        rc = main(["space", "--model", "hd", "--d", "4", "--ball", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "d=4" in err and "Traceback" not in err
+        assert not (tmp_path / "points.csv").exists()
+
     def test_size_cap_exit_3(self, tmp_path):
         rc = main(["space", "--model", "comb", "--d", "4", "--extent", "40",
                    "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 
 import pytest
@@ -14,7 +15,7 @@ from coarselab.constructions import (GeodesicComb, MapRecord, assign_tile,
                                      _spine_word)
 from coarselab.covers import Cover, check_disjointness
 from coarselab.errors import ArityError, DomainError
-from coarselab.spaces import CombNode, ZPoint, generate_net
+from coarselab.spaces import CombNode, ZPoint, generate_net, point_distance
 
 SINH_1 = 1.1752011936438014
 SINH_3 = 10.017874927409903
@@ -245,7 +246,13 @@ class TestBradyFarb:
     def test_projection_outside_factor_window(self):
         src = generate_net("h2", {"kind": "ball", "radius": 6.0}, sep=1.0)
         small = generate_net("h2", {"kind": "ball", "radius": 3.0}, sep=1.0)
-        with pytest.raises(DomainError):
+        # the error names the first source point, in index order, whose
+        # projection lies farther than radius + sep from the factor's base
+        base = small.points[small.window["basepoint"]]
+        first = next(p for p in src.points
+                     if point_distance(p, base) > 3.0 + small.sep)
+        with pytest.raises(DomainError,
+                           match=re.escape(f"({first.x:.3f}; {first.y:.3f})")):
             brady_farb(src, [small])
 
 

@@ -402,3 +402,61 @@ class TestPullbackAndRefine:
         t = generate_net("t3", {"radius": 5})
         cov = mesh_ball_cover(t, 2)
         assert set().union(*cov.pieces) == set(range(t.n))
+
+
+class TestGriddedChecksAgainstPairwise:
+    """check_disjointness and model-metric r_multiplicity on a gridded net
+    above 500 points, with pieces that overlap, against pairwise oracles."""
+
+    @staticmethod
+    def height_bands():
+        # band i holds layers 2i..2i+2: neighbouring bands share a layer, and
+        # same-colour bands (i, i+2) sit two layers (1.6) apart vertically
+        net = generate_net("h2", {"kind": "ball", "radius": 6.0}, sep=0.8,
+                           edge_threshold=1.6)
+        layer = [round(math.log(p.y) / 0.8) for p in net.points]
+        lo = min(layer)
+        bands: dict[int, set[int]] = {}
+        for i, k in enumerate(layer):
+            o = k - lo
+            for b in range(max(0, (o - 1) // 2), o // 2 + 1):
+                bands.setdefault(b, set()).add(i)
+        pieces = [frozenset(bands[b]) for b in sorted(bands)]
+        colors = [b % 2 for b in sorted(bands)]
+        return net, pieces, colors
+
+    def test_fixture_is_large_and_overlapping(self):
+        net, pieces, _ = self.height_bands()
+        assert net.n > 500
+        assert sum(map(len, pieces)) > net.n
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.5])
+    def test_disjointness_matches_pairwise_set_distance(self, r):
+        net, pieces, colors = self.height_bands()
+        dec = ColoredDecomposition(net, pieces, colors, r=r, d=1,
+                                   partition=False)
+        expect = []
+        for a in range(len(pieces)):
+            for b in range(a + 1, len(pieces)):
+                if colors[a] == colors[b]:
+                    d = net.set_distance(pieces[a], pieces[b])
+                    if d < r:
+                        expect.append((a, b, d))
+        got = check_disjointness(dec)
+        assert [(v.piece_a, v.piece_b) for v in got] == \
+            [(a, b) for a, b, _ in expect]
+        for v, (_, _, d) in zip(got, expect):
+            assert v.distance == pytest.approx(d, abs=1e-12)
+        if r >= 2.0:
+            assert got  # real violations: same-colour bands 1.6 apart
+
+    @pytest.mark.parametrize("R", [0.5, 1.2, 1.9, 2.3])
+    def test_model_multiplicity_matches_pairwise(self, R):
+        net, pieces, colors = self.height_bands()
+        cov = Cover(net, pieces)
+        dist = net.pairwise_model_distances(range(net.n), range(net.n))
+        owner = cov.piece_of()
+        counts = [len({pid for y in map(int, (dist[x] <= R).nonzero()[0])
+                       for pid in owner[y]}) for x in range(net.n)]
+        best = max(range(net.n), key=lambda x: (counts[x], -x))
+        assert r_multiplicity(cov, R, metric="model") == (counts[best], best)
