@@ -14,7 +14,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .covers import ColoredDecomposition, Cover, iterated_neighborhood
+from .covers import (ColoredDecomposition, Cover, _components,
+                     iterated_neighborhood)
 from .errors import DataError, PreconditionError, TruncationError
 from .spaces import GrowthReport, SpaceGraph, growth_report
 
@@ -171,12 +172,15 @@ class DistortionProfile:
 
 
 def _sample_pairs(n: int, cap: int, seed: int,
-                  anchored: Optional[int]) -> list[tuple[int, int]]:
+                  anchored: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (a, b) of the profiled pairs: anchored pairs, every pair
+    a < b in row-major order, or ``cap`` seeded distinct samples."""
     if anchored is not None:
-        return [(anchored, b) for b in range(n) if b != anchored]
+        b = np.delete(np.arange(n), anchored)
+        return np.full(len(b), anchored), b
     total = n * (n - 1) // 2
     if total <= cap:
-        return [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return np.triu_indices(n, 1)
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -185,12 +189,13 @@ def _sample_pairs(n: int, cap: int, seed: int,
         b = rng.randrange(n)
         if a == b:
             continue
-        key = (min(a, b), max(a, b))
+        key = a * n + b if a < b else b * n + a
         if key in seen:
             continue
         seen.add(key)
         out.append(key)
-    return out
+    keys = np.array(out, dtype=np.int64)
+    return keys // n, keys % n
 
 
 def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
@@ -202,16 +207,13 @@ def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
     ``anchored`` fixes the first coordinate and varies the second over
     the whole window.
     """
+    if metric != "model":
+        raise ValueError("only the model metric is profiled")
     src, tgt = f.source, f.target
-    pairs = _sample_pairs(src.n, pair_cap, seed, anchored)
-    ds = np.empty(len(pairs))
-    dt = np.empty(len(pairs))
-    for i, (a, b) in enumerate(pairs):
-        if metric == "model":
-            ds[i] = src.model_distance(a, b)
-            dt[i] = tgt.model_distance(f.assignment[a], f.assignment[b])
-        else:
-            raise ValueError("only the model metric is profiled")
+    a, b = _sample_pairs(src.n, pair_cap, seed, anchored)
+    image = np.asarray(f.assignment, dtype=np.int64)
+    ds = src.distances(a, b)
+    dt = tgt.distances(image[a], image[b])
     pos = ds > 0
     ds, dt = ds[pos], dt[pos]
     if len(ds) == 0:
@@ -341,7 +343,7 @@ def quasi_convexity_defect(space: SpaceGraph, subset: Iterable[int], r: float,
         raise ValueError("defect measurement works on half-plane nets")
     idx = sorted(subset)
     members = frozenset(idx)
-    comps = _connected_components(space, idx, r)
+    comps = _components(space, idx, r)
     if len(comps) > 1:
         worst = max(
             ((space.set_distance(a, b), (i, j))
@@ -353,7 +355,7 @@ def quasi_convexity_defect(space: SpaceGraph, subset: Iterable[int], r: float,
     pairs = _sample_pairs(len(idx), pair_cap, seed, None)
     step = space.sep / 2.0
     defect = 0.0
-    for a, b in pairs:
+    for a, b in zip(*(p.tolist() for p in pairs)):
         pa, pb = space.points[idx[a]], space.points[idx[b]]
         for (gx, gy) in _geodesic_samples((pa.x, pa.y), (pb.x, pb.y), step):
             defect = max(defect,
@@ -372,13 +374,6 @@ def _distance_to_subset(space: SpaceGraph, members: frozenset, gx: float,
             return min(space._coord_dist(c, (gx,), gy) for c in cand)
         radius *= 2.0
     raise DataError("no subset point within reach of a geodesic sample")
-
-
-def _connected_components(space: SpaceGraph, idx: list[int],
-                          r: float) -> list[list[int]]:
-    from .covers import _components
-
-    return _components(space, idx, r)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Subcommands: ``space`` (generate nets), ``build`` (constructions),
 ``verify`` (cover/map checks), ``analyze`` (growth, distortion,
 sublinearity, defect, escalation).  Every command writes a run manifest
 next to its outputs; re-running the same manifest reproduces the same
-bytes.  Exit codes: 2 schema, unknown name or unsupported parameter,
-3 size cap, 4 failed invariant, 5 truncation-dominated data.
+bytes.  Exit codes: 2 schema, unknown name, unsupported parameter or
+missing input, 3 size cap, 4 failed invariant, 5 truncation-dominated data.
 
 ``COARSELAB_CACHE`` names a directory where output artifacts are also
 stored content-addressed, so later commands can reference them by hash.
@@ -150,10 +150,8 @@ def cmd_build(args) -> int:
         checks.append({"name": "fibers<=3",
                        "pass": walk.measured_max_fiber <= 3,
                        "witness": walk.measured_max_fiber})
-        adj_ok = all(
-            walk.target.model_distance(walk.assignment[i], walk.assignment[i + 1]) == 1.0
-            for i in range(walk.source.n - 1))
-        checks.append({"name": "consecutive-adjacent", "pass": adj_ok})
+        checks.append({"name": "consecutive-adjacent",
+                       "pass": walk.adjacent_steps()})
         _write(os.path.join(args.out, "walk.json"), artifacts.canonical_json(
             artifacts.map_to_dict(walk, src_ref, tgt_ref)), outputs)
     elif args.kind == "tiling":
@@ -201,6 +199,8 @@ def cmd_build(args) -> int:
                        edge_threshold=art["net"].edge_threshold)))),
                outputs)
     elif args.kind == "nerve":
+        if args.cover is None:
+            raise SchemaError("build nerve needs --cover")
         d = _load_json(args.cover)
         space = _space_from_ref(d["space_ref"])
         cover = artifacts.cover_from_dict(d, space)
@@ -250,13 +250,25 @@ def cmd_build(args) -> int:
 # verify
 
 
+# the artifact kind each check reads
+_COVERS = (covers.Cover, covers.ColoredDecomposition)
+_CHECKS = {"disjointness": covers.ColoredDecomposition, "multiplicity": _COVERS,
+           "coverage": _COVERS, "fibers": constructions.MapRecord,
+           "adjacent": constructions.MapRecord}
+
+
 def _parse_check(spec: str) -> tuple[str, dict]:
     parts = spec.split(":")
     name = parts[0]
     params = {}
     for p in parts[1:]:
         k, _, v = p.partition("=")
-        params[k] = float(v) if "." in v else int(v)
+        try:
+            params[k] = float(v) if "." in v else int(v)
+        except ValueError:
+            raise SchemaError(
+                f"check {spec!r}: parameter {k!r} needs a number, got {v!r}"
+            ) from None
     return name, params
 
 
@@ -273,6 +285,10 @@ def cmd_verify(args) -> int:
         obj = artifacts.cover_from_dict(d, space)
     for spec in args.checks.split(","):
         name, params = _parse_check(spec)
+        if name not in _CHECKS:
+            raise SchemaError(f"unknown check {name}")
+        if not isinstance(obj, _CHECKS[name]):
+            raise SchemaError(f"check {name} does not apply to this artifact")
         if name == "disjointness":
             bad = covers.check_disjointness(obj)
             checks.append({"name": spec, "pass": not bad,
@@ -299,13 +315,8 @@ def cmd_verify(args) -> int:
             ok = obj.measured_max_fiber <= params.get("max", 3)
             checks.append({"name": spec, "pass": ok,
                            "witness": obj.measured_max_fiber})
-        elif name == "adjacent":
-            ok = all(obj.target.model_distance(obj.assignment[i],
-                                               obj.assignment[i + 1]) == 1.0
-                     for i in range(obj.source.n - 1))
-            checks.append({"name": spec, "pass": ok})
-        else:
-            raise SchemaError(f"unknown check {name}")
+        else:  # adjacent
+            checks.append({"name": spec, "pass": obj.adjacent_steps()})
     report = artifacts.verification_report(checks)
     outputs: dict = {}
     _write(os.path.join(args.out, "verification.json"),
@@ -329,6 +340,10 @@ def _hash_file(path: str) -> str:
 def cmd_analyze(args) -> int:
     outputs: dict = {}
     inputs: dict = {}
+    option = {"growth": "space", "defect": "space",
+              "distortion": "map"}.get(args.analysis, "cover")
+    if getattr(args, option) is None:
+        raise SchemaError(f"analyze {args.analysis} needs --{option}")
     if args.analysis == "growth":
         manifest = _load_json(args.space)
         inputs[os.path.basename(args.space)] = _hash_file(args.space)
@@ -458,8 +473,16 @@ def cmd_report(args) -> int:
     manifest = _load_json(args.manifest)
     for key in ("command", "inputs", "parameters", "seed", "outputs",
                 "tool_version"):
-        if key not in manifest:
+        if not isinstance(manifest, dict) or key not in manifest:
             raise SchemaError(f"run manifest lacks {key!r}")
+    if not all(isinstance(manifest[k], dict) for k in ("parameters", "outputs")):
+        raise SchemaError("run manifest parameters and outputs must be objects")
+    for name, digest in manifest["outputs"].items():
+        # outputs are written beside the manifest: bare file names only,
+        # never an absolute path or a path through ".."
+        if name in ("", ".", "..") or os.path.basename(name) != name \
+                or not isinstance(digest, str):
+            raise SchemaError(f"run manifest names an unsafe output {name!r}")
     print(f"command: {manifest['command']}")
     print(f"tool_version: {manifest['tool_version']}")
     print(f"seed: {manifest['seed']}")

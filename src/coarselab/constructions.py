@@ -19,8 +19,8 @@ from .covers import (ColoredDecomposition, Cover, kolmogorov_amplify,
                      product_decomposition, pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
                      PreconditionError)
-from .spaces import (SpaceGraph, TreeAddress, _t_values, _within,
-                     build_product, generate_net)
+from .spaces import (SpaceGraph, TreeAddress, _csr_from_lists, _t_values,
+                     _within, build_product, generate_net)
 
 __all__ = [
     "MapRecord",
@@ -40,6 +40,9 @@ __all__ = [
     "comb_level_points",
     "comb_level_bound",
 ]
+
+# source edges one remeasure pass evaluates
+_EDGE_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -66,26 +69,33 @@ class MapRecord:
         if len(self.assignment) != self.source.n:
             raise DomainError(
                 f"assignment covers {len(self.assignment)} of {self.source.n} points")
-        for y in self.assignment:
-            if not 0 <= y < self.target.n:
-                raise DomainError(f"target index {y} out of range")
+        image = np.asarray(self.assignment, dtype=np.int64)
+        bad = np.flatnonzero((image < 0) | (image >= self.target.n))
+        if len(bad):
+            raise DomainError(f"target index {int(image[bad[0]])} out of range")
         self.remeasure()
 
     def remeasure(self) -> None:
+        image = np.asarray(self.assignment, dtype=np.int64)
+        adj = self.source.adj
         lip = 0.0
-        for i, nbrs in enumerate(self.source.adj):
-            for j in nbrs:
-                if j < i:
-                    continue
-                ds = self.source.model_distance(i, j)
-                dt = self.target.model_distance(self.assignment[i],
-                                                self.assignment[j])
-                if ds > 0:
-                    lip = max(lip, dt / ds)
-        fibers = np.bincount(np.array(self.assignment, dtype=np.int64),
-                             minlength=self.target.n)
+        # source edges i <= j, read from the adjacency in row blocks
+        rows = max(1, _EDGE_BLOCK // max(1, self.source.degree_bound))
+        for lo in range(0, len(adj), rows):
+            indptr, j = _csr_from_lists(adj[lo:lo + rows])
+            i = np.repeat(np.arange(lo, lo + len(indptr) - 1), np.diff(indptr))
+            i, j = i[j >= i], j[j >= i]
+            ds = self.source.distances(i, j)
+            dt = self.target.distances(image[i], image[j])
+            ratio = np.divide(dt, ds, out=np.zeros_like(dt), where=ds > 0)
+            lip = max(lip, float(ratio.max(initial=0.0)))
         self.measured_lipschitz = lip
-        self.measured_max_fiber = int(fibers.max()) if len(fibers) else 0
+        self.measured_max_fiber = int(self.fiber_sizes().max())
+
+    def adjacent_steps(self) -> bool:
+        """Whether consecutive source points map to target points 1 apart."""
+        image = np.asarray(self.assignment, dtype=np.int64)
+        return bool((self.target.distances(image[:-1], image[1:]) == 1.0).all())
 
     def fiber_sizes(self) -> np.ndarray:
         return np.bincount(np.array(self.assignment, dtype=np.int64),
@@ -151,11 +161,6 @@ def _solve_dilation(r: float, tol: float = 1e-12) -> float:
     else:
         raise NumericError("tangency bisection did not converge")
     return 0.5 * (lo + hi)
-
-
-def _mobius_apply(m: tuple, z: complex) -> complex:
-    (a, b), (c, d) = m
-    return (a * z + b) / (c * z + d)
 
 
 def _mobius_mul(m1: tuple, m2: tuple) -> tuple:
@@ -228,7 +233,7 @@ def build_h2_tiling(r: float, window: dict) -> Tiling:
     # assignment descends analytically and ignores it
     resolution = float(window.get("resolution", math.exp(-radius / 2.0)))
     x_extent = window.get("x_extent", math.sinh(radius) * 1.05 + 2.0)
-    rho0 = (x - 1.0) / 2.0
+    c0, rho0 = (1.0 + x) / 2.0, (x - 1.0) / 2.0
     logx = math.log(x)
     # Euclidean disk of the hyperbolic window ball about (0; 1)
     ball_c, ball_r = math.cosh(radius), math.sinh(radius)
@@ -249,7 +254,7 @@ def build_h2_tiling(r: float, window: dict) -> Tiling:
     for mirrored in (False, True):
         for n in range(n_lo, n_hi + 1):
             rho = x ** n * rho0
-            c = x ** n * c_center(x)
+            c = x ** n * c0
             if meets_window(c, rho):
                 stack.append((_descend_matrix(x, n), rho, 1, mirrored))
     while stack:
@@ -265,10 +270,6 @@ def build_h2_tiling(r: float, window: dict) -> Tiling:
                 stack.append((child, crho, depth + 1, mirrored))
     return Tiling(r=r, lambdas=lambdas, dilation=x,
                   window=dict(window), tiles=tiles)
-
-
-def c_center(x: float) -> float:
-    return (1.0 + x) / 2.0
 
 
 def _identity() -> tuple:
@@ -444,11 +445,7 @@ def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
             raise ValueError("multi-factor images need a product space")
     else:
         target = product
-        index = {}
-        fspaces = product.window["factors"]
-        for idx, tp in enumerate(product.points):
-            key = tuple(f.index_of(part) for f, part in zip(fspaces, tp.parts))
-            index[key] = idx
+        index = {c: i for i, c in enumerate(map(tuple, product._codes.tolist()))}
         assignment = []
         for c in pairs:
             j = index.get(c)

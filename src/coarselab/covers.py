@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ArityError, DomainError, PreconditionError
-from .spaces import SpaceGraph, _csr_take
+from .spaces import SpaceGraph, _concat_csr, _csr_take
 
 __all__ = [
     "Cover",
@@ -56,11 +56,8 @@ class Cover:
 
     def piece_of(self) -> list[list[int]]:
         """For each point, the sorted list of piece ids containing it."""
-        owner: list[list[int]] = [[] for _ in range(self.space.n)]
-        for pid, piece in enumerate(self.pieces):
-            for x in piece:
-                owner[x].append(pid)
-        return owner
+        ptr, pids = _membership(self.pieces, self.space.n)
+        return [pids[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 @dataclass
@@ -81,10 +78,7 @@ class ColoredDecomposition:
             raise ValueError("one colour per piece required")
         if any(not 0 <= c <= self.d for c in self.colors):
             raise ValueError("colours must lie in 0..d")
-        counts = np.zeros(self.space.n, dtype=np.int64)
-        for piece in self.pieces:
-            for x in piece:
-                counts[x] += 1
+        counts = np.diff(_membership(self.pieces, self.space.n)[0])
         if (counts == 0).any():
             missing = int(np.nonzero(counts == 0)[0][0])
             raise ValueError(f"decomposition misses point {missing}")
@@ -106,8 +100,7 @@ class ColoredDecomposition:
         """Number of colour classes (as point sets) containing each point."""
         out = np.zeros(self.space.n, dtype=np.int64)
         for cls in self.color_classes():
-            for x in cls:
-                out[x] += 1
+            out[list(cls)] += 1
         return out
 
 
@@ -130,6 +123,9 @@ class Violation:
 
 PieceFamily = Union[Cover, ColoredDecomposition]
 
+# rows of one sparse product pass
+_ROW_BLOCK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # mesh ball covers
@@ -141,41 +137,20 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
     an R-covering, so the R-balls cover the space."""
     if R < 1:
         raise ValueError("R must be >= 1")
-    from collections import deque
-
+    step = _closed_adjacency(space)
     blocked = np.zeros(space.n, dtype=bool)
     centers: list[int] = []
-    for v in range(space.n):
-        if blocked[v]:
-            continue
-        centers.append(v)
-        # block everything within R-1 (their distance to v is < R)
-        dq = deque([(v, 0)])
-        seen = {v}
-        blocked[v] = True
-        while dq:
-            u, d = dq.popleft()
-            if d >= R - 1:
-                continue
-            for nb in space.adj[u]:
-                if nb not in seen:
-                    seen.add(nb)
-                    blocked[nb] = True
-                    dq.append((nb, d + 1))
-    pieces = []
-    for c in centers:
-        dq = deque([(c, 0)])
-        seen = {c}
-        while dq:
-            u, d = dq.popleft()
-            if d >= R:
-                continue
-            for nb in space.adj[u]:
-                if nb not in seen:
-                    seen.add(nb)
-                    dq.append((nb, d + 1))
-        pieces.append(frozenset(seen))
-    return Cover(space=space, pieces=pieces,
+    for lo in range(0, space.n, _ROW_BLOCK):
+        # a center blocks everything within R-1 (their distance to it is < R)
+        near = _ball_patterns(step, np.arange(lo, min(space.n, lo + _ROW_BLOCK)),
+                              R - 1)
+        ends = near.indptr.tolist()
+        for v in range(lo, lo + near.shape[0]):
+            if not blocked[v]:
+                centers.append(v)
+                blocked[near.indices[ends[v - lo]:ends[v - lo + 1]]] = True
+    balls = _ball_patterns(step, np.asarray(centers, dtype=np.int64), R)
+    return Cover(space=space, pieces=_frozensets(balls.indptr, balls.indices, space.n),
                  labels=[f"ball:{c}:{R}" for c in centers])
 
 
@@ -187,13 +162,58 @@ def _membership(pieces: list[frozenset[int]], n: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-piece inversion as CSR: ``pids[ptr[x]:ptr[x + 1]]`` lists,
     in increasing order, the pieces that contain point x."""
-    sizes = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    ends = np.cumsum(np.fromiter(map(len, pieces), dtype=np.int64,
+                                 count=len(pieces)))
     pts = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.int64,
-                      count=int(sizes.sum()))
-    pids = np.repeat(np.arange(len(pieces)), sizes)[np.argsort(pts, kind="stable")]
+                      count=int(ends[-1]) if len(ends) else 0)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pts, minlength=n), out=ptr[1:])
-    return ptr, pids
+    # the piece of each entry, entries in point order
+    return ptr, np.searchsorted(ends, np.argsort(pts, kind="stable"), side="right")
+
+
+def _frozensets(indptr: np.ndarray, indices: np.ndarray,
+                n: int) -> list[frozenset[int]]:
+    """CSR rows as frozensets.  Every piece holding a point shares one int
+    object for it; a fresh object per entry would make a cover whose
+    points lie in many pieces several times larger."""
+    ids = list(range(n))
+    ends = indptr.tolist()
+    return [frozenset(map(ids.__getitem__, indices[a:b].tolist()))
+            for a, b in zip(ends[:-1], ends[1:])]
+
+
+def _closed_adjacency(space: SpaceGraph):
+    """A + I of the space graph, as CSR: one step of a graph ball."""
+    from scipy.sparse import identity
+
+    return (space._as_csr() + identity(space.n, dtype=np.int8, format="csr")
+            ).astype(bool).tocsr()
+
+
+def _ball_patterns(step, rows: np.ndarray, r: int):
+    """CSR rows holding the closed graph r-ball of each point of ``rows``."""
+    from scipy.sparse import csr_matrix
+
+    ball = csr_matrix((np.ones(len(rows), dtype=bool), rows,
+                       np.arange(len(rows) + 1)), shape=(len(rows), step.shape[0]))
+    for _ in range(r):
+        ball = _pattern_product(ball, step)
+    return ball
+
+
+def _pattern_product(a, b):
+    """Sparsity pattern of ``a @ b``, computed in row blocks.  Patterns
+    are boolean: scipy sums booleans with ``or``, so no entry cancels."""
+    from scipy.sparse import csr_matrix
+
+    blocks = []
+    for lo in range(0, a.shape[0], _ROW_BLOCK):
+        part = a[lo:lo + _ROW_BLOCK] @ b
+        blocks.append((part.indptr, part.indices))
+    indptr, indices = _concat_csr(blocks)
+    return csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                      shape=(a.shape[0], b.shape[1]))
 
 
 def r_multiplicity(cover: PieceFamily, R: float,
@@ -207,25 +227,22 @@ def r_multiplicity(cover: PieceFamily, R: float,
         raise ValueError("R must be >= 0")
     space = cover.space
     pieces = cover.pieces
-    hit = np.zeros(space.n, dtype=np.int64)
     if metric == "graph":
-        from collections import deque
+        from scipy.sparse import csr_matrix
 
-        rad = int(math.floor(R))
-        for piece in pieces:
-            seen = set(piece)
-            dq = deque((x, 0) for x in sorted(piece))
-            for x in piece:
-                hit[x] += 1
-            while dq:
-                v, d = dq.popleft()
-                if d >= rad:
-                    continue
-                for w in space.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        hit[w] += 1
-                        dq.append((w, d + 1))
+        # row x of (A + I)^floor(R) M is nonzero at the pieces within
+        # graph distance floor(R) of x
+        mptr, mpid = _membership(pieces, space.n)
+        met = csr_matrix((np.ones(len(mpid), dtype=bool), mpid, mptr),
+                         shape=(space.n, len(pieces)))
+        hit = np.diff(met.indptr)
+        if R >= 1:
+            step = _closed_adjacency(space)
+            for _ in range(int(math.floor(R)) - 1):
+                met = _pattern_product(step, met)
+            # of the last product only the row counts are needed
+            hit = np.concatenate([np.diff((step[lo:lo + _ROW_BLOCK] @ met).indptr)
+                                  for lo in range(0, space.n, _ROW_BLOCK)])
         best = int(hit.argmax())
         return int(hit[best]), best
     if metric != "model":
@@ -288,8 +305,7 @@ def _scan_violations(decomp: ColoredDecomposition, r: float) -> list[Violation]:
         pair, px = pair[sub], px[sub]
         foe = (colors[px] == colors[py]) & (px != py)
         pair, px, py = pair[foe], px[foe], py[foe]
-        d = np.array([space.model_distance(a, b) for a, b in
-                      zip(x[pair].tolist(), y[pair].tolist())], dtype=float)
+        d = space.distances(x[pair], y[pair])
         close = d < r
         keys.append(np.minimum(px, py)[close] * npieces
                     + np.maximum(px, py)[close])
@@ -474,11 +490,8 @@ def kolmogorov_amplify(decomp: ColoredDecomposition,
         fat.update(_csr_take(indptr, near, sorted(piece))[1].tolist())
         fat_pieces.append(fat)
 
-    in_class = [set() for _ in range(space.n)]   # colours whose class has x
     fat_class = [set() for _ in range(space.n)]  # colours whose fattening has x
     for pid, c in enumerate(decomp.colors):
-        for x in decomp.pieces[pid]:
-            in_class[x].add(c)
         for x in fat_pieces[pid]:
             fat_class[x].add(c)
 
@@ -493,18 +506,15 @@ def kolmogorov_amplify(decomp: ColoredDecomposition,
     # new colour k+1: points whose exact colour set S (|S| = c_min) is clear
     # of every fattened foreign class; split along the pieces of min(S)
     groups: dict[tuple[tuple[int, ...], int], set[int]] = {}
-    piece_by_color: dict[int, list[int]] = {}
-    for pid, c in enumerate(decomp.colors):
-        piece_by_color.setdefault(c, []).append(pid)
+    ptr, pids = _membership(decomp.pieces, space.n)
     for x in range(space.n):
-        S = in_class[x]
+        own = pids[ptr[x]:ptr[x + 1]].tolist()
+        S = {decomp.colors[pid] for pid in own}
         if len(S) != c_min or fat_class[x] - S:
             continue
-        s = min(S)
-        for pid in piece_by_color[s]:
-            if x in decomp.pieces[pid]:
-                groups.setdefault((tuple(sorted(S)), pid), set()).add(x)
-                break
+        # the first piece of colour min(S) holding x
+        pid = next(pid for pid in own if decomp.colors[pid] == min(S))
+        groups.setdefault((tuple(sorted(S)), pid), set()).add(x)
     for (S, pid), pts in sorted(groups.items()):
         out_pieces.append(frozenset(pts))
         out_colors.append(k + 1)
@@ -549,105 +559,70 @@ def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
     factors = product.window.get("factors")
     if factors is None or len(factors) != 2:
         raise ArityError("product space must have exactly two factors")
-    fx, fy = factors
-    combo_index: dict[tuple[int, int], int] = {}
-    for idx, p in enumerate(product.points):
-        ix = fx.index_of(p.parts[0])
-        iy = fy.index_of(p.parts[1])
-        combo_index[(ix, iy)] = idx
+    # every same-colour (piece of ix, piece of iy) of each point (ix, iy)
+    codes = product._codes
+    point, pa = _csr_take(*_membership(dx.pieces, factors[0].n), codes[:, 0])
+    sub, pb = _csr_take(*_membership(dy.pieces, factors[1].n), codes[point, 1])
+    point, pa = point[sub], pa[sub]
+    cx, cy = np.asarray(dx.colors), np.asarray(dy.colors)
+    same = cx[pa] == cy[pb]
+    point, pa, pb = point[same], pa[same], pb[same]
+    # pieces in (colour, pa, pb) order
+    order = np.lexsort((point, pb, pa, cx[pa]))
+    point, pa, pb = point[order], pa[order], pb[order]
+    heads = np.r_[0, np.flatnonzero((np.diff(pa) != 0) | (np.diff(pb) != 0)) + 1]
+    pieces = _frozensets(np.r_[heads, len(point)], point, product.n)
+    colors = cx[pa[heads]].tolist()
+    trace = list(zip(pa[heads].tolist(), pb[heads].tolist()))
 
-    pieces: list[frozenset[int]] = []
-    colors: list[int] = []
-    trace: list[tuple[int, int]] = []
-    by_color_x: dict[int, list[int]] = {}
-    by_color_y: dict[int, list[int]] = {}
-    for pid, c in enumerate(dx.colors):
-        by_color_x.setdefault(c, []).append(pid)
-    for pid, c in enumerate(dy.colors):
-        by_color_y.setdefault(c, []).append(pid)
-    for c in range(k + 1):
-        for pa in by_color_x.get(c, ()):
-            xs = sorted(dx.pieces[pa])
-            for pb in by_color_y.get(c, ()):
-                pts = set()
-                for ix in xs:
-                    for iy in dy.pieces[pb]:
-                        j = combo_index.get((ix, iy))
-                        if j is not None:
-                            pts.add(j)
-                if pts:
-                    pieces.append(frozenset(pts))
-                    colors.append(c)
-                    trace.append((pa, pb))
-
-    out = ColoredDecomposition(
+    # ColoredDecomposition rejects a product point that no piece covers
+    return ColoredDecomposition(
         space=product, pieces=pieces, colors=colors,
         r=min(dx.r, dy.r), d=k, partition=False,
         provenance={"construction": "product_decomposition", "factor_pieces": trace},
     )
-    covered = np.zeros(product.n, dtype=bool)
-    for piece in pieces:
-        for x in piece:
-            covered[x] = True
-    if not covered.all():
-        raise PreconditionError("product decomposition misses a point",
-                                witness=int(np.argmin(covered)))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # pullbacks and refinement
 
 
-def pullback_cover(f, cover: Cover) -> Cover:
-    """Cover of the map's source by nonempty preimages of target pieces."""
+def _preimages(f, pieces: list[frozenset[int]]
+               ) -> tuple[list[int], list[frozenset[int]]]:
+    """Ids of the target pieces with a nonempty preimage under the map
+    ``f``, in increasing order, and those preimages."""
     if len(f.assignment) != f.source.n:
         raise DomainError("map is not total on its source window")
-    buckets: dict[int, set[int]] = {}
-    for pid in range(len(cover.pieces)):
-        buckets[pid] = set()
-    membership: list[list[int]] = [[] for _ in range(f.target.n)]
-    for pid, piece in enumerate(cover.pieces):
-        for y in piece:
-            membership[y].append(pid)
-    for x, y in enumerate(f.assignment):
-        for pid in membership[y]:
-            buckets[pid].add(x)
-    pieces = []
-    labels = []
-    for pid in sorted(buckets):
-        if buckets[pid]:
-            pieces.append(frozenset(buckets[pid]))
-            labels.append(f"pre:{pid}")
-    return Cover(space=f.source, pieces=pieces, labels=labels)
+    ptr, pids = _membership(pieces, f.target.n)
+    src, pid = _csr_take(ptr, pids, np.asarray(f.assignment, dtype=np.int64))
+    order = np.argsort(pid, kind="stable")
+    src, pid = src[order], pid[order]
+    cuts = np.flatnonzero(np.diff(pid)) + 1
+    return (pid[np.r_[0, cuts]].tolist(),
+            _frozensets(np.r_[0, cuts, len(src)], src, f.source.n))
+
+
+def pullback_cover(f, cover: Cover) -> Cover:
+    """Cover of the map's source by nonempty preimages of target pieces."""
+    ids, pieces = _preimages(f, cover.pieces)
+    return Cover(space=f.source, pieces=pieces,
+                 labels=[f"pre:{pid}" for pid in ids])
 
 
 def pullback_decomposition(f, decomp: ColoredDecomposition,
                            r: Optional[float] = None) -> ColoredDecomposition:
-    """Preimage decomposition with colours carried over; separation is
-    re-measured, never assumed."""
-    if len(f.assignment) != f.source.n:
-        raise DomainError("map is not total on its source window")
-    membership: list[list[int]] = [[] for _ in range(f.target.n)]
-    for pid, piece in enumerate(decomp.pieces):
-        for y in piece:
-            membership[y].append(pid)
-    buckets: dict[int, set[int]] = {pid: set() for pid in range(len(decomp.pieces))}
-    for x, y in enumerate(f.assignment):
-        for pid in membership[y]:
-            buckets[pid].add(x)
-    pieces, colors, sources = [], [], []
-    for pid in sorted(buckets):
-        if buckets[pid]:
-            pieces.append(frozenset(buckets[pid]))
-            colors.append(decomp.colors[pid])
-            sources.append(pid)
+    """Preimage decomposition with colours carried over.  The preimages of
+    a partition under a total map are a partition, so ``partition`` is
+    carried over too.  The claimed ``r`` defaults to the target's divided
+    by the measured Lipschitz constant."""
+    sources, pieces = _preimages(f, decomp.pieces)
     if r is None:
         lip = max(f.measured_lipschitz, 1e-12)
         r = decomp.r / lip
     return ColoredDecomposition(
-        space=f.source, pieces=pieces, colors=colors, r=r, d=decomp.d,
-        partition=decomp.partition and f.measured_max_fiber == 1,
+        space=f.source, pieces=pieces,
+        colors=[decomp.colors[pid] for pid in sources], r=r, d=decomp.d,
+        partition=decomp.partition,
         provenance={"construction": "pullback", "target_pieces": sources,
                     "target_r": decomp.r,
                     "measured_lipschitz": f.measured_lipschitz},

@@ -10,8 +10,8 @@ that boundary effects (truncation) can be flagged.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -32,7 +32,6 @@ __all__ = [
     "GrowthReport",
     "point_distance",
     "point_key",
-    "model_distance",
     "generate_net",
     "ball",
     "build_product",
@@ -55,6 +54,9 @@ _X_STEP_SCALE = 1.0  # horizontal step = 2*sinh(_X_STEP_SCALE*sep) * y
 # candidate pairs one engine pass may test: bounds transient arrays to a
 # few MB whatever the number of query rows
 _CANDIDATE_BUDGET = 1 << 18
+
+# point pairs one distance-kernel pass evaluates
+_DISTANCE_BLOCK = 1 << 16
 
 PRODUCT_CAP = 2_000_000
 
@@ -286,7 +288,7 @@ def _csr_take(indptr: np.ndarray, indices: np.ndarray,
 def _csr_from_lists(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.fromiter((j for r in rows for j in r), dtype=np.int64,
+    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
                           count=int(indptr[-1]))
     return indptr, indices
 
@@ -430,14 +432,16 @@ class SpaceGraph:
     _dist_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _csr: object = field(default=None, repr=False)
     _grid: object = field(default=None, repr=False)
+    # integer codes: z values and product factor indices, set when the
+    # net is built; t3 words, built on first use
+    _codes: object = field(default=None, repr=False)
+    _margins: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.points:
             raise EmptySpaceError(f"window produced no points: {self.window}")
         if not self.degree_bound:
             self.degree_bound = max((len(a) for a in self.adj), default=0)
-        if not self._index:
-            self._index = {point_key(p): i for i, p in enumerate(self.points)}
 
     # -- basic queries ----------------------------------------------------
 
@@ -446,7 +450,17 @@ class SpaceGraph:
         return len(self.points)
 
     def index_of(self, p: ModelPoint) -> int:
-        return self._index[point_key(p)]
+        key = point_key(p)
+        if self.model == "z" and key[0] == "z":
+            # z nets hold increasing integers: no key dictionary
+            ns = self._codes
+            i = int(np.searchsorted(ns, p.n))
+            if i < self.n and ns[i] == p.n:
+                return i
+            raise KeyError(key)
+        if not self._index:
+            self._index = {point_key(q): i for i, q in enumerate(self.points)}
+        return self._index[key]
 
     def model_distance(self, i: int, j: int) -> float:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -507,75 +521,114 @@ class SpaceGraph:
         if self._csr is None:
             from scipy.sparse import csr_matrix
 
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for i, nbrs in enumerate(self.adj):
-                indptr[i + 1] = indptr[i] + len(nbrs)
-            indices = np.empty(indptr[-1], dtype=np.int32)
-            for i, nbrs in enumerate(self.adj):
-                indices[indptr[i] : indptr[i + 1]] = nbrs
-            data = np.ones(indptr[-1], dtype=np.int8)
-            self._csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+            indptr, indices = _csr_from_lists(self.adj)
+            data = np.ones(len(indices), dtype=np.int8)
+            self._csr = csr_matrix((data, indices.astype(np.int32), indptr),
+                                   shape=(self.n, self.n))
         return self._csr
 
     def graph_distances(self, center: int, limit: Optional[int] = None) -> np.ndarray:
         """Shortest-path distances from center; -1 where unreachable/over limit."""
         if not 0 <= center < self.n:
             raise IndexError(f"point index out of range: {center}")
-        if self.n > 3000:
-            from scipy.sparse.csgraph import dijkstra
-
-            lim = np.inf if limit is None else float(limit)
-            d = dijkstra(self._as_csr(), directed=False, unweighted=True,
-                         indices=center, limit=lim)
-            out = np.full(self.n, -1, dtype=np.int64)
-            finite = np.isfinite(d)
-            out[finite] = d[finite].astype(np.int64)
-            return out
-        return self._bfs(center, limit)
-
-    def _bfs(self, center: int, limit: Optional[int] = None) -> np.ndarray:
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[center] = 0
-        dq = deque([center])
-        while dq:
-            v = dq.popleft()
-            dv = dist[v]
-            if limit is not None and dv >= limit:
-                continue
-            for w in self.adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    dq.append(w)
-        return dist
+        return self._path_lengths(center, limit)
 
     def multi_source_distances(self, sources: Sequence[int],
                                limit: Optional[int] = None) -> np.ndarray:
-        if self.n > 3000 and len(sources) > 1:
-            from scipy.sparse.csgraph import dijkstra
+        """Distance from the nearest of ``sources``; -1 where unreachable."""
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        if not len(sources):
+            return np.full(self.n, -1, dtype=np.int64)
+        return self._path_lengths(sources, limit, min_only=True)
 
-            lim = np.inf if limit is None else float(limit)
-            d = dijkstra(self._as_csr(), directed=False, unweighted=True,
-                         indices=list(sources), limit=lim, min_only=True)
-            out = np.full(self.n, -1, dtype=np.int64)
-            finite = np.isfinite(d)
-            out[finite] = d[finite].astype(np.int64)
+    def _path_lengths(self, indices, limit: Optional[int], **kw) -> np.ndarray:
+        # the one BFS: unweighted csgraph search, -1 for inf
+        from scipy.sparse.csgraph import dijkstra
+
+        lim = np.inf if limit is None else float(limit)
+        d = dijkstra(self._as_csr(), directed=False, unweighted=True,
+                     indices=indices, limit=lim, **kw)
+        out = np.full(d.shape, -1, dtype=np.int64)
+        finite = np.isfinite(d)
+        out[finite] = d[finite].astype(np.int64)
+        return out
+
+    # -- row-aligned model distances --------------------------------------
+
+    def distances(self, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
+        """Model distances of the point pairs ``(i[k], j[k])``.
+
+        Bit-identical to :meth:`model_distance` pair by pair; rows are
+        evaluated in blocks of at most ``_DISTANCE_BLOCK``.
+        """
+        i = np.asarray(i, dtype=np.int64).reshape(-1)
+        j = np.asarray(j, dtype=np.int64).reshape(-1)
+        if len(i) != len(j):
+            raise ValueError(f"index arrays differ in length: {len(i)}, {len(j)}")
+        out = np.empty(len(i))
+        if not len(i):
             return out
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dq = deque()
-        for s in sources:
-            if dist[s] != 0:
-                dist[s] = 0
-                dq.append(s)
-        while dq:
-            v = dq.popleft()
-            dv = dist[v]
-            if limit is not None and dv >= limit:
-                continue
-            for w in self.adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    dq.append(w)
-        return dist
+        if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n:
+            raise IndexError("point index out of range")
+        kernel = self._distance_kernel()
+        for lo in range(0, len(i), _DISTANCE_BLOCK):
+            hi = lo + _DISTANCE_BLOCK
+            out[lo:hi] = kernel(i[lo:hi], j[lo:hi])
+        return out
+
+    def _distance_kernel(self):
+        if self._dist_matrix is not None:
+            return lambda a, b: self._dist_matrix[a, b]
+        if self.model in ("h2", "hd"):
+            xs, ys = self._coords()
+
+            def hyperbolic(a, b):
+                if self.model == "h2":
+                    dx2 = (xs[a, 0] - xs[b, 0]) ** 2
+                else:
+                    # point_distance squares half-space x-differences with
+                    # ``**`` (libm pow), which can differ from x*x in the
+                    # last bit
+                    dx2 = np.fromiter((sum(v ** 2 for v in row) for row in
+                                       (xs[a] - xs[b]).tolist()), float, len(a))
+                dy = ys[a] - ys[b]
+                t = (dx2 + dy * dy) / (2.0 * ys[a] * ys[b])
+                # numpy's arccosh can differ from math.acosh in the last bit
+                return np.fromiter(map(_acosh1p, t.tolist()), float, len(t))
+            return hyperbolic
+        if self.model == "z":
+            ns = self._codes
+            return lambda a, b: np.abs(ns[a] - ns[b]).astype(float)
+        if self.model == "t3":
+            words, depth = self._words()
+
+            def tree(a, b):
+                # a mismatch is forced at the padding column; where both
+                # words end together it is clipped to their common depth
+                mismatch = words[a] != words[b]
+                mismatch[:, -1] = True
+                lcp = np.minimum(mismatch.argmax(axis=1),
+                                 np.minimum(depth[a], depth[b]))
+                return (depth[a] + depth[b] - 2 * lcp).astype(float)
+            return tree
+        pts = self.points
+        return lambda a, b: np.array(
+            [point_distance(pts[p], pts[q]) for p, q in zip(a.tolist(), b.tolist())],
+            dtype=float)
+
+    def _words(self):
+        # padded int8 words (-1 beyond each word, with one all-padding
+        # column) and depths of a t3 net
+        if self._codes is None:
+            words = [p.word for p in self.points]
+            depth = np.fromiter(map(len, words), dtype=np.int64, count=self.n)
+            padded = np.full((self.n, int(depth.max()) + 1), -1, dtype=np.int8)
+            # a boolean mask fills row by row, in word order
+            padded[np.arange(padded.shape[1]) < depth[:, None]] = np.fromiter(
+                itertools.chain.from_iterable(words), dtype=np.int8,
+                count=int(depth.sum()))
+            self._codes = (padded, depth)
+        return self._codes
 
     # -- model-metric range queries ---------------------------------------
 
@@ -603,11 +656,9 @@ class SpaceGraph:
         point of ``idx``, rows sorted (see :meth:`neighbor_blocks`)."""
         return _concat_csr((p, i) for _, p, i in self.neighbor_blocks(idx, radius))
 
-    def _brute_within(self, i: int, radius: float) -> list[int]:
-        if self.model == "z":
-            c = self.points[i].n
-            return [j for j in range(self.n) if abs(self.points[j].n - c) <= radius]
-        return [j for j in range(self.n) if self.model_distance(i, j) <= radius]
+    def _brute_within(self, i: int, radius: float) -> np.ndarray:
+        every = np.arange(self.n)
+        return np.flatnonzero(self.distances(np.full(self.n, i), every) <= radius)
 
     def coords_within(self, xs, ys, radius) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the net points within model distance
@@ -691,17 +742,17 @@ class SpaceGraph:
 
     def margins(self) -> np.ndarray:
         """Cached per-point distance to the window boundary."""
-        if getattr(self, "_margin_cache", None) is None:
+        if self._margins is None:
             w = self.window
             if w.get("kind") == "ball" and self.model in ("h2", "hd"):
                 xs, ys = self._coords()
                 bi = w["basepoint"]
                 bx, by = xs[bi], ys[bi]
                 t = (((xs - bx) ** 2).sum(axis=1) + (ys - by) ** 2) / (2 * ys * by)
-                self._margin_cache = w["radius"] - np.arccosh(np.maximum(1.0, 1 + t))
+                self._margins = w["radius"] - np.arccosh(np.maximum(1.0, 1 + t))
             else:
-                self._margin_cache = np.array([self.margin(i) for i in range(self.n)])
-        return self._margin_cache
+                self._margins = np.array([self.margin(i) for i in range(self.n)])
+        return self._margins
 
     def _coord_dist(self, c: int, coords: tuple[float, ...], y: float) -> float:
         p = self.points[c]
@@ -720,11 +771,9 @@ class SpaceGraph:
             dy = ys[a][:, None] - ys[b][None, :]
             t = (dx2 + dy * dy) / (2.0 * ys[a][:, None] * ys[b][None, :])
             return np.arccosh(np.maximum(1.0, 1.0 + t))
-        out = np.empty((len(idx_a), len(idx_b)))
-        for r, i in enumerate(idx_a):
-            for c, j in enumerate(idx_b):
-                out[r, c] = self.model_distance(i, j)
-        return out
+        a, b = np.meshgrid(np.asarray(idx_a, dtype=np.int64),
+                           np.asarray(idx_b, dtype=np.int64), indexing="ij")
+        return self.distances(a.ravel(), b.ravel()).reshape(a.shape)
 
     def set_distance(self, a: Iterable[int], b: Iterable[int],
                      upper: Optional[float] = None) -> float:
@@ -736,27 +785,19 @@ class SpaceGraph:
         ia, ib = list(a), list(b)
         if not ia or not ib:
             return math.inf
-        if self.model in ("h2", "hd"):
-            xs, ys = self._coords()
+        if self.model in ("h2", "hd") and upper is not None:
             # quick reject via log-height gap: d >= |log y1 - log y2|
-            if upper is not None:
-                la = np.log(ys[ia])
-                lb = np.log(ys[ib])
-                gap = max(la.min() - lb.max(), lb.min() - la.max())
-                if gap > upper:
-                    return float(gap)  # a valid lower bound > upper
-            best = math.inf
-            chunk = max(1, 2_000_000 // max(1, len(ib)))
-            for s in range(0, len(ia), chunk):
-                d = self.pairwise_model_distances(ia[s : s + chunk], ib)
-                best = min(best, float(d.min()))
-            return best
+            ys = self._coords()[1]
+            la = np.log(ys[ia])
+            lb = np.log(ys[ib])
+            gap = max(la.min() - lb.max(), lb.min() - la.max())
+            if gap > upper:
+                return float(gap)  # a valid lower bound > upper
         best = math.inf
-        for i in ia:
-            for j in ib:
-                d = self.model_distance(i, j)
-                if d < best:
-                    best = d
+        chunk = max(1, 2_000_000 // max(1, len(ib)))
+        for s in range(0, len(ia), chunk):
+            d = self.pairwise_model_distances(ia[s : s + chunk], ib)
+            best = min(best, float(d.min()))
         return best
 
     def set_diameter(self, idx: Sequence[int]) -> float:
@@ -766,29 +807,18 @@ class SpaceGraph:
         if self.model == "z":
             vals = [self.points[i].n for i in idx]
             return float(max(vals) - min(vals))
-        if self.model in ("h2", "hd"):
-            best = 0.0
-            chunk = max(1, 2_000_000 // max(1, len(idx)))
-            for s in range(0, len(idx), chunk):
-                d = self.pairwise_model_distances(idx[s : s + chunk], idx)
-                best = max(best, float(d.max()))
-            return best
+        # model distances are exactly symmetric, so ordered pairs give
+        # the same maximum as pairs a < b
         best = 0.0
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                d = self.model_distance(idx[a], idx[b])
-                if d > best:
-                    best = d
+        chunk = max(1, 2_000_000 // len(idx))
+        for s in range(0, len(idx), chunk):
+            d = self.pairwise_model_distances(idx[s : s + chunk], idx)
+            best = max(best, float(d.max()))
         return best
 
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def model_distance(space: SpaceGraph, p: int, q: int) -> float:
-    """Model distance between points p and q of a space (by index)."""
-    return space.model_distance(p, q)
 
 
 def ball(space: SpaceGraph, center: int, r: int) -> tuple[frozenset[int], bool]:
@@ -819,30 +849,20 @@ def growth_report(space: SpaceGraph, center: int,
     a frontier touches the boundary, all larger radii stay flagged.
     """
     dist = space.graph_distances(center, limit=r_max)
-    reach = dist[dist >= 0]
-    top = int(reach.max()) if len(reach) else 0
-    if r_max is not None:
-        top = min(top, r_max)
-    margins = space.margins()
-    sub_mask = None
+    reached = np.flatnonzero(dist >= 0)
+    d = dist[reached]
+    top = int(d.max())
+    counted = d
     if subset is not None:
-        sub_mask = np.zeros(space.n, dtype=bool)
-        sub_mask[list(subset)] = True
-    radii, counts, trunc = [], [], []
-    hit_boundary = False
-    running = 0
-    for r in range(top + 1):
-        at_r = np.nonzero(dist == r)[0]
-        if len(at_r) and margins[at_r].min() <= space.edge_threshold:
-            hit_boundary = True
-        if sub_mask is not None:
-            running += int(sub_mask[at_r].sum())
-        else:
-            running += len(at_r)
-        radii.append(r)
-        counts.append(running)
-        trunc.append(hit_boundary)
-    return GrowthReport(center=center, radii=radii, counts=counts, truncated=trunc)
+        member = np.zeros(space.n, dtype=bool)
+        member[list(subset)] = True
+        counted = d[member[reached]]
+    edge = np.zeros(top + 1, dtype=bool)
+    edge[d[space.margins()[reached] <= space.edge_threshold]] = True
+    return GrowthReport(
+        center=center, radii=list(range(top + 1)),
+        counts=np.cumsum(np.bincount(counted, minlength=top + 1)).tolist(),
+        truncated=np.logical_or.accumulate(edge).tolist())
 
 
 # -- net generation ---------------------------------------------------------
@@ -891,12 +911,16 @@ def _net_z(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGr
         raise EmptySpaceError(f"empty integer window [{lo}, {hi}]")
     thr = sep if edge_threshold is None else edge_threshold
     # integers step >= ceil(sep) apart are sep-separated by construction
-    step = max(1, int(math.ceil(sep)))
-    pts = [ZPoint(n) for n in range(lo, hi + 1, step)]
-    adj = _edges_by_scan(pts, thr)
-    mid = (lo + hi) // 2
-    base = min(range(len(pts)), key=lambda i: (abs(pts[i].n - mid), i))
-    return SpaceGraph(model="z", points=pts, adj=adj, sep=sep, edge_threshold=thr,
+    ns = np.arange(lo, hi + 1, max(1, int(math.ceil(sep))), dtype=np.int64)
+    # the neighbours of each integer form one run around it; slices of one
+    # index tuple share its int objects
+    first = np.searchsorted(ns, ns - thr, side="left").tolist()
+    end = np.searchsorted(ns, ns + thr, side="right").tolist()
+    ids = tuple(range(len(ns)))
+    adj = [ids[a:i] + ids[i + 1:b] for i, (a, b) in enumerate(zip(first, end))]
+    base = int(np.argmin(np.abs(ns - (lo + hi) // 2)))
+    return SpaceGraph(model="z", points=[ZPoint(n) for n in ns.tolist()], adj=adj,
+                      sep=sep, edge_threshold=thr, _codes=ns,
                       window={"kind": "range", "lo": lo, "hi": hi,
                               "basepoint": base})
 
@@ -980,17 +1004,6 @@ def _comb_edges(pts: list[CombNode]) -> list[tuple[int, ...]]:
                 adj[i].append(j)
                 adj[j].append(i)
     return [tuple(sorted(set(a))) for a in adj]
-
-
-def _edges_by_scan(pts: list[ZPoint], thr: float) -> list[tuple[int, ...]]:
-    adj: list[list[int]] = [[] for _ in pts]
-    for i, p in enumerate(pts):
-        j = i + 1
-        while j < len(pts) and pts[j].n - p.n <= thr:
-            adj[i].append(j)
-            adj[j].append(i)
-            j += 1
-    return [tuple(sorted(a)) for a in adj]
 
 
 def _edges_brute(pts: list[ModelPoint], thr: float) -> list[tuple[int, ...]]:
@@ -1110,6 +1123,7 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
         pts = [TuplePoint((p,)) for p in s.points]
         return SpaceGraph(model="product", points=pts, adj=list(s.adj), sep=s.sep,
                           edge_threshold=s.edge_threshold,
+                          _codes=np.arange(s.n).reshape(-1, 1),
                           window={"kind": "full", "factors": list(spaces)})
     if window is None:
         size = 1
@@ -1171,7 +1185,8 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
     sep = min(s.sep for s in spaces)
     thr = max(s.edge_threshold for s in spaces)
     return SpaceGraph(model="product", points=pts, adj=adj_t, sep=sep,
-                      edge_threshold=thr, window=wdesc)
+                      edge_threshold=thr, window=wdesc,
+                      _codes=np.array(combos, dtype=np.int64))
 
 
 # -- explicit metric graphs (for oracles and small experiments) -------------
@@ -1189,12 +1204,7 @@ def metric_graph(n: int, edges: Iterable[tuple[int, int]]) -> SpaceGraph:
     pts = [ZPoint(i) for i in range(n)]
     g = SpaceGraph(model="metric_graph", points=pts, adj=adj_t, sep=1.0,
                    edge_threshold=1.0, window={"kind": "explicit"})
-    dist = np.full((n, n), np.inf)
-    for i in range(n):
-        d = g._bfs(i)
-        row = np.where(d < 0, np.inf, d.astype(float))
-        dist[i] = row
-    g._dist_matrix = dist
-    # identical ZPoint payloads across graphs are fine; keys stay local
-    g._index = {("z", i): i for i in range(n)}
+    from scipy.sparse.csgraph import dijkstra
+
+    g._dist_matrix = dijkstra(g._as_csr(), directed=False, unweighted=True)
     return g

@@ -134,7 +134,35 @@ class TestBuildCommand:
         assert rc == 2
 
 
+    def test_non_numeric_check_parameter_exit_2(self, tmp_path, capsys):
+        main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        rc = main(["verify", str(tmp_path / "walk.json"),
+                   "--checks", "fibers:max=abc", "--out", str(tmp_path / "v")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "max" in err and "abc" in err
+        assert not (tmp_path / "v").exists()
+
+    def test_check_on_wrong_artifact_kind_exit_2(self, tmp_path):
+        main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])
+        rc = main(["verify", str(tmp_path / "walk.json"),
+                   "--checks", "coverage", "--out", str(tmp_path / "v")])
+        assert rc == 2
+
+    def test_nerve_without_cover_exit_2(self, tmp_path):
+        rc = main(["build", "nerve", "--out", str(tmp_path)])
+        assert rc == 2
+
+
 class TestAnalyzeCommand:
+    def test_growth_without_space_exit_2(self, tmp_path, capsys):
+        rc = main(["analyze", "growth", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--space" in capsys.readouterr().err
+        rc = main(["analyze", "distortion", "--out", str(tmp_path)])
+        assert rc == 2
+
     def test_growth_on_comb(self, tmp_path, capsys):
         main(["build", "comb", "--d", "2", "--extent", "40",
               "--out", str(tmp_path)])
@@ -192,6 +220,38 @@ class TestReportCommand:
         assert "MODIFIED" in capsys.readouterr().out
 
 
+    @staticmethod
+    def crafted_manifest(tmp_path, name):
+        """A run manifest whose output ``name`` points at an existing file
+        outside the manifest's directory, with the file's true digest."""
+        import coarselab.artifacts as artifacts
+
+        secret = tmp_path / "outside.txt"
+        secret.write_text("not an output\n", encoding="utf-8")
+        run = tmp_path / "run"
+        run.mkdir()
+        manifest = {"command": "space", "inputs": {}, "parameters": {},
+                    "seed": 0, "tool_version": "0.1.0",
+                    "outputs": {name(secret): artifacts.sha256_text(
+                        "not an output\n")}}
+        (run / "space.manifest.json").write_text(json.dumps(manifest),
+                                                 encoding="utf-8")
+        return run / "space.manifest.json"
+
+    def test_report_rejects_parent_directory_output(self, tmp_path, capsys):
+        path = self.crafted_manifest(tmp_path, lambda p: "../" + p.name)
+        rc = main(["report", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "unsafe output" in captured.err
+        assert "[ok]" not in captured.out
+
+    def test_report_rejects_absolute_output(self, tmp_path, capsys):
+        path = self.crafted_manifest(tmp_path, str)
+        assert main(["report", str(path)]) == 2
+        assert "[ok]" not in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_space_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -223,3 +283,22 @@ class TestDeterminism:
         rc = main(["verify", f"sha256:{digest}", "--checks", "fibers:max=3",
                    "--out", str(tmp_path / "v")])
         assert rc == 0
+
+
+def test_walk_commands_stay_off_scipy_sparse(tmp_path):
+    # the walk and its checks need no sparse graph code; importing
+    # scipy.sparse would add about 22 MB to each of these processes
+    import subprocess
+    import sys
+
+    walk = str(tmp_path / "walk.json")
+    for argv in (["build", "walk", "--n-max", "5", "--out", str(tmp_path)],
+                 ["verify", walk, "--checks", "fibers:max=3,adjacent",
+                  "--out", str(tmp_path / "v")],
+                 ["analyze", "distortion", "--map", walk, "--out",
+                  str(tmp_path / "d")]):
+        code = ("import sys; from coarselab.cli import main; "
+                f"rc = main({argv!r}); print(rc, 'scipy.sparse' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert out[-2:] == ["0", "False"], (argv, out)

@@ -259,6 +259,32 @@ class TestKolmogorov:
         counts = out.coverage_counts()
         assert int(counts.min()) >= 3  # n = 0 here: coverage (k+2)-0 = 3
 
+    def test_selected_class_splits_along_the_first_piece(self):
+        # at r = 0 same-colour pieces may overlap: a point of the new class
+        # goes with the lowest-numbered piece of the smallest colour holding it
+        z = z_window(6)
+        pieces = [interval_piece(z, -6, 2), interval_piece(z, -2, 6),
+                  interval_piece(z, -6, -3) | interval_piece(z, 1, 6),
+                  interval_piece(z, -4, 3)]
+        dec = ColoredDecomposition(z, pieces, [0, 0, 1, 1], r=0.0, d=1,
+                                   partition=False)
+        out = kolmogorov_amplify(dec)
+        P = len(pieces)
+        c_min = int(dec.coverage_counts().min())
+        expect: dict = {}
+        for x in range(z.n):
+            own = [p for p in range(P) if x in pieces[p]]
+            S = {dec.colors[p] for p in own}
+            fat = {dec.colors[p] for p in range(P) if x in out.pieces[p]}
+            if len(S) == c_min and not fat - S:
+                pid = min(p for p in own if dec.colors[p] == min(S))
+                expect.setdefault((tuple(sorted(S)), pid), set()).add(x)
+        groups = sorted(expect.items())
+        assert any(pid == 0 for (_, pid), _ in groups)
+        assert out.pieces[P:] == [frozenset(v) for _, v in groups]
+        assert out.provenance["trace"][P:] == [("selected", pid)
+                                               for (_, pid), _ in groups]
+
 
 class TestProductDecomposition:
     def test_single_piece_factors(self):

@@ -282,3 +282,12 @@ class TestGrowthReport:
         for t in rep.truncated:
             seen_true = seen_true or t
             assert t == seen_true or not seen_true
+
+    def test_truncation_stays_flagged_after_frontier_leaves_boundary(self):
+        # from a hair tip the frontier walks inward: only radii 0 and 1 sit
+        # within the edge threshold of the window, later radii stay flagged
+        comb = generate_net("comb", {"d": 2, "extent": 6})
+        tip = comb.index_of(CombNode(0, (6,)))
+        rep = growth_report(comb, tip, r_max=5)
+        assert [comb.margins()[tip], rep.counts[:3]] == [0.0, [1, 2, 3]]
+        assert rep.truncated == [True] * 6
