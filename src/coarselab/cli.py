@@ -217,6 +217,8 @@ def cmd_build(args) -> int:
              "lipschitz": constructions.nerve_lipschitz(space, nerve)}),
             outputs)
     elif args.kind == "product":
+        if not args.factor:
+            raise SchemaError("build product needs --factor")
         manifests = [_load_json(p) for p in args.factor]
         factors = [artifacts.space_from_manifest(m) for m in manifests]
         window = None
@@ -295,6 +297,8 @@ def cmd_verify(args) -> int:
                            "witness": None if not bad else vars(bad[0])})
         elif name == "multiplicity":
             R = params.get("R", 0)
+            if R < 0:
+                raise SchemaError(f"check {spec!r}: R must be >= 0")
             bound = params.get("max",
                                obj.d + 1 if hasattr(obj, "d") else None)
             mult, witness = covers.r_multiplicity(
@@ -374,8 +378,15 @@ def cmd_analyze(args) -> int:
             d, _space_from_ref(d["source_ref"]), _space_from_ref(d["target_ref"]))
         anchored = None
         if args.anchored is not None:
-            anchored = record.source.index_of(spaces.ZPoint(args.anchored)) \
-                if record.source.model == "z" else int(args.anchored)
+            anchored = args.anchored
+            if record.source.model == "z":
+                try:
+                    anchored = record.source.index_of(spaces.ZPoint(anchored))
+                except KeyError:
+                    anchored = -1
+            if not 0 <= anchored < record.source.n:
+                raise SchemaError(
+                    f"--anchored {args.anchored} is not a point of the map's source")
         prof = analysis.distortion_profile(record, anchored=anchored,
                                            seed=args.seed)
         csv = ["src_lo,src_hi,tgt_min,tgt_mean,tgt_max"]

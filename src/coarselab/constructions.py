@@ -19,8 +19,9 @@ from .covers import (ColoredDecomposition, Cover, kolmogorov_amplify,
                      product_decomposition, pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
                      PreconditionError)
-from .spaces import (SpaceGraph, TreeAddress, _csr_from_lists, _t_values,
-                     _within, build_product, generate_net)
+from .spaces import (SpaceGraph, TreeAddress, _csr_from_lists, _radix_strides,
+                     _sorted_lookup, _t_values, _within, build_product,
+                     generate_net)
 
 __all__ = [
     "MapRecord",
@@ -436,23 +437,25 @@ def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
             f" a radius-{factors[i].window['radius']} factor window")
     snapped = np.column_stack([f.nearest_points(xs[:, i:i + 1], ys)
                                for i, f in enumerate(factors)])
-    pairs = list(map(tuple, snapped.tolist()))
     if product is None:
         if len(factors) == 1:
             target = factors[0]
-            assignment = [c[0] for c in pairs]
+            assignment = snapped[:, 0].tolist()
         else:
             raise ValueError("multi-factor images need a product space")
     else:
         target = product
-        index = {c: i for i, c in enumerate(map(tuple, product._codes.tolist()))}
-        assignment = []
-        for c in pairs:
-            j = index.get(c)
-            if j is None:
-                raise DomainError(
-                    f"image tuple {c} outside the product window")
-            assignment.append(j)
+        sizes = [f.n for f in product.window["factors"]]
+        if len(sizes) != len(factors):
+            raise ArityError(f"product has {len(sizes)} factors, need {len(factors)}")
+        # the product's points are its factor-index tuples in key order
+        strides = _radix_strides(sizes)
+        rows = _sorted_lookup(product._codes @ strides, np.where(
+            (snapped < sizes).all(axis=1), snapped @ strides, -1))
+        if (rows < 0).any():
+            c = tuple(snapped[np.argmax(rows < 0)].tolist())
+            raise DomainError(f"image tuple {c} outside the product window")
+        assignment = rows.tolist()
     return MapRecord(source=source, target=target, assignment=assignment,
                      provenance={"construction": "brady_farb", "d": d})
 

@@ -252,12 +252,29 @@ def _t_values(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
     return (dx2 + dy * dy) / (2.0 * ya * yb)
 
 
-def _within(t: np.ndarray, radius: np.ndarray) -> np.ndarray:
+def _t_exact(hd: bool, xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
+             yb: np.ndarray) -> np.ndarray:
+    """:func:`_t_values` bit for bit as :func:`point_distance` computes it.
+
+    Half-space points square x-differences with ``**`` (libm pow), which
+    can differ from numpy's x*x in the last bit; half-plane points use
+    x*x, as numpy does.
+    """
+    if not hd:
+        return _t_values(xa, ya, xb, yb)
+    dx2 = np.fromiter((sum(v ** 2 for v in row) for row in (xa - xb).tolist()),
+                      float, len(ya))
+    dy = ya - yb
+    return (dx2 + dy * dy) / (2.0 * ya * yb)
+
+
+def _within(t: np.ndarray, radius: np.ndarray, exact_t=None) -> np.ndarray:
     """Mask of ``_acosh1p(t) <= radius``, decided exactly as the scalar test.
 
     numpy's arccosh can differ from ``math.acosh`` in the last bit, so
     entries whose 1 + t lies within a relative 1e-9 of cosh(radius) are
-    decided by the scalar function itself.
+    decided by the scalar function itself, on ``exact_t(band)`` (the t of
+    the entries ``band`` in scalar arithmetic) where that is given.
     """
     u = 1.0 + t
     with np.errstate(over="ignore"):
@@ -265,8 +282,9 @@ def _within(t: np.ndarray, radius: np.ndarray) -> np.ndarray:
     keep = u <= c
     band = np.nonzero(np.abs(u / c - 1.0) <= 1e-9)[0]
     if len(band):
+        tb = t[band] if exact_t is None else exact_t(band)
         keep[band] = [_acosh1p(v) <= r for v, r in
-                      zip(t[band].tolist(), radius[band].tolist())]
+                      zip(tb.tolist(), radius[band].tolist())]
     return keep
 
 
@@ -315,8 +333,8 @@ class _StratifiedGrid:
     test ``_acosh1p(t) <= r``.
     """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, sep: float):
-        self.xs, self.ys = xs, ys
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, sep: float, hd: bool):
+        self.xs, self.ys, self.hd = xs, ys, hd
         self.h, self.w = _grid_steps(sep)
         layer = np.rint(np.log(ys) / self.h).astype(np.int64)
         cols = np.rint(xs / (self.w * np.exp(layer * self.h))[:, None])
@@ -399,7 +417,8 @@ class _StratifiedGrid:
         row = row[sub]
         cand = self.order[a[sub] + off]
         t = _t_values(qx[row], qy[row], self.xs[cand], self.ys[cand])
-        keep = _within(t, r[row])
+        keep = _within(t, r[row], lambda b: _t_exact(
+            self.hd, qx[row[b]], qy[row[b]], self.xs[cand[b]], self.ys[cand[b]]))
         row, cand = row[keep], cand[keep]
         # rows arrive grouped in order; sort each row's indices
         n = len(self.ys)
@@ -583,22 +602,18 @@ class SpaceGraph:
             xs, ys = self._coords()
 
             def hyperbolic(a, b):
-                if self.model == "h2":
-                    dx2 = (xs[a, 0] - xs[b, 0]) ** 2
-                else:
-                    # point_distance squares half-space x-differences with
-                    # ``**`` (libm pow), which can differ from x*x in the
-                    # last bit
-                    dx2 = np.fromiter((sum(v ** 2 for v in row) for row in
-                                       (xs[a] - xs[b]).tolist()), float, len(a))
-                dy = ys[a] - ys[b]
-                t = (dx2 + dy * dy) / (2.0 * ys[a] * ys[b])
+                t = _t_exact(self.model == "hd", xs[a], ys[a], xs[b], ys[b])
                 # numpy's arccosh can differ from math.acosh in the last bit
                 return np.fromiter(map(_acosh1p, t.tolist()), float, len(t))
             return hyperbolic
         if self.model == "z":
             ns = self._codes
             return lambda a, b: np.abs(ns[a] - ns[b]).astype(float)
+        if self.model == "product":
+            # summed left to right from 0, as point_distance sums the parts
+            codes, fs = self._codes, self.window["factors"]
+            return lambda a, b: sum(f.distances(codes[a, k], codes[b, k])
+                                    for k, f in enumerate(fs))
         if self.model == "t3":
             words, depth = self._words()
 
@@ -732,7 +747,8 @@ class SpaceGraph:
 
     def _grid_index(self) -> "_StratifiedGrid":
         if self._grid is None:
-            self._grid = _StratifiedGrid(*_point_arrays(self.points), self.sep)
+            self._grid = _StratifiedGrid(*_point_arrays(self.points), self.sep,
+                                         self.model == "hd")
         return self._grid
 
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
@@ -965,6 +981,10 @@ def _net_comb(window: dict, sep: float, edge_threshold: Optional[float]) -> Spac
     if d < 1 or extent < 1:
         raise ValueError("comb needs d >= 1 and extent >= 1")
     cap = window.get("cap", PRODUCT_CAP)
+    # 2e+1 base nodes, each generation of hairs multiplying by e
+    size = (2 * extent + 1) * sum(extent ** g for g in range(d))
+    if size > cap:
+        raise SizeCapError(f"comb size {size} exceeds cap {cap}")
     thr = sep if edge_threshold is None else edge_threshold
     pts: list[CombNode] = [CombNode(b) for b in range(-extent, extent + 1)]
     layer = pts
@@ -974,8 +994,6 @@ def _net_comb(window: dict, sep: float, edge_threshold: Optional[float]) -> Spac
             for o in range(1, extent + 1):
                 nxt.append(CombNode(node.base, node.offsets + (o,)))
         pts = pts + nxt
-        if len(pts) > cap:
-            raise SizeCapError(f"comb size {len(pts)} exceeds cap {cap}")
         # next generation of hairs attaches along the new hairs only
         layer = nxt
     adj = _comb_edges(pts)
@@ -1071,7 +1089,7 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
     if window.get("greedy_check"):
         # the stream is sep-separated by construction; this guard proves it
         pts = _greedy_select(pts, sep)
-    grid = _StratifiedGrid(*_point_arrays(pts), sep)
+    grid = _StratifiedGrid(*_point_arrays(pts), sep, model == "hd")
     adj = _off_diagonal_adjacency(*grid.query(grid.xs, grid.ys, thr + 1e-12))
     space = SpaceGraph(model=model, points=pts, adj=adj, sep=sep, edge_threshold=thr,
                        window={"kind": kind, "radius": radius, "basepoint": 0,
@@ -1111,82 +1129,117 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
 
     window = None takes the full cartesian product (subject to ``cap``);
     window = {"kind": "l1_ball", "radius": R, "centers": [i...]} keeps
-    tuples whose summed factor distances to the centers are <= R.
+    tuples whose summed factor distances to the centers are <= R.  A
+    single factor is always taken whole.  Points are the factor-index
+    tuples ``_codes`` in lexicographic order; two are adjacent when they
+    differ in one factor, by an edge of that factor.
     """
     if not spaces:
         raise ValueError("need at least one factor")
-    for s in spaces:
-        if s.n == 0:
-            raise EmptySpaceError("empty factor space")
-    if len(spaces) == 1:
-        s = spaces[0]
-        pts = [TuplePoint((p,)) for p in s.points]
-        return SpaceGraph(model="product", points=pts, adj=list(s.adj), sep=s.sep,
-                          edge_threshold=s.edge_threshold,
-                          _codes=np.arange(s.n).reshape(-1, 1),
-                          window={"kind": "full", "factors": list(spaces)})
-    if window is None:
-        size = 1
-        for s in spaces:
-            size *= s.n
+    if window is None or len(spaces) == 1:
+        size = math.prod(s.n for s in spaces)
         if size > cap:
             raise SizeCapError(f"product size {size} exceeds cap {cap}")
-        combos = [()]
-        for s in spaces:
-            combos = [c + (i,) for c in combos for i in range(s.n)]
+        codes = np.column_stack(np.unravel_index(np.arange(size),
+                                                 [s.n for s in spaces]))
         wdesc = {"kind": "full", "factors": list(spaces)}
     else:
         radius = float(window["radius"])
         centers = list(window["centers"])
-        dists = []
-        for s, c in zip(spaces, centers):
-            dists.append(np.array([s.model_distance(i, c) for i in range(s.n)]))
-        combos = []
+        dists = [s.distances(np.arange(s.n), np.full(s.n, c))
+                 for s, c in zip(spaces, centers)]
         if len(spaces) == 2:
             d0, d1 = dists
-            ok1 = np.argsort(d1, kind="stable")
-            for i in range(spaces[0].n):
-                budget = radius - d0[i]
-                if budget < 0:
-                    continue
-                js = ok1[: int(np.searchsorted(d1[ok1], budget, side="right"))]
-                combos.extend((i, int(j)) for j in sorted(js))
-            if len(combos) > cap:
-                raise SizeCapError(f"product size {len(combos)} exceeds cap {cap}")
+            budget = radius - d0
+            size = int(np.searchsorted(np.sort(d1), budget, side="right").sum())
+            codes = np.column_stack(_masked_pairs(
+                len(d0), len(d1), lambda lo, hi: d1 <= budget[lo:hi, None],
+                cap, size))
         else:
-            stack = [((), 0.0)]
-            for s, dv in zip(spaces, dists):
-                nxt = []
-                for combo, used in stack:
-                    for i in range(s.n):
-                        t = used + dv[i]
-                        if t <= radius:
-                            nxt.append((combo + (i,), t))
-                stack = nxt
-                if len(stack) > cap:
-                    raise SizeCapError(f"product size {len(stack)} exceeds cap {cap}")
-            combos = [c for c, _ in stack]
+            # one factor at a time: a prefix keeps its running sum ``used``
+            codes, used = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
+            for dv in dists:
+                row, col = _masked_pairs(
+                    len(used), len(dv),
+                    lambda lo, hi: used[lo:hi, None] + dv <= radius, cap)
+                codes = np.column_stack([codes[row], col])
+                used = used[row] + dv[col]
         wdesc = {"kind": "l1_ball", "radius": radius, "centers": centers,
                  "factors": list(spaces)}
-    index = {c: i for i, c in enumerate(combos)}
-    pts = [TuplePoint(tuple(s.points[i] for s, i in zip(spaces, combo)))
-           for combo in combos]
-    adj: list[list[int]] = [[] for _ in combos]
-    for idx, combo in enumerate(combos):
-        for f, s in enumerate(spaces):
-            for nb in s.adj[combo[f]]:
-                if nb > combo[f] or wdesc["kind"] != "full":
-                    other = combo[:f] + (nb,) + combo[f + 1 :]
-                    j = index.get(other)
-                    if j is not None and j != idx:
-                        adj[idx].append(j)
-                        adj[j].append(idx)
-    adj_t = [tuple(sorted(set(a))) for a in adj]
-    sep = min(s.sep for s in spaces)
-    thr = max(s.edge_threshold for s in spaces)
-    return SpaceGraph(model="product", points=pts, adj=adj_t, sep=sep,
-                      edge_threshold=thr, window=wdesc,
-                      _codes=np.array(combos, dtype=np.int64))
+    parts = [list(map(s.points.__getitem__, codes[:, f].tolist()))
+             for f, s in enumerate(spaces)]
+    return SpaceGraph(model="product", points=list(map(TuplePoint, zip(*parts))),
+                      adj=_product_adjacency(spaces, codes),
+                      sep=min(s.sep for s in spaces),
+                      edge_threshold=max(s.edge_threshold for s in spaces),
+                      window=wdesc, _codes=codes)
+
+
+def _masked_pairs(rows: int, cols: int, mask, cap: int,
+                  size: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the true entries of a rows x cols mask, row-major.
+
+    ``mask(lo, hi)`` gives rows [lo, hi), evaluated in blocks of about
+    _CANDIDATE_BUDGET entries.  The number of entries (``size``, counted
+    block by block when not given) is checked against ``cap`` before
+    any is kept.
+    """
+    step = max(1, _CANDIDATE_BUDGET // max(1, cols))
+    if size is None:
+        size = sum(int(np.count_nonzero(mask(lo, lo + step)))
+                   for lo in range(0, rows, step))
+    if size > cap:
+        raise SizeCapError(f"product size {size} exceeds cap {cap}")
+    row, col = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    at = 0
+    for lo in range(0, rows, step):
+        r, c = np.nonzero(mask(lo, lo + step))
+        row[at:at + len(r)], col[at:at + len(r)] = r + lo, c
+        at += len(r)
+    return row, col
+
+
+def _radix_strides(sizes: Sequence[int]) -> np.ndarray:
+    """Strides of the mixed-radix key ``codes @ strides`` of factor-index
+    tuples: lexicographic order of the tuples is the order of the keys."""
+    if math.prod(sizes) > np.iinfo(np.int64).max:
+        raise UnsupportedError(f"product of factor sizes {list(sizes)} "
+                               "overflows a 64-bit key")
+    return np.array([math.prod(sizes[f + 1:]) for f in range(len(sizes))],
+                    dtype=np.int64)
+
+
+def _sorted_lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Position of each of ``want`` in the sorted ``keys``; -1 if absent."""
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[at] == want, at, -1)
+
+
+def _product_adjacency(spaces: Sequence[SpaceGraph],
+                       codes: np.ndarray) -> list[tuple[int, ...]]:
+    """Sorted adjacency tuples of the product points ``codes`` (factor
+    adjacency is symmetric and loop-free, as every net's is)."""
+    n = len(codes)
+    strides = _radix_strides([s.n for s in spaces])
+    key = codes @ strides
+    csrs = [_csr_from_lists(s.adj) for s in spaces]
+    step = max(1, _CANDIDATE_BUDGET // max(1, sum(s.degree_bound for s in spaces)))
+    # slices of one index tuple share its int objects
+    ids = tuple(range(n))
+    adj: list[tuple[int, ...]] = []
+    for lo in range(0, n, step):
+        block = codes[lo:lo + step]
+        rows, cols = [], []
+        for f, (indptr, indices) in enumerate(csrs):
+            row, nb = _csr_take(indptr, indices, block[:, f])
+            at = _sorted_lookup(key, key[lo + row] + (nb - block[row, f]) * strides[f])
+            rows.append(row[at >= 0])
+            cols.append(at[at >= 0])
+        flat = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
+        ends = np.cumsum(np.bincount(flat // n, minlength=len(block))).tolist()
+        nbrs = tuple(map(ids.__getitem__, (flat % n).tolist()))
+        adj.extend(nbrs[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return adj
 
 
 # -- explicit metric graphs (for oracles and small experiments) -------------

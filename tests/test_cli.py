@@ -154,6 +154,22 @@ class TestBuildCommand:
         rc = main(["build", "nerve", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_product_without_factor_exit_2(self, tmp_path, capsys):
+        rc = main(["build", "product", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--factor" in err and "Traceback" not in err
+
+    def test_negative_multiplicity_radius_exit_2(self, tmp_path, capsys):
+        main(["build", "tiling", "--r", "1", "--ball", "4", "--sep", "1.0",
+              "--out", str(tmp_path)])
+        capsys.readouterr()
+        rc = main(["verify", str(tmp_path / "decomposition.json"),
+                   "--checks", "multiplicity:R=-1", "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert "R must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
 
 class TestAnalyzeCommand:
     def test_growth_without_space_exit_2(self, tmp_path, capsys):
@@ -182,6 +198,15 @@ class TestAnalyzeCommand:
         rep = json.loads(read(tmp_path / "d" / "distortion.json"))
         assert rep["log_fit_ok"]
         assert rep["fitted_log_C"] < 4.0
+
+    def test_distortion_anchored_outside_source_exit_2(self, tmp_path, capsys):
+        main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        rc = main(["analyze", "distortion", "--map", str(tmp_path / "walk.json"),
+                   "--anchored", "999999", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "999999" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "distortion.json").exists()
 
     def test_escalation_on_tiling(self, tmp_path, capsys):
         main(["build", "tiling", "--r", "1", "--ball", "10", "--sep", "0.8",

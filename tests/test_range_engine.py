@@ -118,6 +118,27 @@ class TestNeighbourhoodOracle:
         assert got == brute_rows(net, dist, 60.0)
 
 
+    def test_pair_at_its_own_distance_is_inside(self):
+        # numpy squares x-differences as x*x, point_distance with ``**``;
+        # on this net some pair's numpy t exceeds its scalar t by enough to
+        # move acosh, so a query at exactly the pair's point_distance kept
+        # it out when the band was re-decided on the numpy t
+        net = generate_net("hd", {"kind": "birad", "radius": 3.5, "d": 3},
+                           sep=0.4, edge_threshold=0.8)
+        xs, ys = net._coords()
+        i, j = np.triu_indices(net.n, 1)
+        t_np = spaces._t_values(xs[i], ys[i], xs[j], ys[j])
+        t_exact = spaces._t_exact(True, xs[i], ys[i], xs[j], ys[j])
+        flips = [k for k in np.flatnonzero(t_np > t_exact).tolist()
+                 if spaces._acosh1p(t_np[k]) > spaces._acosh1p(t_exact[k])]
+        assert flips
+        for k in flips:
+            a, b = int(i[k]), int(j[k])
+            d = point_distance(net.points[a], net.points[b])
+            assert b in net.points_within(a, d)
+            assert a in net.points_within(b, d)
+
+
 class TestEdgesOracle:
     @pytest.mark.parametrize("name", sorted(NETS))
     def test_edges_match_brute_force(self, name):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -268,6 +269,20 @@ class TestProduct:
         z = generate_net("z", {"lo": -40, "hi": 40})
         with pytest.raises(SizeCapError):
             build_product([z, z, z], cap=10_000)
+
+    def test_comb_cap_fires_before_allocation(self):
+        # (2e+1) * (1 + e + e^2 + e^3) = 5,316,921 nodes at d=4, e=40
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="5316921"):
+                generate_net("comb", {"d": 4, "extent": 40})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert generate_net("comb", {"d": 3, "extent": 3, "cap": 91}).n == 91
+        with pytest.raises(SizeCapError):
+            generate_net("comb", {"d": 3, "extent": 3, "cap": 90})
 
 
 class TestGrowthReport:
