@@ -14,7 +14,7 @@ from .analysis import (DistortionProfile, SublinearityReport,
 from .constructions import (GeodesicComb, MapRecord, NerveComplex, Tiling,
                             assign_tile, brady_farb, build_comb,
                             build_h2_tiling, comb_level_bound,
-                            comb_level_points, hd_cover, hd_cover_pipeline,
+                            comb_level_points, hd_cover_pipeline,
                             nerve_lipschitz, nerve_map,
                             tiling_to_decomposition, tree_walk, walk_value)
 from .covers import (ColoredDecomposition, Cover, NeighborhoodChain,

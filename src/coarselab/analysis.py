@@ -14,9 +14,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .covers import (ColoredDecomposition, Cover, _components,
+from .covers import (ColoredDecomposition, Cover, _components, _membership,
                      iterated_neighborhood)
-from .errors import DataError, PreconditionError, TruncationError
+from .errors import (DataError, PreconditionError, TruncationError,
+                     UnsupportedError)
 from .spaces import GrowthReport, SpaceGraph, growth_report
 
 __all__ = [
@@ -105,7 +106,7 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
     if metric == "ambient":
         return growth_report(space, center, r_max=r_max, subset=subset)
     if metric != "intrinsic":
-        raise ValueError(f"unknown metric {metric!r}")
+        raise UnsupportedError(f"unknown metric {metric!r}")
     from collections import deque
 
     sset = set(subset)
@@ -199,16 +200,13 @@ def _sample_pairs(n: int, cap: int, seed: int,
 
 
 def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
-                       anchored: Optional[int] = None,
-                       metric: str = "model") -> DistortionProfile:
-    """Source-vs-target distance profile of a map record.
+                       anchored: Optional[int] = None) -> DistortionProfile:
+    """Source-vs-target model-distance profile of a map record.
 
     Pairs are exhaustive below ``pair_cap``, else seeded uniform samples.
     ``anchored`` fixes the first coordinate and varies the second over
     the whole window.
     """
-    if metric != "model":
-        raise ValueError("only the model metric is profiled")
     src, tgt = f.source, f.target
     a, b = _sample_pairs(src.n, pair_cap, seed, anchored)
     image = np.asarray(f.assignment, dtype=np.int64)
@@ -251,6 +249,19 @@ def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
 # radial sublinearity
 
 
+def _distances_to_pieces(family: Union[Cover, ColoredDecomposition],
+                         point: int) -> np.ndarray:
+    """Model distance from ``point`` to each piece, as
+    ``set_distance([point], piece)`` gives it: the least of
+    :meth:`SpaceGraph.distances` from ``point`` over the piece."""
+    space = family.space
+    d = space.distances(np.full(space.n, point), np.arange(space.n))
+    ptr, pids = _membership(family.pieces, space.n)
+    out = np.full(len(family.pieces), math.inf)
+    np.minimum.at(out, pids, np.repeat(d, np.diff(ptr)))
+    return out
+
+
 @dataclass
 class SublinearityReport:
     basepoint: int
@@ -272,14 +283,9 @@ def radial_sublinearity(family: Union[Cover, ColoredDecomposition],
     space = family.space
     m_grid = sorted(m_grid)
     if not m_grid or m_grid[0] <= 0:
-        raise ValueError("m grid must be positive")
-    dists = []
-    diams = []
-    for piece in family.pieces:
-        dists.append(space.set_distance([basepoint], piece))
-        diams.append(space.set_diameter(piece))
-    dists = np.array(dists)
-    diams = np.array(diams)
+        raise UnsupportedError("m grid must be positive")
+    dists = _distances_to_pieces(family, basepoint)
+    diams = np.array([space.set_diameter(piece) for piece in family.pieces])
     max_diam = []
     running = 0.0
     for m in m_grid:
@@ -340,7 +346,7 @@ def quasi_convexity_defect(space: SpaceGraph, subset: Iterable[int], r: float,
     increase the value.
     """
     if space.model != "h2":
-        raise ValueError("defect measurement works on half-plane nets")
+        raise UnsupportedError("defect measurement works on half-plane nets")
     idx = sorted(subset)
     members = frozenset(idx)
     comps = _components(space, idx, r)
@@ -368,7 +374,7 @@ def _distance_to_subset(space: SpaceGraph, members: frozenset, gx: float,
                         gy: float, start: float) -> float:
     radius = start
     while radius < 1e9:
-        cand = [c for c in space.points_near_coords((gx,), gy, radius)
+        cand = [c for c in space.coords_within([[gx]], [gy], radius)[1].tolist()
                 if c in members]
         if cand:
             return min(space._coord_dist(c, (gx,), gy) for c in cand)
@@ -388,9 +394,9 @@ def escalation(decomp: ColoredDecomposition, s: float, m_max: int,
     basepoint.  Raises when every radius of some level is truncated."""
     space = decomp.space
     if piece is None:
-        base = space.window.get("basepoint", 0)
-        piece = min(range(len(decomp.pieces)),
-                    key=lambda p: (space.set_distance([base], decomp.pieces[p]), p))
+        # the first of the nearest pieces
+        piece = int(np.argmin(_distances_to_pieces(
+            decomp, space.window.get("basepoint", 0))))
     chain = iterated_neighborhood(decomp, piece, s, m_max)
     out = []
     for m, level in enumerate(chain.levels):

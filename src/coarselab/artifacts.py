@@ -174,7 +174,7 @@ def cover_from_dict(d: dict, space: SpaceGraph):
         if any(lab is None for lab in labels):
             labels = None
         return Cover(space=space, pieces=pieces, labels=labels)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad cover file: {e}") from e
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -41,13 +42,13 @@ def _cache_store(path: str) -> None:
 
 
 def _resolve(path: str) -> str:
-    if os.path.exists(path):
+    if os.path.isfile(path):
         return path
     if path.startswith("sha256:"):
         cache = os.environ.get("COARSELAB_CACHE")
         if cache:
             cand = os.path.join(cache, path.split(":", 1)[1])
-            if os.path.exists(cand):
+            if os.path.isfile(cand):
                 return cand
     raise SchemaError(f"no such artifact: {path}")
 
@@ -74,12 +75,27 @@ def _load_json(path: str) -> dict:
             raise SchemaError(f"not JSON: {path}: {e}") from e
 
 
+def _finite(text: str) -> float:
+    """A float option value; argparse rejects nan and inf with exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _ref(manifest: dict) -> dict:
     return {"manifest": manifest, "hash": artifacts.manifest_hash(manifest)}
 
 
+def _space_of(d: dict, key: str) -> spaces.SpaceGraph:
+    """The space an artifact file names under ``key``."""
+    if not isinstance(d, dict) or key not in d:
+        raise SchemaError(f"artifact lacks {key!r}")
+    return _space_from_ref(d[key])
+
+
 def _space_from_ref(ref: dict) -> spaces.SpaceGraph:
-    if "manifest" not in ref:
+    if not isinstance(ref, dict) or "manifest" not in ref:
         raise SchemaError("space_ref lacks a manifest")
     if "hash" in ref and ref["hash"] != artifacts.manifest_hash(ref["manifest"]):
         raise SchemaError("space_ref hash does not match its manifest")
@@ -202,7 +218,7 @@ def cmd_build(args) -> int:
         if args.cover is None:
             raise SchemaError("build nerve needs --cover")
         d = _load_json(args.cover)
-        space = _space_from_ref(d["space_ref"])
+        space = _space_of(d, "space_ref")
         cover = artifacts.cover_from_dict(d, space)
         if isinstance(cover, covers.ColoredDecomposition):
             cover = cover.as_cover()
@@ -278,13 +294,10 @@ def cmd_verify(args) -> int:
     d = _load_json(args.target)
     checks = []
     if "pairs" in d:
-        source = _space_from_ref(d["source_ref"])
-        target = _space_from_ref(d["target_ref"])
-        record = artifacts.map_from_dict(d, source, target)
-        obj = record
+        obj = artifacts.map_from_dict(d, _space_of(d, "source_ref"),
+                                      _space_of(d, "target_ref"))
     else:
-        space = _space_from_ref(d["space_ref"])
-        obj = artifacts.cover_from_dict(d, space)
+        obj = artifacts.cover_from_dict(d, _space_of(d, "space_ref"))
     for spec in args.checks.split(","):
         name, params = _parse_check(spec)
         if name not in _CHECKS:
@@ -352,8 +365,16 @@ def cmd_analyze(args) -> int:
         manifest = _load_json(args.space)
         inputs[os.path.basename(args.space)] = _hash_file(args.space)
         space = artifacts.space_from_manifest(manifest)
-        center = space.window.get("basepoint", 0) if args.center == "origin" \
-            else int(args.center)
+        center = space.window.get("basepoint", 0)
+        if args.center != "origin":
+            try:
+                center = int(args.center)
+            except ValueError:
+                raise SchemaError(f"--center {args.center!r} is not a point "
+                                  "index") from None
+            if not 0 <= center < space.n:
+                raise SchemaError(f"--center {center} is not a point of the "
+                                  f"{space.n}-point space")
         rep = spaces.growth_report(space, center)
         try:
             exp, resid = analysis.fit_growth(rep, r_min=args.r_min)
@@ -375,7 +396,7 @@ def cmd_analyze(args) -> int:
         d = _load_json(args.map)
         inputs[os.path.basename(args.map)] = _hash_file(args.map)
         record = artifacts.map_from_dict(
-            d, _space_from_ref(d["source_ref"]), _space_from_ref(d["target_ref"]))
+            d, _space_of(d, "source_ref"), _space_of(d, "target_ref"))
         anchored = None
         if args.anchored is not None:
             anchored = args.anchored
@@ -417,11 +438,15 @@ def cmd_analyze(args) -> int:
     elif args.analysis in ("sublinearity", "escalation"):
         d = _load_json(args.cover)
         inputs[os.path.basename(args.cover)] = _hash_file(args.cover)
-        space = _space_from_ref(d["space_ref"])
+        space = _space_of(d, "space_ref")
         fam = artifacts.cover_from_dict(d, space)
         if args.analysis == "sublinearity":
             base = space.window.get("basepoint", 0)
-            grid = [int(x) for x in args.m_grid.split(",")]
+            try:
+                grid = [int(x) for x in args.m_grid.split(",")]
+            except ValueError:
+                raise SchemaError(f"--m-grid {args.m_grid!r} needs integers "
+                                  "separated by commas") from None
             rep = analysis.radial_sublinearity(fam, base, grid)
             csv = ["m,max_diam,ratio"]
             csv += [f"{m},{repr(dm)},{repr(rt)}" for m, dm, rt in
@@ -455,8 +480,9 @@ def cmd_analyze(args) -> int:
         manifest = _load_json(args.space)
         inputs[os.path.basename(args.space)] = _hash_file(args.space)
         space = artifacts.space_from_manifest(manifest)
-        import math
-
+        if space.model != "h2":
+            raise SchemaError(f"analyze defect needs a half-plane space, "
+                              f"got {space.model}")
         band = args.band
         subset = [i for i, p in enumerate(space.points)
                   if abs(math.asinh(p.x / p.y)) <= band]
@@ -529,13 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["z", "t3", "h2", "hd", "comb"])
     sp.add_argument("--range", type=int, default=100)
     sp.add_argument("--radius", dest="radius_int", type=int, default=6)
-    sp.add_argument("--ball", type=float, default=8.0)
+    sp.add_argument("--ball", type=_finite, default=8.0)
     sp.add_argument("--window-kind", default="birad",
                     choices=["ball", "birad"])
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--extent", type=int, default=30)
-    sp.add_argument("--sep", type=float, default=1.0)
-    sp.add_argument("--threshold", type=float, default=None)
+    sp.add_argument("--sep", type=_finite, default=1.0)
+    sp.add_argument("--threshold", type=_finite, default=None)
     sp.add_argument("--out", default=".")
     sp.set_defaults(func=cmd_space)
 
@@ -543,15 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("kind", choices=["tiling", "walk", "bradyfarb", "comb",
                                      "product", "nerve"])
     bp.add_argument("--n-max", type=int, default=8)
-    bp.add_argument("--r", type=float, default=1.0)
-    bp.add_argument("--ball", type=float, default=6.0)
-    bp.add_argument("--sep", type=float, default=0.8)
-    bp.add_argument("--threshold", type=float, default=None)
+    bp.add_argument("--r", type=_finite, default=1.0)
+    bp.add_argument("--ball", type=_finite, default=6.0)
+    bp.add_argument("--sep", type=_finite, default=0.8)
+    bp.add_argument("--threshold", type=_finite, default=None)
     bp.add_argument("--d", type=int, default=2)
     bp.add_argument("--extent", type=int, default=30)
     bp.add_argument("--cover", default=None)
     bp.add_argument("--factor", action="append", default=[])
-    bp.add_argument("--l1-radius", type=float, default=None)
+    bp.add_argument("--l1-radius", type=_finite, default=None)
     bp.add_argument("--out", default=".")
     bp.set_defaults(func=cmd_build)
 
@@ -572,10 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--r-min", type=int, default=1)
     an.add_argument("--anchored", type=int, default=None)
     an.add_argument("--m-grid", default="4,8,16,32")
-    an.add_argument("--s", type=float, default=2.0)
+    an.add_argument("--s", type=_finite, default=2.0)
     an.add_argument("--m", type=int, default=1)
-    an.add_argument("--band", type=float, default=1.0)
-    an.add_argument("--r", type=float, default=3.0)
+    an.add_argument("--band", type=_finite, default=1.0)
+    an.add_argument("--r", type=_finite, default=3.0)
     an.add_argument("--pair-cap", type=int, default=300)
     an.add_argument("--seed", type=int, default=0)
     an.add_argument("--out", default=".")

@@ -18,7 +18,7 @@ import numpy as np
 from .covers import (ColoredDecomposition, Cover, kolmogorov_amplify,
                      product_decomposition, pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
-                     PreconditionError)
+                     PreconditionError, UnsupportedError)
 from .spaces import (SpaceGraph, TreeAddress, _csr_from_lists, _radix_strides,
                      _sorted_lookup, _t_values, _within, build_product,
                      generate_net)
@@ -34,7 +34,6 @@ __all__ = [
     "tiling_to_decomposition",
     "tree_walk",
     "brady_farb",
-    "hd_cover",
     "build_comb",
     "nerve_map",
     "GeodesicComb",
@@ -44,6 +43,9 @@ __all__ = [
 
 # source edges one remeasure pass evaluates
 _EDGE_BLOCK = 1 << 16
+
+# half-disk descents one tile assignment may take
+_MAX_DESCENT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +185,7 @@ def _ascend(z: complex, x: float, n: int) -> complex:
     return (d * z - b) / (-c * z + a)
 
 
-def assign_tile(tiling: Tiling, px: float, py: float,
-                max_depth: int = 200) -> tuple:
+def assign_tile(tiling: Tiling, px: float, py: float) -> tuple:
     """Tile id of a half-plane point: ("B1m",) for the merged near band,
     otherwise (kind, side, descent prefix).  Deterministic; points on a
     bounding circle stay with the outer level."""
@@ -196,7 +197,7 @@ def assign_tile(tiling: Tiling, px: float, py: float,
     side = "L" if px < 0 else "R"
     z = complex(abs(px), py)
     prefix: list[int] = []
-    for _ in range(max_depth):
+    for _ in range(_MAX_DESCENT):
         if z.real > 0:
             n_guess = math.floor(math.log(z.real) / logx)
             inside = None
@@ -226,14 +227,15 @@ def build_h2_tiling(r: float, window: dict) -> Tiling:
     """Two-coloured tiling at scale r, with tiles enumerated down to the
     window's Euclidean resolution."""
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise UnsupportedError("r must be positive")
     lambdas = [math.sinh(k * r) for k in range(5)]
     x = _solve_dilation(r)
     radius = float(window.get("radius", 8.0))
     # export resolution only bounds the enumerated tile list; point-to-tile
     # assignment descends analytically and ignores it
     resolution = float(window.get("resolution", math.exp(-radius / 2.0)))
-    x_extent = window.get("x_extent", math.sinh(radius) * 1.05 + 2.0)
+    # horizontal reach of the window ball about (0; 1)
+    x_extent = math.sinh(radius) * 1.05 + 2.0
     c0, rho0 = (1.0 + x) / 2.0, (x - 1.0) / 2.0
     logx = math.log(x)
     # Euclidean disk of the hyperbolic window ball about (0; 1)
@@ -354,7 +356,7 @@ def tree_walk(n_max: int) -> MapRecord:
     Every tree vertex is met at most three times.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise UnsupportedError("n_max must be >= 1")
     seq: list[tuple[int, ...]] = []
     zero_pos: Optional[int] = None
     for k in range(-n_max, n_max):
@@ -460,28 +462,16 @@ def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
                      provenance={"construction": "brady_farb", "d": d})
 
 
-def hd_cover(d: int, radius: float, r: float, *,
-             source_sep: float = 0.35, factor_sep: float = 1.0,
-             snap_slack: float = 2.5) -> ColoredDecomposition:
-    """Coloured decomposition of a half-space window, pulled back through
-    the plane-product embedding of amplified factor tilings.
-
-    d = 2 degenerates to the plane tiling itself.  Use
-    :func:`hd_cover_pipeline` to also get every intermediate artifact.
-    """
-    return hd_cover_pipeline(d, radius, r, source_sep=source_sep,
-                             factor_sep=factor_sep,
-                             snap_slack=snap_slack)["decomposition"]
-
-
 def hd_cover_pipeline(d: int, radius: float, r: float, *,
                       source_sep: float = 0.35, factor_sep: float = 1.0,
                       snap_slack: float = 2.5) -> dict:
-    """As :func:`hd_cover`, returning the full artifact bundle: the
-    decomposition plus the source net, tiling, factor nets and
-    decompositions, product space and embedding map."""
+    """Coloured decomposition of a half-space window, pulled back through
+    the plane-product embedding of amplified factor tilings, with every
+    intermediate artifact: the source net, tiling, factor nets and
+    decompositions, product space and its decomposition, and the
+    embedding map.  d = 2 degenerates to the plane tiling itself."""
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise UnsupportedError("d must be >= 2")
     if d == 2:
         net = generate_net("h2", {"kind": "ball", "radius": radius},
                            sep=factor_sep)
@@ -490,7 +480,7 @@ def hd_cover_pipeline(d: int, radius: float, r: float, *,
         return {"decomposition": decomp, "net": net, "tiling": tiling,
                 "map": None, "product": None, "factors": [net]}
     if d != 3:
-        raise ValueError("only d in {2, 3} windows are generated")
+        raise UnsupportedError("only d in {2, 3} windows are generated")
     factors = [generate_net("h2", {"kind": "ball", "radius": radius},
                             sep=factor_sep) for _ in range(d - 1)]
     tiling = build_h2_tiling(r, {"radius": radius})

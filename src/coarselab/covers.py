@@ -16,7 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ArityError, DomainError, PreconditionError
+from .errors import (ArityError, DomainError, PreconditionError,
+                     UnsupportedError)
 from .spaces import SpaceGraph, _concat_csr, _csr_take
 
 __all__ = [
@@ -136,7 +137,7 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
     set, selected greedily in index order.  Maximality makes the centers
     an R-covering, so the R-balls cover the space."""
     if R < 1:
-        raise ValueError("R must be >= 1")
+        raise UnsupportedError("R must be >= 1")
     step = _closed_adjacency(space)
     blocked = np.zeros(space.n, dtype=bool)
     centers: list[int] = []
@@ -224,7 +225,7 @@ def r_multiplicity(cover: PieceFamily, R: float,
     ``metric="model"`` uses model-metric balls (useful at sub-edge scales).
     """
     if R < 0:
-        raise ValueError("R must be >= 0")
+        raise UnsupportedError("R must be >= 0")
     space = cover.space
     pieces = cover.pieces
     if metric == "graph":
@@ -246,7 +247,7 @@ def r_multiplicity(cover: PieceFamily, R: float,
         best = int(hit.argmax())
         return int(hit[best]), best
     if metric != "model":
-        raise ValueError(f"unknown metric {metric!r}")
+        raise UnsupportedError(f"unknown metric {metric!r}")
     mptr, mpid = _membership(pieces, space.n)
     npieces = len(pieces)
     met = np.zeros(space.n, dtype=np.int64)
@@ -268,28 +269,13 @@ def check_disjointness(decomp: ColoredDecomposition,
     """Exhaustively verify same-colour pieces sit >= r apart (model metric,
     default r = decomp.r).
 
-    On gridded nets this scans every point's r-neighbourhood for foreign
-    same-colour points, which finds exactly the violating pairs; other
-    models compare every same-colour pair of pieces.
+    Scans every point's r-neighbourhood (:meth:`SpaceGraph.neighbor_blocks`)
+    for points of a foreign same-colour piece, which finds exactly the
+    violating piece pairs in any model.  Each comes with the distance of
+    its closest point pair, in piece-pair order.
     """
     if r is None:
         r = decomp.r
-    space = decomp.space
-    if space.model in ("h2", "hd"):
-        return _scan_violations(decomp, r)
-    out: list[Violation] = []
-    by_color: dict[int, list[int]] = {}
-    for pid, c in enumerate(decomp.colors):
-        by_color.setdefault(c, []).append(pid)
-    for pids in by_color.values():
-        for a, b in itertools.combinations(pids, 2):
-            d = space.set_distance(decomp.pieces[a], decomp.pieces[b], upper=r)
-            if d < r:
-                out.append(Violation(a, b, d))
-    return out
-
-
-def _scan_violations(decomp: ColoredDecomposition, r: float) -> list[Violation]:
     space = decomp.space
     mptr, mpid = _membership(decomp.pieces, space.n)
     colors = np.asarray(decomp.colors, dtype=np.int64)
@@ -329,9 +315,9 @@ def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
     """Levels N^0..N^m: each next level unions all pieces meeting the
     closed s-neighbourhood of the previous one (model metric)."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise UnsupportedError("m must be >= 0")
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise UnsupportedError("s must be >= 1")
     space = family.space
     mptr, mpid = _membership(family.pieces, space.n)
     margins = space.margins()
@@ -637,7 +623,7 @@ def refine_connected(cover: Cover, R: float, verify: bool = True) -> Cover:
     on every run unless ``verify`` is disabled.
     """
     if R <= 0:
-        raise ValueError("R must be positive")
+        raise UnsupportedError("R must be positive")
     space = cover.space
     pieces_out: list[frozenset[int]] = []
     labels: list[str] = []

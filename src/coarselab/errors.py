@@ -31,8 +31,9 @@ class PreconditionError(CoarselabError):
         self.witness = witness
 
 
-class UnsupportedError(CoarselabError):
-    """A parameter the code cannot honour; rejected before any work."""
+class UnsupportedError(CoarselabError, ValueError):
+    """A parameter the code cannot honour; rejected before any work.  A
+    ``ValueError`` too, as Python reports a bad argument value."""
 
 
 class DomainError(CoarselabError):

@@ -162,6 +162,11 @@ def _acosh1p(t: float) -> float:
     return math.acosh(1.0 + t)
 
 
+def _acosh1p_array(t: np.ndarray) -> np.ndarray:
+    # numpy's arccosh can differ from math.acosh in the last bit
+    return np.fromiter(map(_acosh1p, t.tolist()), float, len(t))
+
+
 def _word_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     m = min(len(u), len(v))
     k = 0
@@ -243,11 +248,12 @@ def _grid_steps(sep: float) -> tuple[float, float]:
 
 def _t_values(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
               yb: np.ndarray) -> np.ndarray:
-    """cosh(d) - 1 of row-aligned point pairs, with the scalar arithmetic
-    of :func:`point_distance`."""
-    dx2 = (xa[:, 0] - xb[:, 0]) ** 2
-    for c in range(1, xa.shape[1]):
-        dx2 = dx2 + (xa[:, c] - xb[:, c]) ** 2
+    """cosh(d) - 1 of row-aligned (or broadcast) point pairs, with the
+    scalar arithmetic of :func:`point_distance`; x-coordinates are on the
+    last axis."""
+    dx2 = (xa[..., 0] - xb[..., 0]) ** 2
+    for c in range(1, xa.shape[-1]):
+        dx2 = dx2 + (xa[..., c] - xb[..., c]) ** 2
     dy = ya - yb
     return (dx2 + dy * dy) / (2.0 * ya * yb)
 
@@ -488,52 +494,6 @@ class SpaceGraph:
             return float(self._dist_matrix[i, j])
         return point_distance(self.points[i], self.points[j])
 
-    def margin(self, i: int) -> float:
-        """Model-metric distance from point i to the window boundary."""
-        w = self.window
-        kind = w.get("kind")
-        p = self.points[i]
-        if kind == "ball":
-            base = self.points[w["basepoint"]]
-            return w["radius"] - point_distance(p, base)
-        if kind == "range":  # integer interval
-            return float(min(p.n - w["lo"], w["hi"] - p.n))
-        if kind == "tree_ball":
-            return float(w["radius"] - len(p.word))
-        if kind == "comb_extent":
-            coords = [abs(p.base), *p.offsets]
-            return float(w["extent"] - max(coords))
-        if kind == "birad":
-            # window {sum_i d_i(proj_i, o_i) <= radius} for half-space nets;
-            # the sum grows at rate <= 2 per unit moved (vertical moves count
-            # in every projection), so half the budget bounds the distance
-            # to the boundary from below
-            return (w["radius"] - self._birad_sum(p)) / 2.0
-        if kind == "l1_ball":
-            total = w["radius"] - self._l1_center_distance(p)
-            return min([total] + [
-                f.margin(f.index_of(part))
-                for f, part in zip(self.window["factors"], p.parts)
-            ])
-        if kind == "full" and self.model == "product":
-            return min(f.margin(f.index_of(part))
-                       for f, part in zip(w["factors"], p.parts))
-        return math.inf
-
-    def _birad_sum(self, p: HalfSpace) -> float:
-        total = 0.0
-        for x in p.xs:
-            total += _acosh1p((x * x + (p.y - 1.0) ** 2) / (2.0 * p.y))
-        return total
-
-    def _l1_center_distance(self, p: TuplePoint) -> float:
-        factors = self.window["factors"]
-        centers = self.window["centers"]
-        return sum(
-            f.model_distance(f.index_of(part), c)
-            for f, part, c in zip(factors, p.parts, centers)
-        )
-
     # -- graph metric -----------------------------------------------------
 
     def _as_csr(self):
@@ -602,9 +562,8 @@ class SpaceGraph:
             xs, ys = self._coords()
 
             def hyperbolic(a, b):
-                t = _t_exact(self.model == "hd", xs[a], ys[a], xs[b], ys[b])
-                # numpy's arccosh can differ from math.acosh in the last bit
-                return np.fromiter(map(_acosh1p, t.tolist()), float, len(t))
+                return _acosh1p_array(
+                    _t_exact(self.model == "hd", xs[a], ys[a], xs[b], ys[b]))
             return hyperbolic
         if self.model == "z":
             ns = self._codes
@@ -653,7 +612,8 @@ class SpaceGraph:
         Yields ``(rows, indptr, indices)`` for consecutive slices ``rows`` of
         ``idx``: CSR lists whose row i holds, sorted, the points within
         ``radius`` of ``rows[i]``.  Half-plane and half-space nets use the
-        grid engine; other models test every point, in one block.
+        grid engine; other models test every point against each row, with
+        :meth:`distances`, about _CANDIDATE_BUDGET pairs per block.
         """
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
         if self.model in ("h2", "hd"):
@@ -662,8 +622,16 @@ class SpaceGraph:
                     grid.xs[idx], grid.ys[idx], radius):
                 yield idx[lo:hi], indptr, indices
             return
-        yield (idx, *_csr_from_lists(
-            [self._brute_within(i, radius) for i in idx.tolist()]))
+        step = max(1, _CANDIDATE_BUDGET // self.n)
+        for lo in range(0, len(idx), step):
+            rows = idx[lo:lo + step]
+            near = (self.distances(np.repeat(rows, self.n),
+                                   np.tile(np.arange(self.n), len(rows)))
+                    <= radius).reshape(len(rows), self.n)
+            row, indices = np.nonzero(near)
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
+            yield rows, indptr, indices
 
     def neighbors(self, idx: Sequence[int], radius: float
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -671,29 +639,12 @@ class SpaceGraph:
         point of ``idx``, rows sorted (see :meth:`neighbor_blocks`)."""
         return _concat_csr((p, i) for _, p, i in self.neighbor_blocks(idx, radius))
 
-    def _brute_within(self, i: int, radius: float) -> np.ndarray:
-        every = np.arange(self.n)
-        return np.flatnonzero(self.distances(np.full(self.n, i), every) <= radius)
-
     def coords_within(self, xs, ys, radius) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the net points within model distance
         ``radius`` (a scalar or one value per row) of each query row
         ``(xs[i]; ys[i])``, rows sorted; ``xs`` has one column per
         x-coordinate.  Half-plane/half-space nets only."""
         return self._grid_index().query(xs, ys, radius)
-
-    def points_within(self, i: int, radius: float) -> list[int]:
-        """Indices of points at model distance <= radius of point i."""
-        return self.neighbors([i], radius)[1].tolist()
-
-    def points_near_coords(self, coords: tuple[float, ...], y: float,
-                           radius: float) -> list[int]:
-        """Net points within model distance ``radius`` of arbitrary coords."""
-        return self.coords_within([coords], [y], radius)[1].tolist()
-
-    def nearest_point(self, coords: tuple[float, ...], y: float) -> int:
-        """Index of the net point nearest to the given model coordinates."""
-        return int(self.nearest_points([coords], [y])[0])
 
     def nearest_points(self, xs, ys) -> np.ndarray:
         """Index of the net point nearest to each query row ``(xs[i]; ys[i])``.
@@ -757,18 +708,56 @@ class SpaceGraph:
         return grid.xs, grid.ys
 
     def margins(self) -> np.ndarray:
-        """Cached per-point distance to the window boundary."""
+        """Cached model-metric distance from each point to the window
+        boundary; ``inf`` where the window has none.
+
+        Ball and product windows read it from :meth:`distances`; birad
+        windows repeat the scalar arithmetic of :func:`point_distance` on
+        arrays, so every value equals the one-point formula bit for bit.
+        """
         if self._margins is None:
-            w = self.window
-            if w.get("kind") == "ball" and self.model in ("h2", "hd"):
-                xs, ys = self._coords()
-                bi = w["basepoint"]
-                bx, by = xs[bi], ys[bi]
-                t = (((xs - bx) ** 2).sum(axis=1) + (ys - by) ** 2) / (2 * ys * by)
-                self._margins = w["radius"] - np.arccosh(np.maximum(1.0, 1 + t))
-            else:
-                self._margins = np.array([self.margin(i) for i in range(self.n)])
+            self._margins = self._window_margins()
         return self._margins
+
+    def _window_margins(self) -> np.ndarray:
+        w, n = self.window, self.n
+        kind = w.get("kind")
+        if kind == "ball":
+            return w["radius"] - self.distances(np.arange(n),
+                                                np.full(n, w["basepoint"]))
+        if kind == "birad":
+            # window {sum_i d_i(proj_i, o_i) <= radius} of half-space nets;
+            # the sum grows at rate <= 2 per unit moved (vertical moves count
+            # in every projection), so half the budget bounds the distance
+            # to the boundary from below.  (y - 1)**2 squares through libm
+            # pow, as Python's ``**`` does.
+            xs, ys = self._coords()
+            dy2 = np.fromiter((v ** 2 for v in (ys - 1.0).tolist()), float, n)
+            total = np.zeros(n)
+            for c in range(xs.shape[1]):
+                total = total + _acosh1p_array(
+                    (xs[:, c] * xs[:, c] + dy2) / (2.0 * ys))
+            return (w["radius"] - total) / 2.0
+        if self.model == "product" and kind in ("l1_ball", "full"):
+            codes, fs = self._codes, w["factors"]
+            out = np.full(n, math.inf)
+            if kind == "l1_ball":
+                # summed left to right from 0, as point_distance sums the parts
+                out = w["radius"] - sum(
+                    f.distances(np.arange(f.n), np.full(f.n, c))[codes[:, k]]
+                    for k, (f, c) in enumerate(zip(fs, w["centers"])))
+            for k, f in enumerate(fs):
+                out = np.minimum(out, f.margins()[codes[:, k]])
+            return out
+        if kind == "range":  # integer interval
+            return np.minimum(self._codes - w["lo"], w["hi"] - self._codes
+                              ).astype(float)
+        if kind == "tree_ball":
+            return (w["radius"] - self._words()[1]).astype(float)
+        if kind == "comb_extent":
+            return np.array([w["extent"] - max((abs(p.base), *p.offsets))
+                             for p in self.points], dtype=float)
+        return np.full(n, math.inf)
 
     def _coord_dist(self, c: int, coords: tuple[float, ...], y: float) -> float:
         p = self.points[c]
@@ -776,30 +765,16 @@ class SpaceGraph:
         dx2 = sum((a - b) ** 2 for a, b in zip(px, coords))
         return _acosh1p((dx2 + (p.y - y) ** 2) / (2.0 * p.y * y))
 
-    def pairwise_model_distances(self, idx_a: Sequence[int],
-                                 idx_b: Sequence[int]) -> np.ndarray:
-        """Dense |A| x |B| matrix of model distances (vectorised where possible)."""
-        if self.model in ("h2", "hd"):
-            xs, ys = self._coords()
-            a = np.asarray(idx_a)
-            b = np.asarray(idx_b)
-            dx2 = ((xs[a][:, None, :] - xs[b][None, :, :]) ** 2).sum(axis=2)
-            dy = ys[a][:, None] - ys[b][None, :]
-            t = (dx2 + dy * dy) / (2.0 * ys[a][:, None] * ys[b][None, :])
-            return np.arccosh(np.maximum(1.0, 1.0 + t))
-        a, b = np.meshgrid(np.asarray(idx_a, dtype=np.int64),
-                           np.asarray(idx_b, dtype=np.int64), indexing="ij")
-        return self.distances(a.ravel(), b.ravel()).reshape(a.shape)
-
     def set_distance(self, a: Iterable[int], b: Iterable[int],
                      upper: Optional[float] = None) -> float:
-        """Min model distance between two point sets; exact.
+        """Min model distance between two point sets: the least value of
+        :meth:`distances` over every pair.
 
         ``upper`` lets callers stop caring above a threshold: the exact
         minimum is still returned whenever it is <= upper.
         """
-        ia, ib = list(a), list(b)
-        if not ia or not ib:
+        ia, ib = np.fromiter(a, dtype=np.int64), np.fromiter(b, dtype=np.int64)
+        if not len(ia) or not len(ib):
             return math.inf
         if self.model in ("h2", "hd") and upper is not None:
             # quick reject via log-height gap: d >= |log y1 - log y2|
@@ -809,28 +784,42 @@ class SpaceGraph:
             gap = max(la.min() - lb.max(), lb.min() - la.max())
             if gap > upper:
                 return float(gap)  # a valid lower bound > upper
-        best = math.inf
-        chunk = max(1, 2_000_000 // max(1, len(ib)))
-        for s in range(0, len(ia), chunk):
-            d = self.pairwise_model_distances(ia[s : s + chunk], ib)
-            best = min(best, float(d.min()))
-        return best
+        return self._extreme_distance(ia, ib, np.min)
 
-    def set_diameter(self, idx: Sequence[int]) -> float:
-        idx = list(idx)
-        if len(idx) < 2:
+    def set_diameter(self, idx: Iterable[int]) -> float:
+        """Max model distance within a point set: the greatest value of
+        :meth:`distances` over every pair."""
+        ia = np.fromiter(idx, dtype=np.int64)
+        if len(ia) < 2:
             return 0.0
         if self.model == "z":
-            vals = [self.points[i].n for i in idx]
-            return float(max(vals) - min(vals))
-        # model distances are exactly symmetric, so ordered pairs give
-        # the same maximum as pairs a < b
-        best = 0.0
-        chunk = max(1, 2_000_000 // len(idx))
-        for s in range(0, len(idx), chunk):
-            d = self.pairwise_model_distances(idx[s : s + chunk], idx)
-            best = max(best, float(d.max()))
-        return best
+            ns = self._codes[ia]
+            return float(ns.max() - ns.min())
+        return self._extreme_distance(ia, ia, np.max)
+
+    def _extreme_distance(self, ia: np.ndarray, ib: np.ndarray, best) -> float:
+        """``best`` (``np.min`` or ``np.max``) of :meth:`distances` over
+        ia x ib, in blocks of about _DISTANCE_BLOCK pairs."""
+        hyperbolic = self.model in ("h2", "hd") and self._dist_matrix is None
+        if hyperbolic:
+            xs, ys = self._coords()
+            xb, yb = xs[ib][None], ys[ib][None]
+        step = max(1, _DISTANCE_BLOCK // len(ib))
+        found = []
+        for lo in range(0, len(ia), step):
+            a = ia[lo:lo + step]
+            if hyperbolic:
+                # the distance rises with t, and numpy's t is within a few
+                # ulp of the scalar one: only pairs whose numpy t lies
+                # within a relative 1e-9 of the extreme can attain it
+                t = _t_values(xs[a][:, None], ys[a][:, None], xb, yb)
+                e = best(t)
+                row, col = np.nonzero(np.abs(t - e) <= 1e-9 * e)
+                a, b = a[row], ib[col]
+            else:
+                a, b = np.repeat(a, len(ib)), np.tile(ib, len(a))
+            found.append(best(self.distances(a, b)))
+        return float(best(found))
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +834,7 @@ def ball(space: SpaceGraph, center: int, r: int) -> tuple[frozenset[int], bool]:
     could add points at radius r+1 that this one cannot see.
     """
     if r < 0:
-        raise ValueError("radius must be >= 0")
+        raise UnsupportedError("radius must be >= 0")
     dist = space.graph_distances(center, limit=r)
     members = np.nonzero((dist >= 0) & (dist <= r))[0]
     frontier = members[dist[members] == r]
@@ -892,8 +881,8 @@ def generate_net(model: str, window: dict, sep: float = 1.0,
     reproduces their native graphs.  Half-space models default to 3*sep
     and require edge_threshold >= 2*sep so the interior stays connected.
     """
-    if sep <= 0:
-        raise ValueError("sep must be positive")
+    if not sep > 0:
+        raise UnsupportedError("sep must be positive")
     if model == "z":
         return _net_z(window, sep, edge_threshold)
     if model == "t3":
@@ -909,7 +898,7 @@ def generate_net(model: str, window: dict, sep: float = 1.0,
         return _net_halfspace(window, sep, edge_threshold, dim=d)
     if model == "comb":
         return _net_comb(window, sep, edge_threshold)
-    raise ValueError(f"unknown model: {model}")
+    raise UnsupportedError(f"unknown model: {model}")
 
 
 def _greedy_select(candidates: list[ModelPoint], sep: float) -> list[ModelPoint]:
@@ -979,7 +968,7 @@ def _net_comb(window: dict, sep: float, edge_threshold: Optional[float]) -> Spac
     d = int(window["d"])
     extent = int(window["extent"])
     if d < 1 or extent < 1:
-        raise ValueError("comb needs d >= 1 and extent >= 1")
+        raise UnsupportedError("comb needs d >= 1 and extent >= 1")
     cap = window.get("cap", PRODUCT_CAP)
     # 2e+1 base nodes, each generation of hairs multiplying by e
     size = (2 * extent + 1) * sum(extent ** g for g in range(d))
@@ -1135,7 +1124,7 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
     differ in one factor, by an edge of that factor.
     """
     if not spaces:
-        raise ValueError("need at least one factor")
+        raise UnsupportedError("need at least one factor")
     if window is None or len(spaces) == 1:
         size = math.prod(s.n for s in spaces)
         if size > cap:

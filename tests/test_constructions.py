@@ -10,9 +10,9 @@ from coarselab import analysis
 from coarselab.constructions import (GeodesicComb, MapRecord, assign_tile,
                                      brady_farb, build_comb, build_h2_tiling,
                                      comb_level_bound, comb_level_points,
-                                     hd_cover, nerve_lipschitz, nerve_map,
-                                     tree_walk, walk_value, _binary_walk,
-                                     _spine_word)
+                                     hd_cover_pipeline, nerve_lipschitz,
+                                     nerve_map, tree_walk, walk_value,
+                                     _binary_walk, _spine_word)
 from coarselab.covers import Cover, check_disjointness
 from coarselab.errors import ArityError, DomainError
 from coarselab.spaces import CombNode, ZPoint, generate_net, point_distance
@@ -258,7 +258,7 @@ class TestBradyFarb:
 
 class TestHdCover:
     def test_d2_reduces_to_tiling(self):
-        dec = hd_cover(2, 5.0, 1.0, factor_sep=1.0)
+        dec = hd_cover_pipeline(2, 5.0, 1.0, factor_sep=1.0)["decomposition"]
         assert dec.d == 1
         assert dec.partition
         assert check_disjointness(dec) == []

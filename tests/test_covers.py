@@ -4,6 +4,7 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from coarselab import covers
@@ -480,7 +481,8 @@ class TestGriddedChecksAgainstPairwise:
     def test_model_multiplicity_matches_pairwise(self, R):
         net, pieces, colors = self.height_bands()
         cov = Cover(net, pieces)
-        dist = net.pairwise_model_distances(range(net.n), range(net.n))
+        dist = net.distances(*np.divmod(np.arange(net.n * net.n), net.n)
+                             ).reshape(net.n, net.n)
         owner = cov.piece_of()
         counts = [len({pid for y in map(int, (dist[x] <= R).nonzero()[0])
                        for pid in owner[y]}) for x in range(net.n)]

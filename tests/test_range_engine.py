@@ -1,9 +1,9 @@
 """Oracles for the batched model-metric range-query engine of h2/hd nets.
 
 Every engine result is compared with brute force over all net points: CSR
-neighbourhoods with the dense distance matrix, net edges with
-``_edges_brute``, and nearest points with an argmin under the engine's
-``(round(d, 12), index)`` key.
+neighbourhoods with the dense matrix of exact ``distances`` (bit-identical
+to ``point_distance``), net edges with ``_edges_brute``, and nearest points
+with an argmin under the engine's ``(round(d, 12), index)`` key.
 """
 
 from __future__ import annotations
@@ -32,19 +32,14 @@ def net_and_distances(name):
     if name not in _cache:
         model, window, sep, thr = NETS[name]
         net = generate_net(model, window, sep=sep, edge_threshold=thr)
-        _cache[name] = (net, net.pairwise_model_distances(range(net.n),
-                                                          range(net.n)))
+        pairs = np.divmod(np.arange(net.n * net.n), net.n)
+        _cache[name] = (net, net.distances(*pairs).reshape(net.n, net.n))
     return _cache[name]
 
 
 def brute_rows(net, dist, radius):
-    """Rows of ``dist <= radius``.  numpy's arccosh may differ from
-    ``math.acosh`` in the last bit, so pairs within 1e-9 of the radius are
-    decided by the scalar ``point_distance``."""
-    within = dist <= radius
-    for i, j in zip(*np.nonzero(np.abs(dist - radius) <= 1e-9)):
-        within[i, j] = point_distance(net.points[i], net.points[j]) <= radius
-    return [np.nonzero(row)[0].tolist() for row in within]
+    """Rows of ``dist <= radius``."""
+    return [np.nonzero(row)[0].tolist() for row in dist <= radius]
 
 
 def csr_rows(indptr, indices):
@@ -135,8 +130,8 @@ class TestNeighbourhoodOracle:
         for k in flips:
             a, b = int(i[k]), int(j[k])
             d = point_distance(net.points[a], net.points[b])
-            assert b in net.points_within(a, d)
-            assert a in net.points_within(b, d)
+            indptr, indices = net.neighbors([a, b], d)
+            assert b in indices[:indptr[1]] and a in indices[indptr[1]:]
 
 
 class TestEdgesOracle:
@@ -173,7 +168,6 @@ class TestNearestOracle:
         got = net.nearest_points(qx, qy).tolist()
         expect = [brute_nearest(net, q[:-1], q[-1]) for q in queries]
         assert got == expect
-        assert net.nearest_point(queries[0][:-1], queries[0][-1]) == expect[0]
 
     def test_midway_ties_go_to_the_lower_index(self):
         # (0; e^(h/2)) is h/2 from both (0; 1) and (0; e^h), and farther
@@ -182,7 +176,7 @@ class TestNearestOracle:
         h, _ = spaces._grid_steps(net.sep)
         a = net.index_of(spaces.HalfPlane(0.0, 1.0))
         b = net.index_of(spaces.HalfPlane(0.0, math.exp(h)))
-        got = net.nearest_point((0.0,), math.exp(h / 2))
+        got = int(net.nearest_points([[0.0]], [math.exp(h / 2)])[0])
         assert got == min(a, b) == brute_nearest(net, (0.0,), math.exp(h / 2))
 
     @given(seed=st.integers(0, 2**32 - 1))

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,14 +127,14 @@ class TestGenerateNet:
 
     def test_h2_pairwise_separation_exhaustive(self):
         net = generate_net("h2", {"kind": "ball", "radius": 5.0}, sep=1.0)
-        d = net.pairwise_model_distances(range(net.n), range(net.n))
+        d = net.distances(*np.divmod(np.arange(net.n * net.n), net.n))
         off_diag = d + 10.0 * (d == 0.0)
         assert off_diag.min() >= 1.0 - 1e-9
 
     def test_hd_pairwise_separation_exhaustive(self):
         net = generate_net("hd", {"kind": "birad", "radius": 4.0, "d": 3},
                            sep=0.5, edge_threshold=1.0)
-        d = net.pairwise_model_distances(range(net.n), range(net.n))
+        d = net.distances(*np.divmod(np.arange(net.n * net.n), net.n))
         off_diag = d + 10.0 * (d == 0.0)
         assert off_diag.min() >= 0.5 - 1e-9
 
@@ -165,7 +166,7 @@ class TestGenerateNet:
         base = net.window["basepoint"]
         g = net.graph_distances(base)
         interior = [i for i in range(net.n)
-                    if net.margin(i) > net.edge_threshold and g[i] > 0]
+                    if net.margins()[i] > net.edge_threshold and g[i] > 0]
         assert interior
         ratios = [net.model_distance(base, i) / g[i] for i in interior]
         assert min(ratios) > 0.3
