@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,13 @@ _EDGE_BLOCK = 1 << 16
 
 # half-disk descents one tile assignment may take
 _MAX_DESCENT = 200
+
+# relative distance from a half-disk radius or a slope threshold within
+# which a batched tile assignment is re-decided by the scalar descent
+_TIE_BAND = 1e-9
+
+# tile kinds by integer code: merged near band, wedge, scallop
+_KINDS = ("B1m", "A", "B")
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +139,59 @@ class Tiling:
     lambdas: list[float]             # sinh(k*r), k = 0..4
     dilation: float                  # semicircle period x
     window: dict
-    tiles: list[TileRecord]
     coloring: dict = field(default_factory=lambda: {"A": 0, "B": 1, "B1": 1})
 
     @property
     def circle0(self) -> tuple[float, float]:
         c = (1.0 + self.dilation) / 2.0
         return c, (self.dilation - 1.0) / 2.0
+
+    @cached_property
+    def tiles(self) -> list[TileRecord]:
+        """Tiles down to the window's Euclidean resolution, enumerated on
+        first read.  Point-to-tile assignment descends analytically and
+        never reads them; they are the exported picture of the tiling."""
+        x = self.dilation
+        radius = float(self.window.get("radius", 8.0))
+        resolution = float(self.window.get("resolution", math.exp(-radius / 2.0)))
+        # horizontal reach of the window ball about (0; 1)
+        x_extent = math.sinh(radius) * 1.05 + 2.0
+        c0, rho0 = self.circle0
+        logx = math.log(x)
+        # Euclidean disk of the hyperbolic window ball about (0; 1)
+        ball_c, ball_r = math.cosh(radius), math.sinh(radius)
+
+        def meets_window(c: float, rho: float) -> bool:
+            return math.hypot(c, ball_c) <= rho + ball_r + resolution
+
+        tiles: list[TileRecord] = [TileRecord("B1", _identity(), 0, False)]
+        ident = _identity()
+        for mirrored in (False, True):
+            tiles.append(TileRecord("A", ident, 0, mirrored))
+            tiles.append(TileRecord("B", ident, 0, mirrored))
+        # enumerate descended copies that are wide enough to resolve and
+        # whose half-disk meets the window ball
+        stack: list[tuple[tuple, float, int, bool]] = []
+        n_hi = int(math.floor(math.log(x_extent) / logx)) + 1
+        n_lo = int(math.ceil(math.log(max(resolution / rho0, 1e-300)) / logx)) - 1
+        for mirrored in (False, True):
+            for n in range(n_lo, n_hi + 1):
+                rho = x ** n * rho0
+                c = x ** n * c0
+                if meets_window(c, rho):
+                    stack.append((_descend_matrix(x, n), rho, 1, mirrored))
+        while stack:
+            m, rho, depth, mirrored = stack.pop()
+            if 2.0 * rho < resolution or depth > 60:
+                continue
+            tiles.append(TileRecord("A", m, depth, mirrored))
+            tiles.append(TileRecord("B", m, depth, mirrored))
+            for n in range(n_lo, n_hi + 1):
+                child = _mobius_mul(m, _descend_matrix(x, n))
+                crho, cc = _image_circle(child)
+                if crho >= resolution / 2.0 and meets_window(cc, crho):
+                    stack.append((child, crho, depth + 1, mirrored))
+        return tiles
 
 
 def _solve_dilation(r: float, tol: float = 1e-12) -> float:
@@ -224,55 +278,16 @@ def assign_tile(tiling: Tiling, px: float, py: float) -> tuple:
 
 
 def build_h2_tiling(r: float, window: dict) -> Tiling:
-    """Two-coloured tiling at scale r, with tiles enumerated down to the
-    window's Euclidean resolution."""
+    """Two-coloured tiling at scale r over a window ball about (0; 1).
+
+    Only the slopes and the dilation are computed here: points find their
+    tile by analytic descent (:func:`assign_tile`), and the tile list of
+    :attr:`Tiling.tiles` is enumerated when it is first read.
+    """
     if r <= 0:
         raise UnsupportedError("r must be positive")
-    lambdas = [math.sinh(k * r) for k in range(5)]
-    x = _solve_dilation(r)
-    radius = float(window.get("radius", 8.0))
-    # export resolution only bounds the enumerated tile list; point-to-tile
-    # assignment descends analytically and ignores it
-    resolution = float(window.get("resolution", math.exp(-radius / 2.0)))
-    # horizontal reach of the window ball about (0; 1)
-    x_extent = math.sinh(radius) * 1.05 + 2.0
-    c0, rho0 = (1.0 + x) / 2.0, (x - 1.0) / 2.0
-    logx = math.log(x)
-    # Euclidean disk of the hyperbolic window ball about (0; 1)
-    ball_c, ball_r = math.cosh(radius), math.sinh(radius)
-
-    def meets_window(c: float, rho: float) -> bool:
-        return math.hypot(c, ball_c) <= rho + ball_r + resolution
-
-    tiles: list[TileRecord] = [TileRecord("B1", _identity(), 0, False)]
-    ident = _identity()
-    for mirrored in (False, True):
-        tiles.append(TileRecord("A", ident, 0, mirrored))
-        tiles.append(TileRecord("B", ident, 0, mirrored))
-    # enumerate descended copies that are wide enough to resolve and whose
-    # half-disk meets the window ball
-    stack: list[tuple[tuple, float, int, bool]] = []
-    n_hi = int(math.floor(math.log(x_extent) / logx)) + 1
-    n_lo = int(math.ceil(math.log(max(resolution / rho0, 1e-300)) / logx)) - 1
-    for mirrored in (False, True):
-        for n in range(n_lo, n_hi + 1):
-            rho = x ** n * rho0
-            c = x ** n * c0
-            if meets_window(c, rho):
-                stack.append((_descend_matrix(x, n), rho, 1, mirrored))
-    while stack:
-        m, rho, depth, mirrored = stack.pop()
-        if 2.0 * rho < resolution or depth > 60:
-            continue
-        tiles.append(TileRecord("A", m, depth, mirrored))
-        tiles.append(TileRecord("B", m, depth, mirrored))
-        for n in range(n_lo, n_hi + 1):
-            child = _mobius_mul(m, _descend_matrix(x, n))
-            crho, cc = _image_circle(child)
-            if crho >= resolution / 2.0 and meets_window(cc, crho):
-                stack.append((child, crho, depth + 1, mirrored))
-    return Tiling(r=r, lambdas=lambdas, dilation=x,
-                  window=dict(window), tiles=tiles)
+    return Tiling(r=r, lambdas=[math.sinh(k * r) for k in range(5)],
+                  dilation=_solve_dilation(r), window=dict(window))
 
 
 def _identity() -> tuple:
@@ -290,33 +305,156 @@ def _image_circle(m: tuple) -> tuple[float, float]:
     return abs(zinf - z0) / 2.0, (z0 + zinf) / 2.0
 
 
+def _complex_quotient(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai) / (br + i bi) on arrays, in CPython's complex division
+    (Smith's algorithm), so that it matches the scalar ``/`` bit for bit."""
+    big = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(big, bi / br, br / bi)
+        denom = np.where(big, br + bi * ratio, br * ratio + bi)
+        return (np.where(big, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _per_exponent(table, n: np.ndarray) -> np.ndarray:
+    """Rows ``table(k)`` of the scalar function ``table`` at every entry of
+    ``n``, evaluated once per distinct exponent k."""
+    u, inv = np.unique(n, return_inverse=True)
+    return np.array([table(k) for k in u.tolist()], dtype=float)[inv]
+
+
+def _assign_tiles(tiling: Tiling, xs: np.ndarray, ys: np.ndarray):
+    """:func:`assign_tile` of many points at once, as integer tile codes.
+
+    Returns ``(kind, side, length, prefix)``, one entry per point in each
+    array: ``kind`` is 0 for the merged near band "B1m", 1 for a wedge "A"
+    and 2 for a scallop "B"; ``side`` is 1 for "R" and 0 for "L" (and in
+    the near band); ``length`` is the length of the descent prefix, and
+    ``prefix[k]`` holds its k-th entry where the prefix is longer than k
+    and 0 elsewhere.
+
+    The descent runs on the rows still descending and replays the scalar
+    complex arithmetic on real arrays, so each row follows the scalar path.
+    A row whose half-disk distance or slope lies within a relative
+    ``_TIE_BAND`` of its threshold is re-decided by :func:`assign_tile`.
+    """
+    lam1, lam3 = tiling.lambdas[1], tiling.lambdas[3]
+    x = tiling.dilation
+    logx = math.log(x)
+    c0, rho0 = tiling.circle0
+    n = len(ys)
+    kind = np.zeros(n, dtype=np.int8)
+    side = (~(xs < 0)).astype(np.int8)
+    length = np.zeros(n, dtype=np.int64)
+    prefix: list[np.ndarray] = []
+    tied = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    # copies: the descent rewrites z in place
+    zr, zi = np.abs(xs), np.array(ys, dtype=float)
+    for depth in range(_MAX_DESCENT):
+        re, im = zr[rows], zi[rows]
+        near = np.zeros(len(rows), dtype=bool)
+        hit = np.zeros(len(rows), dtype=bool)
+        into = np.zeros(len(rows), dtype=np.int64)
+        # the half-disks S_{g-1}, S_g, S_{g+1} about g = floor(log_x(re z));
+        # numpy's log may put g one off the scalar guess, but both windows
+        # hold the one half-disk that can contain z
+        pos = np.flatnonzero(re > 0)
+        guess = np.floor(np.log(re[pos]) / logx).astype(np.int64)
+        for cand in (guess - 1, guess, guess + 1):
+            scale = _per_exponent(lambda k: x ** k, cand)
+            dist, lim = np.hypot(re[pos] - scale * c0, im[pos]), scale * rho0
+            near[pos] |= np.abs(dist - lim) <= _TIE_BAND * lim
+            first = (dist < lim) & ~hit[pos]
+            into[pos[first]] = cand[first]
+            hit[pos[first]] = True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = re / im
+        near |= ~hit & (~np.isfinite(slope)
+                        | (np.abs(slope - lam1) <= _TIE_BAND * lam1)
+                        | (np.abs(slope - lam3) <= _TIE_BAND * lam3))
+        tied[rows[near]] = True
+        # rows outside every half-disk take the kind of their slope band
+        stop = ~hit & ~near
+        out, s = rows[stop], slope[stop]
+        band = s <= lam1
+        kind[out] = np.where(band, 0 if depth == 0 else 2,
+                             np.where(s <= lam3, 1, 2))
+        length[out] = depth - (band & (depth > 0))
+        side[out[band & (depth == 0)]] = 0
+        # rows inside a half-disk ascend out of it
+        go = hit & ~near
+        rows, ns = rows[go], into[go]
+        if not len(rows):
+            break
+        a, b, c, d = _per_exponent(
+            lambda k: [v for row in _descend_matrix(x, k) for v in row], ns).T
+        zr[rows], zi[rows] = _complex_quotient(d * zr[rows] - b, d * zi[rows],
+                                               -c * zr[rows] + a, -c * zi[rows])
+        prefix.append(np.zeros(n, dtype=np.int64))
+        prefix[depth][rows] = ns
+    stuck = int(rows[0]) if len(rows) else n
+    for j in np.flatnonzero(tied[:stuck]).tolist():
+        tid = assign_tile(tiling, float(xs[j]), float(ys[j]))
+        code = _KINDS.index(tid[0])
+        kind[j], side[j] = code, 0 if code == 0 else "LR".index(tid[1])
+        length[j] = 0 if code == 0 else len(tid[2])
+        for k in range(len(prefix), int(length[j])):
+            prefix.append(np.zeros(n, dtype=np.int64))
+        for k in range(int(length[j])):
+            prefix[k][j] = tid[2][k]
+    if stuck < n:
+        px, py = float(xs[stuck]), float(ys[stuck])
+        raise AssignmentError(f"descent did not terminate at ({px}, {py})",
+                              point=(px, py))
+    # entries past a prefix (the dropped last entry of a near-band scallop)
+    for k, col in enumerate(prefix):
+        col[length <= k] = 0
+    return kind, side, length, prefix[:int(length.max(initial=0))]
+
+
+def _tile_id(kind: int, side: int, prefix: list[int]) -> tuple:
+    """The :func:`assign_tile` id of one tile code."""
+    if kind == 0:
+        return ("B1m",)
+    return (_KINDS[kind], "LR"[side], tuple(prefix))
+
+
 def tiling_to_decomposition(tiling: Tiling, net: SpaceGraph) -> ColoredDecomposition:
-    """Assign every net point to its tile; colours: wedges 0, scallops 1."""
+    """Assign every net point to its tile; colours: wedges 0, scallops 1.
+
+    Pieces are the tiles met by the net, ordered by (kind, prefix length,
+    side, prefix) with the merged near band first.
+    """
     if net.model != "h2":
         raise ValueError("tiling decompositions need a half-plane net")
-    groups: dict[tuple, set[int]] = {}
-    for i, p in enumerate(net.points):
-        tid = assign_tile(tiling, p.x, p.y)
-        groups.setdefault(tid, set()).add(i)
-    pieces, colors, labels = [], [], []
-    for tid in sorted(groups, key=_tile_sort_key):
-        pieces.append(frozenset(groups[tid]))
-        kind = "B1" if tid[0] == "B1m" else tid[0]
-        colors.append(tiling.coloring[kind])
-        labels.append(repr(tid))
+    xs, ys = net._coords()
+    kind, side, length, prefix = _assign_tiles(tiling, xs[:, 0], ys)
+    keys = [kind, length, side, *prefix]
+    # points grouped by tile code, each group in index order
+    order = np.lexsort(keys[::-1])
+    change = np.zeros(net.n - 1, dtype=bool)
+    for col in keys:
+        ranked = col[order]
+        change |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(np.concatenate([[True], change]))
+    bounds = np.append(starts, net.n).tolist()
+    first = order[starts]
+    members = order.tolist()
+    pieces = [frozenset(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    entries = [col[first].tolist() for col in prefix]
+    tids = [_tile_id(k, s, [e[t] for e in entries[:m]])
+            for t, (k, s, m) in enumerate(zip(kind[first].tolist(),
+                                               side[first].tolist(),
+                                               length[first].tolist()))]
     return ColoredDecomposition(
-        space=net, pieces=pieces, colors=colors, r=tiling.r, d=1,
-        partition=True,
+        space=net, pieces=pieces,
+        colors=[tiling.coloring["B1" if t[0] == "B1m" else t[0]] for t in tids],
+        r=tiling.r, d=1, partition=True,
         provenance={"construction": "h2_tiling", "r": tiling.r,
-                    "dilation": tiling.dilation, "labels": labels},
+                    "dilation": tiling.dilation,
+                    "labels": [repr(t) for t in tids]},
     )
-
-
-def _tile_sort_key(tid: tuple):
-    if tid[0] == "B1m":
-        return (0, "", 0, ())
-    kind, side, prefix = tid
-    return (1, kind, len(prefix), (side,) + prefix)
 
 
 # ---------------------------------------------------------------------------

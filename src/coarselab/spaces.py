@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -60,6 +61,9 @@ _DISTANCE_BLOCK = 1 << 16
 
 PRODUCT_CAP = 2_000_000
 
+# letters of a tree word
+_TREE_LETTERS = frozenset((0, 1, 2))
+
 
 # ---------------------------------------------------------------------------
 # model points
@@ -97,6 +101,9 @@ class TreeAddress:
 
     def __post_init__(self):
         w = self.word
+        if _TREE_LETTERS.issuperset(w) and not any(map(operator.eq, w, w[1:])):
+            return
+        # name the first offending letter
         for i, a in enumerate(w):
             if a not in (0, 1, 2):
                 raise ValueError(f"tree letters must be 0/1/2, got {a}")
@@ -1029,7 +1036,9 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
 
     Layers sit at y = exp(k*sep); within a layer the grid step is
     2*sinh(sep)*y (see ``_LAYER_STEP``), so the whole stream is pairwise
-    >= sep apart and greedy insertion keeps every candidate.
+    >= sep apart and greedy insertion keeps every candidate.  A window
+    of more than ``window["cap"]`` points (default ``PRODUCT_CAP``) is
+    refused with :class:`SizeCapError` before any point is built.
     """
     thr = 3.0 * sep if edge_threshold is None else edge_threshold
     if thr < 2.0 * sep:
@@ -1039,42 +1048,18 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
     radius = float(window["radius"])
     if radius <= 0:
         raise EmptySpaceError("window radius must be positive")
-    h, w = _grid_steps(sep)
-    kmax = int(math.floor(radius / h))
     model = "h2" if dim == 2 else "hd"
-    pts: list[ModelPoint] = []
-    for k in range(-kmax, kmax + 1):
-        y = math.exp(k * h)
-        # horizontal budget at height y inside a hyperbolic ball about (0;1)
-        bound2 = 2.0 * y * (math.cosh(radius) - 1.0) - (y - 1.0) ** 2
-        if bound2 <= 0:
-            continue
-        step = w * y
-        jmax = int(math.floor(math.sqrt(bound2) / step))
-        xs = step * np.arange(-jmax, jmax + 1)
-        if dim == 2:
-            keep = xs[xs * xs <= bound2]
-            pts.extend(HalfPlane(float(x), y) for x in keep)
-        elif kind == "ball":
-            for x1 in xs:
-                rem = bound2 - x1 * x1
-                if rem < 0:
-                    continue
-                m = int(math.floor(math.sqrt(rem) / step))
-                for j2 in range(-m, m + 1):
-                    pts.append(HalfSpace((float(x1), j2 * step), y))
-        else:  # birad: sum of per-plane distances to (0;1) stays <= radius
-            daxis = np.arccosh(1.0 + np.maximum(
-                0.0, (xs * xs + (y - 1.0) ** 2) / (2.0 * y)))
-            for i1, x1 in enumerate(xs):
-                budget = radius - daxis[i1]
-                if budget < 0:
-                    continue
-                m = int(np.searchsorted(daxis[jmax:], budget, side="right")) - 1
-                for j2 in range(-m, m + 1):
-                    pts.append(HalfSpace((float(x1), j2 * step), y))
-    if not pts:
+    # a full counting pass, which raises past the cap, then the build
+    if not sum(1 for _ in _halfspace_layers(window, radius, sep, dim)):
         raise EmptySpaceError(f"window produced no points: {window}")
+    pts: list[ModelPoint] = []
+    for y, step, xs, m in _halfspace_layers(window, radius, sep, dim):
+        if dim == 2:
+            pts.extend(HalfPlane(x, y) for x in xs.tolist())
+            continue
+        for x1, half in zip(xs.tolist(), m.tolist()):
+            pts.extend(HalfSpace((x1, j2 * step), y)
+                       for j2 in range(-half, half + 1))
     if window.get("greedy_check"):
         # the stream is sep-separated by construction; this guard proves it
         pts = _greedy_select(pts, sep)
@@ -1087,6 +1072,65 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
     origin = np.zeros((1, dim - 1))
     space.window["basepoint"] = int(space.nearest_points(origin, np.ones(1))[0])
     return space
+
+
+def _halfspace_layers(window: dict, radius: float, sep: float, dim: int):
+    """Nonempty layers of a stratified half-space window, bottom up.
+
+    Yields ``(y, step, xs, m)``: the layer height and grid step, its x(_1)
+    columns and, per column, the half width m of its run of x_2 columns
+    (0 in the plane).  The points are counted as the layers are made, and
+    :class:`SizeCapError` is raised once they pass ``window["cap"]``
+    (default ``PRODUCT_CAP``), before a layer's arrays are allocated.
+    """
+    kind = window.get("kind", "ball")
+    cap = window.get("cap", PRODUCT_CAP)
+    h, w = _grid_steps(sep)
+    kmax = int(math.floor(radius / h))
+    try:
+        cosh_r = math.cosh(radius)
+    except OverflowError:
+        raise SizeCapError(f"window radius {radius} overflows cosh(radius); "
+                           f"the window exceeds the cap {cap}") from None
+    size = 0
+    for k in range(-kmax, kmax + 1):
+        y = math.exp(k * h)
+        # horizontal budget at height y inside a hyperbolic ball about (0;1)
+        bound2 = 2.0 * y * (cosh_r - 1.0) - (y - 1.0) ** 2
+        if bound2 <= 0:
+            continue
+        step = w * y
+        jmax = int(math.floor(math.sqrt(bound2) / step))
+        # columns |j| < jfull hold a point each; a birad column needs budget
+        # left for x_2 = 0, which lies |k*h| from (0;1)
+        jfull = jmax
+        if dim > 2 and kind == "birad":
+            rest = (2.0 * y * (math.cosh(radius - abs(k * h)) - 1.0)
+                    - (y - 1.0) ** 2)
+            jfull = min(jmax, int(math.sqrt(max(rest, 0.0)) / step))
+        if size + 2 * jfull - 1 > cap:
+            raise SizeCapError(f"window of radius {radius} holds more than "
+                               f"{cap} points (the cap)")
+        # no column past jfull + 1 holds a point; one more covers rounding
+        jr = min(jmax, jfull + 2)
+        xs = step * np.arange(-jr, jr + 1)
+        if dim == 2:
+            m = np.where(xs * xs <= bound2, 0, -1)
+        elif kind == "ball":
+            rem = bound2 - xs * xs
+            m = np.where(rem < 0, -1, np.floor(np.sqrt(np.maximum(rem, 0.0))
+                                               / step)).astype(np.int64)
+        else:  # birad: sum of per-plane distances to (0;1) stays <= radius
+            daxis = np.arccosh(1.0 + np.maximum(
+                0.0, (xs * xs + (y - 1.0) ** 2) / (2.0 * y)))
+            m = np.searchsorted(daxis[jr:], radius - daxis, side="right") - 1
+        keep = m >= 0
+        size += int((2 * m[keep] + 1).sum())
+        if size > cap:
+            raise SizeCapError(f"window of radius {radius} holds more than "
+                               f"{cap} points (the cap)")
+        if keep.any():
+            yield y, step, xs[keep], m[keep]
 
 
 def _point_arrays(pts: list[ModelPoint]) -> tuple[np.ndarray, np.ndarray]:

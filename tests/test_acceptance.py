@@ -11,6 +11,7 @@ import random
 import time
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 
 from coarselab import analysis, artifacts
@@ -122,6 +123,22 @@ def test_criterion_2c_tiling_multiplicity(tiling_pipeline):
     verdict("2c (tiling multiplicity)", ok,
             f"model-metric multiplicity at r/2 = {mult} <= 2, "
             f"pipeline total {elapsed:.0f}s")
+
+
+# Companions to 2a and 2c at the tiling's own r = 1.  At r/2 = 0.5 every
+# model ball of the sep-0.8 net holds only its centre, so those checks pass
+# whatever the tiling does; at r = 1 most balls hold more.
+
+
+def test_criterion_2a_companion_separation_at_r(decomp10):
+    indptr, _ = decomp10.space.neighbors(range(decomp10.space.n), 1.0)
+    assert (np.diff(indptr) > 1).sum() > decomp10.space.n // 2
+    assert check_disjointness(decomp10, r=1.0) == []
+
+
+def test_criterion_2c_companion_multiplicity_at_r(decomp10):
+    mult, _ = r_multiplicity(decomp10, 1.0, metric="model")
+    assert mult <= 2
 
 
 # -- 3: the half-space cover through the plane-product embedding -------------

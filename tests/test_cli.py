@@ -55,6 +55,15 @@ class TestSpaceCommand:
                    "--out", str(tmp_path)])
         assert rc == 3
 
+    def test_halfspace_size_cap_exit_3(self, tmp_path, capsys):
+        for argv in (["--model", "h2", "--ball", "1000"],
+                     ["--model", "hd", "--window-kind", "birad", "--ball", "800"]):
+            rc = main(["space", *argv, "--out", str(tmp_path)])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert "cap" in err and "Traceback" not in err
+            assert not (tmp_path / "points.csv").exists()
+
 
 class TestBuildCommand:
     def test_walk_build_and_verify(self, tmp_path, capsys):

@@ -63,6 +63,24 @@ class TestTreeAndComb:
         with pytest.raises(ValueError):
             TreeAddress((0, 0))
 
+    @given(st.lists(st.integers(0, 3), max_size=8).map(tuple))
+    @settings(max_examples=200, deadline=None)
+    def test_tree_word_check_matches_letter_loop(self, w):
+        expected = None
+        for i, a in enumerate(w):
+            if a not in (0, 1, 2):
+                expected = f"tree letters must be 0/1/2, got {a}"
+                break
+            if i and a == w[i - 1]:
+                expected = f"word not reduced at position {i}: {w}"
+                break
+        if expected is None:
+            assert TreeAddress(w).word == w
+        else:
+            with pytest.raises(ValueError) as err:
+                TreeAddress(w)
+            assert str(err.value) == expected
+
     def test_word_distance(self):
         assert point_distance(TreeAddress((0, 1)), TreeAddress((0, 2))) == 2.0
         assert point_distance(TreeAddress(()), TreeAddress((1, 0, 1))) == 3.0
@@ -284,6 +302,35 @@ class TestProduct:
         assert generate_net("comb", {"d": 3, "extent": 3, "cap": 91}).n == 91
         with pytest.raises(SizeCapError):
             generate_net("comb", {"d": 3, "extent": 3, "cap": 90})
+
+
+    def test_halfspace_cap_fires_before_allocation(self):
+        tracemalloc.start()
+        try:
+            for window in ({"kind": "ball", "radius": 30.0, "d": 2},
+                           {"kind": "ball", "radius": 30.0, "d": 3},
+                           {"kind": "birad", "radius": 30.0, "d": 3}):
+                model = "h2" if window["d"] == 2 else "hd"
+                with pytest.raises(SizeCapError, match="2000000"):
+                    generate_net(model, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the count holds one layer's column arrays at a time, never points
+        # (2M capped points would take hundreds of MB)
+        assert peak < 2**23
+        with pytest.raises(SizeCapError, match="overflows"):
+            generate_net("h2", {"kind": "ball", "radius": 1000.0})
+
+    @pytest.mark.parametrize("model,window,sep", [
+        ("h2", {"kind": "ball", "radius": 4.0}, 0.8),
+        ("hd", {"kind": "ball", "radius": 3.0, "d": 3}, 0.5),
+        ("hd", {"kind": "birad", "radius": 3.0, "d": 3}, 0.5)])
+    def test_halfspace_cap_counts_the_window_exactly(self, model, window, sep):
+        n = generate_net(model, window, sep=sep).n
+        assert generate_net(model, {**window, "cap": n}, sep=sep).n == n
+        with pytest.raises(SizeCapError):
+            generate_net(model, {**window, "cap": n - 1}, sep=sep)
 
 
 class TestGrowthReport:
