@@ -13,6 +13,8 @@ import json
 import os
 from typing import Optional
 
+import numpy as np
+
 from .covers import ColoredDecomposition, Cover
 from .errors import SchemaError
 from .spaces import (CombNode, HalfPlane, HalfSpace, SpaceGraph, TreeAddress,
@@ -88,9 +90,9 @@ def space_from_manifest(manifest: dict) -> SpaceGraph:
                     "centers": window["centers"]}
         return build_product(spaces, window=pwin)
     if model == "walk_target":
-        from .constructions import tree_walk
+        from .constructions import walk_target
 
-        return tree_walk(int(window["n_max"])).target
+        return walk_target(int(window["n_max"]))
     return generate_net(model, window, sep=sep, edge_threshold=thr)
 
 
@@ -122,11 +124,9 @@ def points_csv(space: SpaceGraph) -> str:
 
 
 def edges_csv(space: SpaceGraph) -> str:
-    lines = ["a,b"]
-    for i, nbrs in enumerate(space.adj):
-        for j in nbrs:
-            if j > i:
-                lines.append(f"{i},{j}")
+    i = np.repeat(np.arange(space.n), np.diff(space.indptr))
+    j = space.indices
+    lines = ["a,b", *map("{},{}".format, i[j > i].tolist(), j[j > i].tolist())]
     return "\n".join(lines) + "\n"
 
 

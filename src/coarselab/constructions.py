@@ -19,10 +19,10 @@ import numpy as np
 from .covers import (ColoredDecomposition, Cover, kolmogorov_amplify,
                      product_decomposition, pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
-                     PreconditionError, UnsupportedError)
-from .spaces import (SpaceGraph, TreeAddress, _csr_from_lists, _radix_strides,
-                     _sorted_lookup, _t_values, _within, build_product,
-                     generate_net)
+                     PreconditionError, SizeCapError, UnsupportedError)
+from .spaces import (PRODUCT_CAP, SpaceGraph, _csr_from_edges, _radix_strides,
+                     _sorted_lookup, _t_values, _within, _word_view,
+                     build_product, generate_net)
 
 __all__ = [
     "MapRecord",
@@ -34,6 +34,7 @@ __all__ = [
     "assign_tile",
     "tiling_to_decomposition",
     "tree_walk",
+    "walk_target",
     "brady_farb",
     "build_comb",
     "nerve_map",
@@ -88,13 +89,14 @@ class MapRecord:
 
     def remeasure(self) -> None:
         image = np.asarray(self.assignment, dtype=np.int64)
-        adj = self.source.adj
+        indptr, nbr, n = self.source.indptr, self.source.indices, self.source.n
         lip = 0.0
         # source edges i <= j, read from the adjacency in row blocks
         rows = max(1, _EDGE_BLOCK // max(1, self.source.degree_bound))
-        for lo in range(0, len(adj), rows):
-            indptr, j = _csr_from_lists(adj[lo:lo + rows])
-            i = np.repeat(np.arange(lo, lo + len(indptr) - 1), np.diff(indptr))
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+            j = nbr[indptr[lo]:indptr[hi]]
             i, j = i[j >= i], j[j >= i]
             ds = self.source.distances(i, j)
             dt = self.target.distances(image[i], image[j])
@@ -461,28 +463,99 @@ def tiling_to_decomposition(tiling: Tiling, net: SpaceGraph) -> ColoredDecomposi
 # the spine walk into the 3-regular tree
 
 
-def _spine_word(k: int) -> tuple[int, ...]:
-    if k >= 0:
-        return tuple(0 if i % 2 == 0 else 1 for i in range(k))
-    return tuple(1 if i % 2 == 0 else 0 for i in range(-k))
+# the two child letters after a letter: (lower, higher) of the other two
+_LOWER_CHILD = np.array([1, 0, 0], dtype=np.int8)
+_HIGHER_CHILD = np.array([2, 2, 1], dtype=np.int8)
 
 
-def _child_letters(word: tuple[int, ...]) -> tuple[int, int]:
-    if not word:
-        return (0, 1)
-    a, b = tuple(l for l in (0, 1, 2) if l != word[-1])
-    return a, b
+def _level(h: np.ndarray) -> np.ndarray:
+    """floor(log2 h) of positive heap indices (exact below 2^53), -1 at 0."""
+    return np.frexp(h.astype(float))[1].astype(np.int64) - 1
 
 
-def _binary_walk(root: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
-    """Closed depth-first walk below ``root``: every edge of the depth-d
-    binary tree twice, leaves visited in lexicographic order."""
-    if depth == 0:
-        return [root]
-    lo, hi = _child_letters(root)
-    left = _binary_walk(root + (lo,), depth - 1)
-    right = _binary_walk(root + (hi,), depth - 1)
-    return [root] + left + [root] + right + [root]
+def _walk(n_max: int) -> tuple[SpaceGraph, np.ndarray, int]:
+    """The walk's target, the target index of each step of the walk, and
+    the step at which the integer 0 sits.
+
+    Spine vertex k has the word 0101.. (k >= 0) or 1010.. (k < 0) of
+    length |k|; the depth-|k| binary tree hung below its letter 2 is
+    toured depth first, lower child letter first.  A vertex is keyed by
+    (k, h): h = 0 on the spine, else the heap index of its tree position
+    (root 1, children 2h and 2h + 1).  Target indices follow the order of
+    first visit, and the target's words are read off the keys.
+    """
+    if n_max < 1:
+        raise UnsupportedError("n_max must be >= 1")
+    # 3*2^(n+2) - 2n - 11 steps; the count only grows with n, and passes
+    # any cap by n = 64, so it is taken there at most
+    m = min(n_max, 64)
+    size = 3 * 2 ** (m + 2) - 2 * m - 11
+    if size > PRODUCT_CAP:
+        raise SizeCapError(f"walk of n_max {n_max} takes {size} steps, "
+                           f"over the cap {PRODUCT_CAP}")
+    # closed depth-first tours of the depth-d binary trees, as heap
+    # indices: the root, the left tour, the root, the right tour, the root
+    # (moving a tour under a child puts the child's bit below the top bit)
+    tours = [np.ones(1, dtype=np.int64)]
+    for _ in range(n_max):
+        h = tours[-1]
+        top = np.left_shift(1, _level(h))
+        tours.append(np.concatenate([[1], h + top, [1], h + 2 * top, [1]]))
+    span = 2 ** (n_max + 1)  # every heap index stays below it
+    # each spine vertex's tour, then the steps to that spine vertex and
+    # the next; the walk ends at the root hung below spine vertex n_max
+    parts = []
+    for k in range(-n_max, n_max):
+        base = (k + n_max) * span
+        parts += [tours[abs(k)] + base, np.array([base, base + span])]
+    parts.append(np.array([2 * n_max * span + 1]))
+    keys = np.concatenate(parts)
+    zero_pos = sum(map(len, parts[:2 * n_max]))
+    # target indices in the order of first visit
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    vk, vh = np.divmod(uniq[order], span)
+    vk -= n_max
+    reach = np.abs(vk)
+    below = _level(vh)  # letters below the hung root; -1 on the spine
+    depth = reach + 1 + below
+    # letter[h]: the last letter of the path from a hung root (letter 2)
+    # to heap index h; each bit below the top bit takes the lower (0) or
+    # the higher (1) of the two letters that may follow
+    letter = np.full(span, 2, dtype=np.int8)
+    for t in range(1, n_max + 1):
+        h = np.arange(1 << t, 2 << t)
+        up = letter[h >> 1]
+        letter[h] = np.where(h & 1, _HIGHER_CHILD[up], _LOWER_CHILD[up])
+    # each word: |k| spine letters, then letter[] along the path to h
+    words = np.full((len(uniq), int(depth.max()) + 1), -1, dtype=np.int8)
+    columns = np.arange(words.shape[1])
+    spine = (columns % 2).astype(np.int8)[None, :] ^ (vk < 0).astype(np.int8)[:, None]
+    on_spine = columns[None, :] < reach[:, None]
+    words[on_spine] = spine[on_spine]
+    for c in range(int(below.max()) + 1):
+        rows = np.flatnonzero(below >= c)
+        words[rows, reach[rows] + c] = letter[vh[rows] >> (below[rows] - c)]
+    seq = rank[inverse]
+    indptr, indices = _csr_from_edges(len(uniq), seq[:-1], seq[1:])
+    ks = np.arange(-n_max, n_max + 1)
+    at = rank[np.searchsorted(uniq, (ks + n_max) * span)].tolist()
+    root_at = rank[np.searchsorted(uniq, (ks + n_max) * span + 1)].tolist()
+    target = SpaceGraph(
+        model="t3", points=_word_view(words, depth), indptr=indptr,
+        indices=indices, sep=1.0, edge_threshold=1.0, _codes=(words, depth),
+        window={"kind": "walk_subtree", "n_max": n_max,
+                "spine": dict(zip(ks.tolist(), at)),
+                "roots": dict(zip(ks.tolist(), root_at))},
+    )
+    return target, seq, zero_pos
+
+
+def walk_target(n_max: int) -> SpaceGraph:
+    """The target of :func:`tree_walk`, built without its source."""
+    return _walk(n_max)[0]
 
 
 def tree_walk(n_max: int) -> MapRecord:
@@ -491,53 +564,16 @@ def tree_walk(n_max: int) -> MapRecord:
     Spine vertices carry alternating words, vertex k hangs a depth-|k|
     binary tree off its third direction; the walk closes a depth-first
     tour of each hung tree before stepping to the next spine vertex.
-    Every tree vertex is met at most three times.
+    Every tree vertex is met at most three times.  A walk of more than
+    ``PRODUCT_CAP`` steps is refused with :class:`SizeCapError` before
+    any array is built.
     """
-    if n_max < 1:
-        raise UnsupportedError("n_max must be >= 1")
-    seq: list[tuple[int, ...]] = []
-    zero_pos: Optional[int] = None
-    for k in range(-n_max, n_max):
-        root = _spine_word(k) + (2,)
-        if k == 0:
-            zero_pos = len(seq)
-        seq.extend(_binary_walk(root, abs(k)))
-        # step root -> spine k -> spine k+1; the next tour starts at (k+1)'
-        seq.append(_spine_word(k))
-        seq.append(_spine_word(k + 1))
-    final_root = _spine_word(n_max) + (2,)
-    seq.append(final_root)
-    if zero_pos is None:
-        raise RuntimeError("walk never crossed zero")
-
-    addr_index: dict[tuple[int, ...], int] = {}
-    points: list[TreeAddress] = []
-    adj: list[set[int]] = []
-    for w in seq:
-        if w not in addr_index:
-            addr_index[w] = len(points)
-            points.append(TreeAddress(w))
-            adj.append(set())
-    for a, b in zip(seq, seq[1:]):
-        ia, ib = addr_index[a], addr_index[b]
-        adj[ia].add(ib)
-        adj[ib].add(ia)
-    target = SpaceGraph(
-        model="t3", points=points, adj=[tuple(sorted(s)) for s in adj],
-        sep=1.0, edge_threshold=1.0,
-        window={"kind": "walk_subtree", "n_max": n_max,
-                "spine": {k: addr_index[_spine_word(k)]
-                          for k in range(-n_max, n_max + 1)},
-                "roots": {k: addr_index[_spine_word(k) + (2,)]
-                          for k in range(-n_max, n_max + 1)
-                          if _spine_word(k) + (2,) in addr_index}},
-    )
+    target, seq, zero_pos = _walk(n_max)
     lo = -zero_pos
     hi = len(seq) - 1 - zero_pos
     source = generate_net("z", {"lo": lo, "hi": hi})
-    assignment = [addr_index[w] for w in seq]
     return MapRecord(
-        source=source, target=target, assignment=assignment,
+        source=source, target=target, assignment=seq.tolist(),
         provenance={"construction": "tree_walk", "n_max": n_max,
                     "domain": [lo, hi]},
     )

@@ -10,10 +10,12 @@ that boundary effects (truncation) can be flagged.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "CombNode",
     "TuplePoint",
     "ModelPoint",
+    "PointView",
     "SpaceGraph",
     "GrowthReport",
     "point_distance",
@@ -58,6 +61,9 @@ _CANDIDATE_BUDGET = 1 << 18
 
 # point pairs one distance-kernel pass evaluates
 _DISTANCE_BLOCK = 1 << 16
+
+# points one pass over a point view builds
+_VIEW_BLOCK = 1 << 14
 
 PRODUCT_CAP = 2_000_000
 
@@ -143,6 +149,65 @@ class TuplePoint:
 
 
 ModelPoint = Union[HalfPlane, HalfSpace, TreeAddress, ZPoint, CombNode, TuplePoint]
+
+
+class PointView(collections.abc.Sequence):
+    """Read-only sequence of the points of a net held as arrays.
+
+    ``take(idx)`` builds the points at the integer array ``idx``.  Every
+    read builds fresh objects and none is stored, so the view costs no
+    more memory than its arrays.  A view equals a list, or a view, of
+    equal points.
+    """
+
+    __slots__ = ("_n", "_take")
+
+    def __init__(self, n: int, take):
+        self._n, self._take = n, take
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._take(np.arange(self._n)[i])
+        i = operator.index(i)
+        if not -self._n <= i < self._n:
+            raise IndexError(f"point index out of range: {i}")
+        return self._take(np.array([i % self._n]))[0]
+
+    def __iter__(self):
+        for lo in range(0, self._n, _VIEW_BLOCK):
+            yield from self._take(np.arange(lo, min(self._n, lo + _VIEW_BLOCK)))
+
+    def take(self, idx) -> list:
+        """The points at the indices ``idx``, built in one pass."""
+        return self._take(np.asarray(idx, dtype=np.int64))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, PointView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _take_points(points: Sequence[ModelPoint], idx: np.ndarray) -> list:
+    """The points at the indices ``idx`` of a point list or view."""
+    if isinstance(points, PointView):
+        return points.take(idx)
+    return list(map(points.__getitem__, idx.tolist()))
+
+
+def _word_view(words: np.ndarray, depth: np.ndarray) -> PointView:
+    """Tree addresses of the rows of a padded word matrix (see
+    :meth:`SpaceGraph._words`)."""
+    columns = np.arange(words.shape[1])
+
+    def take(idx):
+        d = depth[idx]
+        flat = words[idx][columns < d[:, None]].tolist()
+        ends = np.cumsum(d).tolist()
+        return [TreeAddress(tuple(flat[a:b])) for a, b in zip([0] + ends[:-1], ends)]
+    return PointView(len(depth), take)
 
 
 def point_key(p: ModelPoint):
@@ -316,12 +381,32 @@ def _csr_take(indptr: np.ndarray, indices: np.ndarray,
     return owner, indices[indptr[sel][owner] + offset]
 
 
-def _csr_from_lists(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                          count=int(indptr[-1]))
+def _csr_from_rows(row: np.ndarray, indices: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the entries ``indices``, already grouped by their ``row``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     return indptr, indices
+
+
+def _csr_from_edges(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency CSR of the undirected graph on n points with the edges
+    ``(a[k], b[k])``: loops dropped, each row sorted and without repeats."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    a, b = a[a != b], b[a != b]
+    key = np.sort(np.concatenate([a * n + b, b * n + a]))
+    key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
+    return _csr_from_rows(key // n, key % n, n)
+
+
+def _drop_diagonal(indptr: np.ndarray,
+                   indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A self-join CSR without its diagonal entries."""
+    n = len(indptr) - 1
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    off = indices != row
+    return _csr_from_rows(row[off], indices[off], n)
 
 
 def _concat_csr(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -435,10 +520,7 @@ class _StratifiedGrid:
         row, cand = row[keep], cand[keep]
         # rows arrive grouped in order; sort each row's indices
         n = len(self.ys)
-        cand = np.sort(row * n + cand) - row * n
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
-        return indptr, cand
+        return _csr_from_rows(row, np.sort(row * n + cand) - row * n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -449,37 +531,48 @@ class _StratifiedGrid:
 class SpaceGraph:
     """Immutable net graph with model-coordinate payloads.
 
-    ``adj`` holds sorted adjacency tuples; edges join points at model
-    distance <= ``edge_threshold``.  All queries are read-only.
+    The adjacency is CSR: the neighbours of point i, sorted, are
+    ``indices[indptr[i]:indptr[i + 1]]``; edges join points at model
+    distance <= ``edge_threshold``.  ``points`` is a list, or for nets
+    built from arrays (half-plane and half-space nets, products, the walk
+    target) a :class:`PointView` that builds each point when it is read.
+    All queries are read-only.
     """
 
     model: str
-    points: list[ModelPoint]
-    adj: list[tuple[int, ...]]
+    points: Sequence[ModelPoint]
+    indptr: np.ndarray
+    indices: np.ndarray
     sep: float
     edge_threshold: float
     window: dict
-    degree_bound: int = 0
+    n: int = field(init=False, default=0)
+    degree_bound: int = field(init=False, default=0)
     _index: dict = field(default_factory=dict, repr=False)
     _dist_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _csr: object = field(default=None, repr=False)
     _grid: object = field(default=None, repr=False)
     # integer codes: z values and product factor indices, set when the
-    # net is built; t3 words, built on first use
+    # net is built; t3 words, set by the walk or built on first use
     _codes: object = field(default=None, repr=False)
     _margins: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.points:
+        self.n = len(self.points)
+        if not self.n:
             raise EmptySpaceError(f"window produced no points: {self.window}")
-        if not self.degree_bound:
-            self.degree_bound = max((len(a) for a in self.adj), default=0)
+        self.degree_bound = int(np.diff(self.indptr).max(initial=0))
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
+    @cached_property
+    def adj(self) -> list[tuple[int, ...]]:
+        """Sorted adjacency tuples, derived from the CSR arrays on first
+        read; the tuples share one int object per point."""
+        ids = list(range(self.n))
+        flat = list(map(ids.__getitem__, self.indices.tolist()))
+        ends = self.indptr.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
     def index_of(self, p: ModelPoint) -> int:
         key = point_key(p)
@@ -499,7 +592,29 @@ class SpaceGraph:
             raise IndexError(f"point index out of range: {i}, {j}")
         if self._dist_matrix is not None:
             return float(self._dist_matrix[i, j])
+        if self.model == "t3":
+            codes, depth = self._letter_codes
+            a, b, la, lb = codes[i], codes[j], depth[i], depth[j]
+            # compare the prefixes of the common length; the highest
+            # differing letter ends the common prefix
+            if la > lb:
+                a >>= 8 * (la - lb)
+            else:
+                b >>= 8 * (lb - la)
+            common = min(la, lb) - ((a ^ b).bit_length() + 7) // 8
+            return float(la + lb - 2 * common)
         return point_distance(self.points[i], self.points[j])
+
+    @cached_property
+    def _letter_codes(self) -> tuple[list[int], list[int]]:
+        # t3 words as Python ints, a byte a letter with the first letter
+        # highest (exact at any depth), and the word lengths
+        words, depth = self._words()
+        flat = words[np.arange(words.shape[1]) < depth[:, None]].tobytes()
+        lengths = depth.tolist()
+        ends = np.cumsum(depth).tolist()
+        return [int.from_bytes(flat[a - d:a], "big")
+                for a, d in zip(ends, lengths)], lengths
 
     # -- graph metric -----------------------------------------------------
 
@@ -507,10 +622,10 @@ class SpaceGraph:
         if self._csr is None:
             from scipy.sparse import csr_matrix
 
-            indptr, indices = _csr_from_lists(self.adj)
-            data = np.ones(len(indices), dtype=np.int8)
-            self._csr = csr_matrix((data, indices.astype(np.int32), indptr),
-                                   shape=(self.n, self.n))
+            data = np.ones(len(self.indices), dtype=np.int8)
+            self._csr = csr_matrix(
+                (data, self.indices.astype(np.int32), self.indptr),
+                shape=(self.n, self.n))
         return self._csr
 
     def graph_distances(self, center: int, limit: Optional[int] = None) -> np.ndarray:
@@ -624,7 +739,7 @@ class SpaceGraph:
         """
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
         if self.model in ("h2", "hd"):
-            grid = self._grid_index()
+            grid = self._grid
             for lo, hi, indptr, indices in grid.query_blocks(
                     grid.xs[idx], grid.ys[idx], radius):
                 yield idx[lo:hi], indptr, indices
@@ -635,10 +750,7 @@ class SpaceGraph:
             near = (self.distances(np.repeat(rows, self.n),
                                    np.tile(np.arange(self.n), len(rows)))
                     <= radius).reshape(len(rows), self.n)
-            row, indices = np.nonzero(near)
-            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
-            yield rows, indptr, indices
+            yield rows, *_csr_from_rows(*np.nonzero(near), len(rows))
 
     def neighbors(self, idx: Sequence[int], radius: float
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -651,7 +763,7 @@ class SpaceGraph:
         ``radius`` (a scalar or one value per row) of each query row
         ``(xs[i]; ys[i])``, rows sorted; ``xs`` has one column per
         x-coordinate.  Half-plane/half-space nets only."""
-        return self._grid_index().query(xs, ys, radius)
+        return self._grid.query(xs, ys, radius)
 
     def nearest_points(self, xs, ys) -> np.ndarray:
         """Index of the net point nearest to each query row ``(xs[i]; ys[i])``.
@@ -660,7 +772,7 @@ class SpaceGraph:
         ``(round(d, 12), index)``.  The search radius starts at ``sep`` and
         doubles, for the rows that found nothing, up to 40 times.
         """
-        grid = self._grid_index()
+        grid = self._grid
         qx, qy = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         out = np.full(len(qy), -1, dtype=np.int64)
         todo = np.arange(len(qy))
@@ -687,7 +799,7 @@ class SpaceGraph:
                       radius: np.ndarray) -> np.ndarray:
         # every row's ball holds its nearest point; a candidate more than
         # 1e-11 above the row minimum cannot win under the rounded key
-        grid = self._grid_index()
+        grid = self._grid
         indptr, cand = grid.query(qx, qy, radius)
         d = grid.distances(qx, qy, indptr, cand)
         row = np.repeat(np.arange(len(qy)), np.diff(indptr))
@@ -703,16 +815,9 @@ class SpaceGraph:
                 round(self._coord_dist(c, coords, y), 12), c))
         return pick
 
-    def _grid_index(self) -> "_StratifiedGrid":
-        if self._grid is None:
-            self._grid = _StratifiedGrid(*_point_arrays(self.points), self.sep,
-                                         self.model == "hd")
-        return self._grid
-
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
         # (xs, y) arrays of half-plane/half-space nets
-        grid = self._grid_index()
-        return grid.xs, grid.ys
+        return self._grid.xs, self._grid.ys
 
     def margins(self) -> np.ndarray:
         """Cached model-metric distance from each point to the window
@@ -767,10 +872,10 @@ class SpaceGraph:
         return np.full(n, math.inf)
 
     def _coord_dist(self, c: int, coords: tuple[float, ...], y: float) -> float:
-        p = self.points[c]
-        px = (p.x,) if self.model == "h2" else p.xs
-        dx2 = sum((a - b) ** 2 for a, b in zip(px, coords))
-        return _acosh1p((dx2 + (p.y - y) ** 2) / (2.0 * p.y * y))
+        xs, ys = self._coords()
+        py = float(ys[c])
+        dx2 = sum((a - b) ** 2 for a, b in zip(xs[c].tolist(), coords))
+        return _acosh1p((dx2 + (py - y) ** 2) / (2.0 * py * y))
 
     def set_distance(self, a: Iterable[int], b: Iterable[int],
                      upper: Optional[float] = None) -> float:
@@ -923,16 +1028,23 @@ def _net_z(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGr
         raise EmptySpaceError(f"empty integer window [{lo}, {hi}]")
     thr = sep if edge_threshold is None else edge_threshold
     # integers step >= ceil(sep) apart are sep-separated by construction
-    ns = np.arange(lo, hi + 1, max(1, int(math.ceil(sep))), dtype=np.int64)
-    # the neighbours of each integer form one run around it; slices of one
-    # index tuple share its int objects
-    first = np.searchsorted(ns, ns - thr, side="left").tolist()
-    end = np.searchsorted(ns, ns + thr, side="right").tolist()
-    ids = tuple(range(len(ns)))
-    adj = [ids[a:i] + ids[i + 1:b] for i, (a, b) in enumerate(zip(first, end))]
+    step = max(1, int(math.ceil(sep)))
+    cap = window.get("cap", PRODUCT_CAP)
+    size = (hi - lo) // step + 1
+    if size > cap:
+        raise SizeCapError(f"integer window of {size} points exceeds cap {cap}")
+    ns = np.arange(lo, hi + 1, step, dtype=np.int64)
+    # the neighbours of each integer form one run around it
+    first = np.searchsorted(ns, ns - thr, side="left")
+    end = np.searchsorted(ns, ns + thr, side="right")
+    row, off = _expand(np.maximum(end - first, 0))
+    nbr = first[row] + off
+    keep = nbr != row
+    indptr, indices = _csr_from_rows(row[keep], nbr[keep], len(ns))
     base = int(np.argmin(np.abs(ns - (lo + hi) // 2)))
-    return SpaceGraph(model="z", points=[ZPoint(n) for n in ns.tolist()], adj=adj,
-                      sep=sep, edge_threshold=thr, _codes=ns,
+    return SpaceGraph(model="z", points=list(map(ZPoint, ns.tolist())),
+                      indptr=indptr, indices=indices, sep=sep,
+                      edge_threshold=thr, _codes=ns,
                       window={"kind": "range", "lo": lo, "hi": hi,
                               "basepoint": base})
 
@@ -941,6 +1053,12 @@ def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceG
     radius = int(window["radius"])
     if radius < 0:
         raise EmptySpaceError("negative tree radius")
+    cap = window.get("cap", PRODUCT_CAP)
+    # 3*2^R - 2 words; the count only grows with R, and passes any cap by
+    # R = 64, so it is taken there at most
+    size = 3 * 2 ** min(radius, 64) - 2
+    if size > cap:
+        raise SizeCapError(f"tree ball of radius {radius} exceeds cap {cap}")
     thr = sep if edge_threshold is None else edge_threshold
     pts: list[TreeAddress] = [TreeAddress(())]
     frontier: list[tuple[int, ...]] = [()]
@@ -957,16 +1075,12 @@ def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceG
     if thr < 2.0 and sep <= 1.0:
         # edges are exactly parent/child word pairs
         index = {p.word: i for i, p in enumerate(pts)}
-        adj_l: list[list[int]] = [[] for _ in pts]
-        for i, p in enumerate(pts):
-            if p.word:
-                j = index[p.word[:-1]]
-                adj_l[i].append(j)
-                adj_l[j].append(i)
-        adj = [tuple(sorted(a)) for a in adj_l]
+        parent = [index[p.word[:-1]] for p in pts[1:]]
+        indptr, indices = _csr_from_edges(len(pts), range(1, len(pts)), parent)
     else:
-        adj = _edges_brute(pts, thr)
-    return SpaceGraph(model="t3", points=pts, adj=adj, sep=sep, edge_threshold=thr,
+        indptr, indices = _edges_brute(pts, thr)
+    return SpaceGraph(model="t3", points=pts, indptr=indptr, indices=indices,
+                      sep=sep, edge_threshold=thr,
                       window={"kind": "tree_ball", "radius": radius,
                               "basepoint": 0})
 
@@ -992,16 +1106,17 @@ def _net_comb(window: dict, sep: float, edge_threshold: Optional[float]) -> Spac
         pts = pts + nxt
         # next generation of hairs attaches along the new hairs only
         layer = nxt
-    adj = _comb_edges(pts)
+    indptr, indices = _comb_edges(pts)
     base = next(i for i, p in enumerate(pts) if p.base == 0 and not p.offsets)
-    return SpaceGraph(model="comb", points=pts, adj=adj, sep=sep, edge_threshold=thr,
+    return SpaceGraph(model="comb", points=pts, indptr=indptr, indices=indices,
+                      sep=sep, edge_threshold=thr,
                       window={"kind": "comb_extent", "d": d, "extent": extent,
                               "basepoint": base})
 
 
-def _comb_edges(pts: list[CombNode]) -> list[tuple[int, ...]]:
+def _comb_edges(pts: list[CombNode]) -> tuple[np.ndarray, np.ndarray]:
     index = {(p.base, p.offsets): i for i, p in enumerate(pts)}
-    adj: list[list[int]] = [[] for _ in pts]
+    a, b = [], []
     for i, p in enumerate(pts):
         if p.offsets:
             # parent along own hair, or the hair's root one generation down
@@ -1010,24 +1125,20 @@ def _comb_edges(pts: list[CombNode]) -> list[tuple[int, ...]]:
                 j = index[(p.base, tuple(head) + (last - 1,))]
             else:
                 j = index[(p.base, tuple(head))]
-            adj[i].append(j)
-            adj[j].append(i)
         else:
             j = index.get((p.base + 1, ()))
-            if j is not None:
-                adj[i].append(j)
-                adj[j].append(i)
-    return [tuple(sorted(set(a))) for a in adj]
+            if j is None:
+                continue
+        a.append(i)
+        b.append(j)
+    return _csr_from_edges(len(pts), a, b)
 
 
-def _edges_brute(pts: list[ModelPoint], thr: float) -> list[tuple[int, ...]]:
-    adj: list[list[int]] = [[] for _ in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if point_distance(pts[i], pts[j]) <= thr:
-                adj[i].append(j)
-                adj[j].append(i)
-    return [tuple(sorted(a)) for a in adj]
+def _edges_brute(pts: list[ModelPoint], thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency CSR of the point pairs within ``thr``, testing every pair."""
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+             if point_distance(pts[i], pts[j]) <= thr]
+    return _csr_from_edges(len(pts), [i for i, _ in pairs], [j for _, j in pairs])
 
 
 def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
@@ -1036,9 +1147,11 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
 
     Layers sit at y = exp(k*sep); within a layer the grid step is
     2*sinh(sep)*y (see ``_LAYER_STEP``), so the whole stream is pairwise
-    >= sep apart and greedy insertion keeps every candidate.  A window
-    of more than ``window["cap"]`` points (default ``PRODUCT_CAP``) is
-    refused with :class:`SizeCapError` before any point is built.
+    >= sep apart and greedy insertion keeps every candidate (with
+    ``window["greedy_check"]`` set, a stream it would thin is refused with
+    :class:`PreconditionError`).  A window of more than ``window["cap"]``
+    points (default ``PRODUCT_CAP``) is refused with :class:`SizeCapError`
+    before any point is built.
     """
     thr = 3.0 * sep if edge_threshold is None else edge_threshold
     if thr < 2.0 * sep:
@@ -1052,26 +1165,54 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
     # a full counting pass, which raises past the cap, then the build
     if not sum(1 for _ in _halfspace_layers(window, radius, sep, dim)):
         raise EmptySpaceError(f"window produced no points: {window}")
-    pts: list[ModelPoint] = []
+    cols, heights = [], []
     for y, step, xs, m in _halfspace_layers(window, radius, sep, dim):
-        if dim == 2:
-            pts.extend(HalfPlane(x, y) for x in xs.tolist())
-            continue
-        for x1, half in zip(xs.tolist(), m.tolist()):
-            pts.extend(HalfSpace((x1, j2 * step), y)
-                       for j2 in range(-half, half + 1))
+        if dim > 2:
+            # each x_1 column holds the x_2 columns -m..m
+            owner, off = _expand(2 * m + 1)
+            xs = np.column_stack([xs[owner], (off - m[owner]) * step])
+        cols.append(xs.reshape(len(xs), dim - 1))
+        heights.append(np.full(len(xs), y))
+    grid = _StratifiedGrid(np.concatenate(cols), np.concatenate(heights), sep,
+                           model == "hd")
+    points = _halfspace_view(grid.xs, grid.ys)
     if window.get("greedy_check"):
         # the stream is sep-separated by construction; this guard proves it
-        pts = _greedy_select(pts, sep)
-    grid = _StratifiedGrid(*_point_arrays(pts), sep, model == "hd")
-    adj = _off_diagonal_adjacency(*grid.query(grid.xs, grid.ys, thr + 1e-12))
-    space = SpaceGraph(model=model, points=pts, adj=adj, sep=sep, edge_threshold=thr,
+        _check_separated(points, sep)
+    indptr, indices = _drop_diagonal(*grid.query(grid.xs, grid.ys, thr + 1e-12))
+    space = SpaceGraph(model=model, points=points, indptr=indptr,
+                       indices=indices, sep=sep, edge_threshold=thr,
                        window={"kind": kind, "radius": radius, "basepoint": 0,
                                "d": dim}, _grid=grid)
     # basepoint: the net point (0,..,0;1), which every window contains
     origin = np.zeros((1, dim - 1))
     space.window["basepoint"] = int(space.nearest_points(origin, np.ones(1))[0])
     return space
+
+
+def _halfspace_view(xs: np.ndarray, ys: np.ndarray) -> PointView:
+    """Half-plane points (one x column) or half-space points of the
+    coordinate arrays ``xs``, ``ys``."""
+    if xs.shape[1] == 1:
+        def take(idx):
+            return list(map(HalfPlane, xs[idx, 0].tolist(), ys[idx].tolist()))
+    else:
+        def take(idx):
+            return list(map(HalfSpace, map(tuple, xs[idx].tolist()),
+                            ys[idx].tolist()))
+    return PointView(len(ys), take)
+
+
+def _check_separated(points: PointView, sep: float) -> None:
+    """Raise :class:`PreconditionError` naming the first point that greedy
+    sep-selection (:func:`_greedy_select`) would drop from ``points``."""
+    seen: list[ModelPoint] = []
+    for i, p in enumerate(points):
+        if any(point_distance(p, q) < sep for q in seen):
+            raise PreconditionError(
+                f"net point {i} ({p}) lies within sep {sep} of an earlier "
+                "point; the window cannot be built as a sep-net", witness=i)
+        seen.append(p)
 
 
 def _halfspace_layers(window: dict, radius: float, sep: float, dim: int):
@@ -1133,26 +1274,6 @@ def _halfspace_layers(window: dict, radius: float, sep: float, dim: int):
             yield y, step, xs[keep], m[keep]
 
 
-def _point_arrays(pts: list[ModelPoint]) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, y) coordinate arrays of half-plane or half-space points."""
-    if isinstance(pts[0], HalfPlane):
-        xs = np.array([[p.x] for p in pts])
-    else:
-        xs = np.array([list(p.xs) for p in pts])
-    return xs, np.array([p.y for p in pts])
-
-
-def _off_diagonal_adjacency(indptr: np.ndarray,
-                            indices: np.ndarray) -> list[tuple[int, ...]]:
-    """Sorted adjacency tuples of a self-join CSR, without its diagonal."""
-    n = len(indptr) - 1
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    off = indices != row
-    flat = indices[off].tolist()
-    ends = np.cumsum(np.bincount(row[off], minlength=n)).tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-
-
 # -- products ---------------------------------------------------------------
 
 
@@ -1199,10 +1320,14 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
                 used = used[row] + dv[col]
         wdesc = {"kind": "l1_ball", "radius": radius, "centers": centers,
                  "factors": list(spaces)}
-    parts = [list(map(s.points.__getitem__, codes[:, f].tolist()))
-             for f, s in enumerate(spaces)]
-    return SpaceGraph(model="product", points=list(map(TuplePoint, zip(*parts))),
-                      adj=_product_adjacency(spaces, codes),
+
+    def take(idx):
+        parts = [_take_points(s.points, codes[idx, f]) for f, s in enumerate(spaces)]
+        return list(map(TuplePoint, zip(*parts)))
+
+    indptr, indices = _product_adjacency(spaces, codes)
+    return SpaceGraph(model="product", points=PointView(len(codes), take),
+                      indptr=indptr, indices=indices,
                       sep=min(s.sep for s in spaces),
                       edge_threshold=max(s.edge_threshold for s in spaces),
                       window=wdesc, _codes=codes)
@@ -1249,30 +1374,25 @@ def _sorted_lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
 
 
 def _product_adjacency(spaces: Sequence[SpaceGraph],
-                       codes: np.ndarray) -> list[tuple[int, ...]]:
-    """Sorted adjacency tuples of the product points ``codes`` (factor
-    adjacency is symmetric and loop-free, as every net's is)."""
+                       codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency CSR of the product points ``codes`` (factor adjacency is
+    symmetric and loop-free, as every net's is)."""
     n = len(codes)
     strides = _radix_strides([s.n for s in spaces])
     key = codes @ strides
-    csrs = [_csr_from_lists(s.adj) for s in spaces]
     step = max(1, _CANDIDATE_BUDGET // max(1, sum(s.degree_bound for s in spaces)))
-    # slices of one index tuple share its int objects
-    ids = tuple(range(n))
-    adj: list[tuple[int, ...]] = []
+    blocks = []
     for lo in range(0, n, step):
         block = codes[lo:lo + step]
         rows, cols = [], []
-        for f, (indptr, indices) in enumerate(csrs):
-            row, nb = _csr_take(indptr, indices, block[:, f])
+        for f, s in enumerate(spaces):
+            row, nb = _csr_take(s.indptr, s.indices, block[:, f])
             at = _sorted_lookup(key, key[lo + row] + (nb - block[row, f]) * strides[f])
             rows.append(row[at >= 0])
             cols.append(at[at >= 0])
         flat = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
-        ends = np.cumsum(np.bincount(flat // n, minlength=len(block))).tolist()
-        nbrs = tuple(map(ids.__getitem__, (flat % n).tolist()))
-        adj.extend(nbrs[a:b] for a, b in zip([0] + ends[:-1], ends))
-    return adj
+        blocks.append(_csr_from_rows(flat // n, flat % n, len(block)))
+    return _concat_csr(blocks)
 
 
 # -- explicit metric graphs (for oracles and small experiments) -------------
@@ -1280,15 +1400,10 @@ def _product_adjacency(spaces: Sequence[SpaceGraph],
 
 def metric_graph(n: int, edges: Iterable[tuple[int, int]]) -> SpaceGraph:
     """Small explicit graph whose model metric is its own path metric."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        if a == b:
-            continue
-        adj[a].append(b)
-        adj[b].append(a)
-    adj_t = [tuple(sorted(set(x))) for x in adj]
-    pts = [ZPoint(i) for i in range(n)]
-    g = SpaceGraph(model="metric_graph", points=pts, adj=adj_t, sep=1.0,
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    indptr, indices = _csr_from_edges(n, pairs[:, 0], pairs[:, 1])
+    g = SpaceGraph(model="metric_graph", points=list(map(ZPoint, range(n))),
+                   indptr=indptr, indices=indices, sep=1.0,
                    edge_threshold=1.0, window={"kind": "explicit"})
     from scipy.sparse.csgraph import dijkstra
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tracemalloc
+
+import pytest
 
 from coarselab.cli import main
 
@@ -63,6 +67,67 @@ class TestSpaceCommand:
             err = capsys.readouterr().err
             assert "cap" in err and "Traceback" not in err
             assert not (tmp_path / "points.csv").exists()
+
+
+    def test_z_t3_and_walk_size_caps_exit_3(self, tmp_path, capsys):
+        # windows of 4e9 integers, 3*2^40 words and 1.3e13 walk steps
+        for argv in (["space", "--model", "z", "--range", "2000000000"],
+                     ["space", "--model", "t3", "--radius", "40"],
+                     ["build", "walk", "--n-max", "40"]):
+            tracemalloc.start()
+            try:
+                rc = main([*argv, "--out", str(tmp_path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 3, argv
+            err = capsys.readouterr().err
+            assert "cap" in err and "Traceback" not in err
+            assert peak < 2**23, (argv, peak)
+            assert not os.listdir(tmp_path)
+
+
+# sha256 of every file these commands write, recorded before the nets held
+# CSR adjacency and point views; the artifacts must not change
+ARTIFACT_HASHES = {
+    ("space", "--model", "z"): {
+        "points.csv": "63a9fa22e015b872e0d155d19619857852dac74b8572cebe61668121e5128095",
+        "edges.csv": "3e7c77fec0f78ec3b78fee81a705c2412cd9fbb7818e660c3ffbb6c26c71135b",
+        "space.json": "62f9b610a9fb2d5c5c79fb9169b07ad67a5674b1806b50d57c82f8a2e302d8c8",
+        "space.manifest.json": "f57cc7b74e1ed7add2b7b87021df4e089e0d8db3194d3e11fb920fa59e771eee"},
+    ("space", "--model", "t3"): {
+        "points.csv": "ae93058bc109238276f5ea37b820020418722cc79f2a66f57607ef13d559e01c",
+        "edges.csv": "aa87e8557e805d28dad0587fdcdef71ccb7130d479cdf0f3e65c515148aa822a",
+        "space.json": "227f975f3475136f1952f0ca2c6233733074a5592e558742b55e5e6813aa2ab4",
+        "space.manifest.json": "95d0c7113fc6eac863f25c26abb22058475a285ec8808afb3c82b1970dd3d7ea"},
+    ("space", "--model", "h2"): {
+        "points.csv": "f67afb08aa00adde7c0936e5acd92eb497af572b38bbf96b7e032415ad124610",
+        "edges.csv": "70cbe37cf7d9a2a59f22f0d055f4498efe7746e4fa7e4c783d093ee81fe9bbed",
+        "space.json": "7d742d331448e7151f99dea8572302f032eb1cfdc3e1b61a1ba218347db9c363",
+        "space.manifest.json": "ffaa8cd7e564e238ac5b467b0d362f50d3bdaa7c3eb712c727529562da2fbc08"},
+    ("space", "--model", "hd", "--d", "3"): {
+        "points.csv": "4d6f3f583a9f55afcfd72cd0da05ca4ce4a175eda73c529336487424974e361e",
+        "edges.csv": "9b71ea8e3a56d7a1f978810c04bea844257a98b26c6e788c51cf40322cfdffba",
+        "space.json": "04383ae567d6ce85411eba9f353431aef56342d90fc5d3753bd828e942c35cfc",
+        "space.manifest.json": "43de476b56301cd25b1e5be30943f07465f656b1a382385c77df9b9dbb960ffe"},
+    ("build", "walk", "--n-max", "6"): {
+        "walk.json": "0f3d8216d7497dc8e93626705d7403e3434f2bb404e6578ef99483872eb2632b",
+        "verification.json": "6a5af0cf8edbfec5a511fde779713d86b5226fe9f792b48f3dea8378ad230aaa",
+        "build-walk.manifest.json": "3536a611f03ab0f46b2bf7a593a7e37df3c432c1fd111828611ff70b6a43c5f1"},
+    ("build", "tiling", "--r", "1", "--ball", "6"): {
+        "tiling.json": "81d3ccc1291d3ed53c552bf5f9532c97a6fa49668a1604daff0aff26e2817eb5",
+        "decomposition.json": "31ab034a258473474d5e6d1ae93f3dcbc71be525988a385ac027631160fe9e81",
+        "verification.json": "29e9372d176874a3fc0b26cda22bf38c7c4e919b7ebf55fcffebeeffb7cfbb69",
+        "build-tiling.manifest.json": "336ef0260a6b5791183e719ba2e2c6024d29103fa57d18d6fc0a6150adf50a2d"},
+}
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_HASHES), ids=" ".join)
+def test_artifacts_byte_identical(argv, tmp_path):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in os.listdir(tmp_path)}
+    assert got == ARTIFACT_HASHES[argv]
 
 
 class TestBuildCommand:

@@ -11,11 +11,11 @@ from coarselab.constructions import (GeodesicComb, MapRecord, assign_tile,
                                      brady_farb, build_comb, build_h2_tiling,
                                      comb_level_bound, comb_level_points,
                                      hd_cover_pipeline, nerve_lipschitz,
-                                     nerve_map, tree_walk, walk_value,
-                                     _binary_walk, _spine_word)
+                                     nerve_map, tree_walk, walk_value)
 from coarselab.covers import Cover, check_disjointness
 from coarselab.errors import ArityError, DomainError
 from coarselab.spaces import CombNode, ZPoint, generate_net, point_distance
+from test_walk_arrays import _binary_walk, _spine_word
 
 SINH_1 = 1.1752011936438014
 SINH_3 = 10.017874927409903

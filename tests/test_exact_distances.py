@@ -130,10 +130,13 @@ class TestMargins:
             assert np.isinf(net(name).margins()).all()
 
 
-def _oracle(space, i: int, j: int) -> float:
+def _oracle(space, i: int, j: int, pts=None) -> float:
+    # pts: the space's points as a list, for callers reading every pair
+    # (a point view builds each point on every read)
     if space.model == "metric_graph":
         return space.model_distance(i, j)
-    return point_distance(space.points[i], space.points[j])
+    pts = space.points if pts is None else pts
+    return point_distance(pts[i], pts[j])
 
 
 SET_NAMES = ["h2-ball", "hd-birad", "z-range", "t3-ball", "comb",
@@ -200,5 +203,7 @@ class TestNonGridNeighbourhoods:
             list(range(space.n))
         got = [indices[a:b].tolist() for _, indptr, indices in blocks
                for a, b in zip(indptr[:-1], indptr[1:])]
-        assert got == [[j for j in range(space.n) if _oracle(space, i, j) <= radius]
+        pts = list(space.points)
+        assert got == [[j for j in range(space.n)
+                        if _oracle(space, i, j, pts) <= radius]
                        for i in range(space.n)]

@@ -163,6 +163,20 @@ class TestGenerateNet:
         assert [spaces.point_key(p) for p in a.points] == \
             [spaces.point_key(p) for p in b.points]
 
+    def test_h2_greedy_guard_rejects_a_stream_it_would_thin(self, monkeypatch):
+        # columns a third as wide put neighbours of a layer within sep
+        monkeypatch.setattr(spaces, "_X_STEP_SCALE", 1.0 / 3.0)
+        window = {"kind": "ball", "radius": 3.0}
+        pts = list(generate_net("h2", window, sep=1.0).points)
+        kept = spaces._greedy_select(pts, 1.0)
+        assert len(kept) < len(pts)
+        first = next(i for i, p in enumerate(pts)
+                     if i == len(kept) or kept[i] is not p)
+        with pytest.raises(PreconditionError) as err:
+            generate_net("h2", {**window, "greedy_check": True}, sep=1.0)
+        assert err.value.witness == first
+        assert f"net point {first} ({pts[first]})" in str(err.value)
+
     def test_h2_threshold_precondition(self):
         with pytest.raises(PreconditionError):
             generate_net("h2", {"kind": "ball", "radius": 4.0}, sep=1.0,
