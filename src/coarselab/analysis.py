@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .covers import (ColoredDecomposition, Cover, _components, _membership,
+from .covers import (ColoredDecomposition, Cover, PieceView, _components,
                      iterated_neighborhood)
 from .errors import (DataError, PreconditionError, TruncationError,
                      UnsupportedError)
@@ -141,7 +141,8 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
 def piece_growth(decomp_or_cover: Union[Cover, ColoredDecomposition],
                  piece: int, r_max: Optional[int] = None,
                  metric: str = "ambient") -> GrowthReport:
-    return set_growth(decomp_or_cover.space, decomp_or_cover.pieces[piece],
+    return set_growth(decomp_or_cover.space,
+                      decomp_or_cover.pieces.row(piece).tolist(),
                       r_max=r_max, metric=metric)
 
 
@@ -175,28 +176,40 @@ class DistortionProfile:
 def _sample_pairs(n: int, cap: int, seed: int,
                   anchored: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (a, b) of the profiled pairs: anchored pairs, every pair
-    a < b in row-major order, or ``cap`` seeded distinct samples."""
+    a < b in row-major order, or ``cap`` seeded distinct samples.
+
+    The samples are the pairs a loop gets from ``random.Random(seed)`` by
+    drawing ``randrange(n)`` twice per pair, skipping a == b and pairs
+    already drawn.  For n < 2**32, randrange(n) takes the top
+    n.bit_length() bits of one 32-bit Mersenne Twister word and draws
+    again while the value is not below n; the words are drawn in bulk,
+    ``getrandbits(32 * m)`` holding m of them, the first in the lowest bits.
+    """
     if anchored is not None:
         b = np.delete(np.arange(n), anchored)
         return np.full(len(b), anchored), b
     total = n * (n - 1) // 2
     if total <= cap:
         return np.triu_indices(n, 1)
+    if n >= 2 ** 32:
+        raise UnsupportedError(f"cannot sample pairs of {n} >= 2**32 points")
     rng = random.Random(seed)
-    seen = set()
-    out = []
-    while len(out) < cap:
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if a == b:
-            continue
-        key = a * n + b if a < b else b * n + a
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(key)
-    keys = np.array(out, dtype=np.int64)
-    return keys // n, keys % n
+    bits = n.bit_length()
+    draws = np.zeros(0, dtype=np.uint64)
+    m = int(2.2 * cap * 2 ** bits / n) + 64  # words for about cap pairs
+    while True:
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
+                              dtype="<u4") >> (32 - bits)
+        draws = np.concatenate([draws, words[words < n].astype(np.uint64)])
+        half = len(draws) // 2
+        a, b = draws[0:2 * half:2], draws[1:2 * half:2]
+        key = (np.minimum(a, b) * np.uint64(n) + np.maximum(a, b))[a != b]
+        first = np.sort(np.unique(key, return_index=True)[1])
+        if len(first) >= cap:
+            key = key[first[:cap]]
+            return ((key // np.uint64(n)).astype(np.int64),
+                    (key % np.uint64(n)).astype(np.int64))
+        m *= 2
 
 
 def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
@@ -256,7 +269,7 @@ def _distances_to_pieces(family: Union[Cover, ColoredDecomposition],
     :meth:`SpaceGraph.distances` from ``point`` over the piece."""
     space = family.space
     d = space.distances(np.full(space.n, point), np.arange(space.n))
-    ptr, pids = _membership(family.pieces, space.n)
+    ptr, pids = family.pieces.inverse()
     out = np.full(len(family.pieces), math.inf)
     np.minimum.at(out, pids, np.repeat(d, np.diff(ptr)))
     return out
@@ -285,7 +298,8 @@ def radial_sublinearity(family: Union[Cover, ColoredDecomposition],
     if not m_grid or m_grid[0] <= 0:
         raise UnsupportedError("m grid must be positive")
     dists = _distances_to_pieces(family, basepoint)
-    diams = np.array([space.set_diameter(piece) for piece in family.pieces])
+    diams = np.array([space.set_diameter(family.pieces.row(i))
+                      for i in range(len(family.pieces))])
     max_diam = []
     running = 0.0
     for m in m_grid:
@@ -349,7 +363,7 @@ def quasi_convexity_defect(space: SpaceGraph, subset: Iterable[int], r: float,
         raise UnsupportedError("defect measurement works on half-plane nets")
     idx = sorted(subset)
     members = frozenset(idx)
-    comps = _components(space, idx, r)
+    comps = list(_components(space, PieceView([0, len(idx)], idx, space.n), r)[1])
     if len(comps) > 1:
         worst = max(
             ((space.set_distance(a, b), (i, j))

@@ -135,9 +135,10 @@ def edges_csv(space: SpaceGraph) -> str:
 
 
 def cover_to_dict(cover, space_ref: dict) -> dict:
+    flat, ends = cover.pieces.pts.tolist(), cover.pieces.ptr.tolist()
     d = {"version": SCHEMA_VERSION, "space_ref": space_ref,
-         "pieces": [{"id": i, "points": sorted(p)}
-                    for i, p in enumerate(cover.pieces)]}
+         "pieces": [{"id": i, "points": flat[a:b]}
+                    for i, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]}
     if isinstance(cover, ColoredDecomposition):
         for rec, c in zip(d["pieces"], cover.colors):
             rec["colour"] = c
@@ -163,7 +164,7 @@ def _plain(obj):
 
 def cover_from_dict(d: dict, space: SpaceGraph):
     try:
-        pieces = [frozenset(rec["points"]) for rec in d["pieces"]]
+        pieces = [rec["points"] for rec in d["pieces"]]
         if any("colour" in rec for rec in d["pieces"]):
             colors = [rec["colour"] for rec in d["pieces"]]
             return ColoredDecomposition(

@@ -19,7 +19,6 @@ import math
 import os
 import shutil
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -322,12 +321,10 @@ def cmd_verify(args) -> int:
             checks.append({"name": spec, "pass": ok,
                            "witness": {"multiplicity": mult, "center": witness}})
         elif name == "coverage":
-            counts = Counter()
-            for piece in obj.pieces:
-                counts.update(piece)
-            missing = [i for i in range(obj.space.n) if counts[i] == 0]
+            counts = np.bincount(obj.pieces.pts, minlength=obj.space.n)
+            missing = np.flatnonzero(counts == 0).tolist()
             need = params.get("min", 1)
-            low = [i for i in range(obj.space.n) if counts[i] < need]
+            low = np.flatnonzero(counts < need).tolist()
             checks.append({"name": spec, "pass": not low,
                            "witness": (low[:3] or missing[:3]) or None})
         elif name == "fibers":

@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .covers import (ColoredDecomposition, Cover, kolmogorov_amplify,
-                     product_decomposition, pullback_decomposition)
+from .covers import (ColoredDecomposition, Cover, PieceView,
+                     kolmogorov_amplify, product_decomposition,
+                     pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
                      PreconditionError, SizeCapError, UnsupportedError)
 from .spaces import (PRODUCT_CAP, SpaceGraph, _csr_from_edges, _radix_strides,
@@ -440,17 +441,14 @@ def tiling_to_decomposition(tiling: Tiling, net: SpaceGraph) -> ColoredDecomposi
         ranked = col[order]
         change |= ranked[1:] != ranked[:-1]
     starts = np.flatnonzero(np.concatenate([[True], change]))
-    bounds = np.append(starts, net.n).tolist()
     first = order[starts]
-    members = order.tolist()
-    pieces = [frozenset(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     entries = [col[first].tolist() for col in prefix]
     tids = [_tile_id(k, s, [e[t] for e in entries[:m]])
             for t, (k, s, m) in enumerate(zip(kind[first].tolist(),
                                                side[first].tolist(),
                                                length[first].tolist()))]
     return ColoredDecomposition(
-        space=net, pieces=pieces,
+        space=net, pieces=PieceView(np.append(starts, net.n), order, net.n),
         colors=[tiling.coloring["B1" if t[0] == "B1m" else t[0]] for t in tids],
         r=tiling.r, d=1, partition=True,
         provenance={"construction": "h2_tiling", "r": tiling.r,
@@ -701,19 +699,19 @@ def nerve_map(space: SpaceGraph, cover: Cover) -> NerveComplex:
     distance to their complements, normalised to sum 1."""
     n = space.n
     numerators: list[dict[int, float]] = [dict() for _ in range(n)]
-    for pid, piece in enumerate(cover.pieces):
-        complement = [i for i in range(n) if i not in piece]
-        if not complement:
+    for pid in range(len(cover.pieces)):
+        piece = cover.pieces.row(pid)
+        outside = np.ones(n, dtype=bool)
+        outside[piece] = False
+        if not outside.any():
             # piece is everything: distance to the empty complement is
             # read as 1 + eccentricity so the weight stays finite
-            dist_in = space.multi_source_distances(sorted(piece))
-            far = int(dist_in.max()) + 1
-            for x in piece:
-                numerators[x][pid] = float(far)
-            continue
-        d = space.multi_source_distances(complement)
-        for x in piece:
-            numerators[x][pid] = float(d[x])
+            far = int(space.multi_source_distances(piece).max()) + 1
+            d = np.full(n, far)
+        else:
+            d = space.multi_source_distances(np.flatnonzero(outside))
+        for x, v in zip(piece.tolist(), d[piece].tolist()):
+            numerators[x][pid] = float(v)
     coords: list[dict[int, float]] = []
     simplices: set[frozenset[int]] = set()
     for x in range(n):

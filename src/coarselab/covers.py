@@ -1,6 +1,8 @@
 """Covers, coloured decompositions, and the algebra between them.
 
-Pieces are plain index sets over a :class:`~coarselab.spaces.SpaceGraph`.
+Pieces are index sets over a :class:`~coarselab.spaces.SpaceGraph`, held
+as piece-major CSR (:class:`PieceView`) with one point-to-piece inversion
+per family.
 Separation and disjointness are judged in the model metric (the window
 is a sample of a continuous space); multiplicity is judged with graph
 balls unless a caller asks for the model metric.  Every constructive
@@ -9,18 +11,22 @@ operation re-verifies its own postconditions before returning.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (ArityError, DomainError, PreconditionError,
                      UnsupportedError)
-from .spaces import SpaceGraph, _concat_csr, _csr_take
+from .spaces import (_VIEW_BLOCK, SpaceGraph, _concat_csr, _csr_from_rows,
+                     _csr_take)
 
 __all__ = [
+    "PieceView",
     "Cover",
     "ColoredDecomposition",
     "NeighborhoodChain",
@@ -38,35 +44,142 @@ __all__ = [
 ]
 
 
+class PieceView(collections.abc.Sequence):
+    """Read-only sequence of the pieces of a family over ``n`` points, held
+    as piece-major CSR: ``pts[ptr[i]:ptr[i + 1]]`` lists the points of
+    piece i, sorted and without repeats.
+
+    Reading a piece builds its frozenset; none is stored, so the view costs
+    no more memory than its arrays.  Rows given unsorted or with repeats
+    are sorted and deduplicated once (frozenset semantics); a point outside
+    ``range(n)`` raises :class:`DomainError`.  A view equals a list, or a
+    view, of equal sets.
+    """
+
+    __slots__ = ("ptr", "pts", "_n", "_inverse")
+
+    def __init__(self, ptr, pts, n: int):
+        ptr = np.asarray(ptr, dtype=np.int64)
+        pts = np.asarray(pts, dtype=np.int64)
+        outside = (pts < 0) | (pts >= n)
+        if outside.any():
+            k = int(outside.argmax())
+            piece = int(np.searchsorted(ptr, k, side="right")) - 1
+            raise DomainError(f"piece {piece} holds point {int(pts[k])},"
+                              f" outside the {n} points of its space")
+        head = np.zeros(len(pts), dtype=bool)
+        head[ptr[:-1][ptr[:-1] < len(pts)]] = True
+        if not (head[1:] | (pts[1:] > pts[:-1])).all():
+            ptr, pts = _sorted_rows(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
+                                    pts, len(ptr) - 1, n)
+        ptr.flags.writeable = pts.flags.writeable = False
+        self.ptr, self.pts, self._n, self._inverse = ptr, pts, n, None
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return frozenset(self.row(i).tolist())
+
+    def __iter__(self):
+        ends = self.ptr.tolist()
+        for lo in range(0, len(self), _VIEW_BLOCK):
+            hi = min(len(self), lo + _VIEW_BLOCK)
+            flat = self.pts[ends[lo]:ends[hi]].tolist()
+            for a, b in zip(ends[lo:hi], ends[lo + 1:hi + 1]):
+                yield frozenset(flat[a - ends[lo]:b - ends[lo]])
+
+    def __eq__(self, other):
+        if isinstance(other, PieceView):
+            return (np.array_equal(self.ptr, other.ptr)
+                    and np.array_equal(self.pts, other.pts))
+        if not isinstance(other, list):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def row(self, i: int) -> np.ndarray:
+        """The sorted points of piece i, as a read-only array."""
+        i = range(len(self))[i]
+        return self.pts[self.ptr[i]:self.ptr[i + 1]]
+
+    def owners(self) -> np.ndarray:
+        """The piece of every entry of ``pts``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.ptr))
+
+    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Point-to-piece CSR ``(ptr, pids)``: ``pids[ptr[x]:ptr[x + 1]]``
+        lists, in increasing order, the pieces that contain point x.
+        Computed on the first call, with one stable argsort of ``pts``."""
+        if self._inverse is None:
+            order = np.argsort(self.pts, kind="stable")
+            self._inverse = _csr_from_rows(self.pts, self.owners()[order], self._n)
+        return self._inverse
+
+
+def _sorted_rows(row: np.ndarray, pts: np.ndarray, nrows: int,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of pieces 0..nrows-1 holding the points ``pts[k]`` of pieces
+    ``row[k]``, given in any order: rows sorted, repeats dropped."""
+    key = np.sort(row * n + pts)
+    key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
+    return _csr_from_rows(key // n, key % n, nrows)
+
+
+def _piece_view(pieces, n: int) -> PieceView:
+    """The pieces of a family over n points as a :class:`PieceView`: a view
+    is kept, any other sequence of point iterables is read once."""
+    if isinstance(pieces, PieceView):
+        return pieces if pieces._n == n else PieceView(pieces.ptr, pieces.pts, n)
+    rows = [p if isinstance(p, collections.abc.Sized) else list(p) for p in pieces]
+    flat = np.array(list(itertools.chain.from_iterable(rows)))
+    if len(flat) and flat.dtype.kind not in "iu":
+        raise TypeError(f"piece points must be integers, not {flat.dtype}")
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+              out=ptr[1:])
+    return PieceView(ptr, flat.astype(np.int64), n)
+
+
+def _point_counts(pieces: PieceView) -> tuple[np.ndarray, Optional[int]]:
+    """How many pieces hold each point, and the least point none holds
+    (None if every point is held)."""
+    counts = np.bincount(pieces.pts, minlength=pieces._n)
+    return counts, (int(np.argmin(counts)) if (counts == 0).any() else None)
+
+
 @dataclass
 class Cover:
-    """Indexed family of point sets whose union is the whole space."""
+    """Indexed family of point sets whose union is the whole space.
+    ``pieces`` is a :class:`PieceView`; any sequence of point iterables
+    is accepted and normalised once."""
 
     space: SpaceGraph
-    pieces: list[frozenset[int]]
+    pieces: Sequence[frozenset[int]]
     labels: Optional[list[str]] = None
 
     def __post_init__(self):
-        self.pieces = [frozenset(p) for p in self.pieces]
-        if any(not p for p in self.pieces):
+        self.pieces = _piece_view(self.pieces, self.space.n)
+        if (np.diff(self.pieces.ptr) == 0).any():
             raise ValueError("cover pieces must be non-empty")
-        covered = set().union(*self.pieces) if self.pieces else set()
-        if len(covered) != self.space.n:
-            missing = next(i for i in range(self.space.n) if i not in covered)
+        missing = _point_counts(self.pieces)[1]
+        if missing is not None:
             raise ValueError(f"cover misses point {missing}")
 
     def piece_of(self) -> list[list[int]]:
         """For each point, the sorted list of piece ids containing it."""
-        ptr, pids = _membership(self.pieces, self.space.n)
+        ptr, pids = self.pieces.inverse()
         return [pids[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 @dataclass
 class ColoredDecomposition:
-    """Pieces with colours 0..d; same-colour pieces claimed r-disjoint."""
+    """Pieces with colours 0..d; same-colour pieces claimed r-disjoint.
+    ``pieces`` is held as for :class:`Cover`."""
 
     space: SpaceGraph
-    pieces: list[frozenset[int]]
+    pieces: Sequence[frozenset[int]]
     colors: list[int]
     r: float
     d: int
@@ -74,35 +187,35 @@ class ColoredDecomposition:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.pieces = [frozenset(p) for p in self.pieces]
+        self.pieces = _piece_view(self.pieces, self.space.n)
         if len(self.pieces) != len(self.colors):
             raise ValueError("one colour per piece required")
         if any(not 0 <= c <= self.d for c in self.colors):
             raise ValueError("colours must lie in 0..d")
-        counts = np.diff(_membership(self.pieces, self.space.n)[0])
-        if (counts == 0).any():
-            missing = int(np.nonzero(counts == 0)[0][0])
+        counts, missing = _point_counts(self.pieces)
+        if missing is not None:
             raise ValueError(f"decomposition misses point {missing}")
         if self.partition and (counts > 1).any():
-            dup = int(np.nonzero(counts > 1)[0][0])
+            dup = int(np.argmax(counts > 1))
             raise ValueError(f"point {dup} lies in several pieces of a partition")
+
+    def _colour_hits(self) -> np.ndarray:
+        """(n, d + 1) booleans: whether colour class c holds point x."""
+        hit = np.zeros((self.space.n, self.d + 1), dtype=bool)
+        colors = np.asarray(self.colors, dtype=np.int64)
+        hit[self.pieces.pts, colors[self.pieces.owners()]] = True
+        return hit
 
     def color_classes(self) -> list[set[int]]:
         """Union of pieces per colour, as point sets."""
-        cls: list[set[int]] = [set() for _ in range(self.d + 1)]
-        for piece, c in zip(self.pieces, self.colors):
-            cls[c].update(piece)
-        return cls
+        return [set(np.flatnonzero(col).tolist()) for col in self._colour_hits().T]
 
     def as_cover(self) -> Cover:
-        return Cover(self.space, list(self.pieces))
+        return Cover(self.space, self.pieces)
 
     def coverage_counts(self) -> np.ndarray:
         """Number of colour classes (as point sets) containing each point."""
-        out = np.zeros(self.space.n, dtype=np.int64)
-        for cls in self.color_classes():
-            out[list(cls)] += 1
-        return out
+        return self._colour_hits().sum(axis=1)
 
 
 @dataclass
@@ -151,37 +264,13 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
                 centers.append(v)
                 blocked[near.indices[ends[v - lo]:ends[v - lo + 1]]] = True
     balls = _ball_patterns(step, np.asarray(centers, dtype=np.int64), R)
-    return Cover(space=space, pieces=_frozensets(balls.indptr, balls.indices, space.n),
+    balls.sort_indices()
+    return Cover(space=space, pieces=PieceView(balls.indptr, balls.indices, space.n),
                  labels=[f"ball:{c}:{R}" for c in centers])
 
 
 # ---------------------------------------------------------------------------
 # multiplicity
-
-
-def _membership(pieces: list[frozenset[int]], n: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Point-to-piece inversion as CSR: ``pids[ptr[x]:ptr[x + 1]]`` lists,
-    in increasing order, the pieces that contain point x."""
-    ends = np.cumsum(np.fromiter(map(len, pieces), dtype=np.int64,
-                                 count=len(pieces)))
-    pts = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.int64,
-                      count=int(ends[-1]) if len(ends) else 0)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pts, minlength=n), out=ptr[1:])
-    # the piece of each entry, entries in point order
-    return ptr, np.searchsorted(ends, np.argsort(pts, kind="stable"), side="right")
-
-
-def _frozensets(indptr: np.ndarray, indices: np.ndarray,
-                n: int) -> list[frozenset[int]]:
-    """CSR rows as frozensets.  Every piece holding a point shares one int
-    object for it; a fresh object per entry would make a cover whose
-    points lie in many pieces several times larger."""
-    ids = list(range(n))
-    ends = indptr.tolist()
-    return [frozenset(map(ids.__getitem__, indices[a:b].tolist()))
-            for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _closed_adjacency(space: SpaceGraph):
@@ -233,7 +322,7 @@ def r_multiplicity(cover: PieceFamily, R: float,
 
         # row x of (A + I)^floor(R) M is nonzero at the pieces within
         # graph distance floor(R) of x
-        mptr, mpid = _membership(pieces, space.n)
+        mptr, mpid = pieces.inverse()
         met = csr_matrix((np.ones(len(mpid), dtype=bool), mpid, mptr),
                          shape=(space.n, len(pieces)))
         hit = np.diff(met.indptr)
@@ -248,7 +337,7 @@ def r_multiplicity(cover: PieceFamily, R: float,
         return int(hit[best]), best
     if metric != "model":
         raise UnsupportedError(f"unknown metric {metric!r}")
-    mptr, mpid = _membership(pieces, space.n)
+    mptr, mpid = pieces.inverse()
     npieces = len(pieces)
     met = np.zeros(space.n, dtype=np.int64)
     for rows, indptr, nbr in space.neighbor_blocks(np.arange(space.n), R):
@@ -277,7 +366,7 @@ def check_disjointness(decomp: ColoredDecomposition,
     if r is None:
         r = decomp.r
     space = decomp.space
-    mptr, mpid = _membership(decomp.pieces, space.n)
+    mptr, mpid = decomp.pieces.inverse()
     colors = np.asarray(decomp.colors, dtype=np.int64)
     npieces = len(decomp.pieces)
     keys, dists = [], []
@@ -318,23 +407,24 @@ def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
         raise UnsupportedError("m must be >= 0")
     if s < 1:
         raise UnsupportedError("s must be >= 1")
-    space = family.space
-    mptr, mpid = _membership(family.pieces, space.n)
+    space, view = family.space, family.pieces
+    mptr, mpid = view.inverse()
     margins = space.margins()
     thr = max(s, space.edge_threshold)
-    level = set(family.pieces[piece])
-    levels = [frozenset(level)]
-    absorbed = np.zeros(len(family.pieces), dtype=bool)
+    level = np.zeros(space.n, dtype=bool)
+    level[view.row(piece)] = True
+    levels = [frozenset(view.row(piece).tolist())]
+    absorbed = np.zeros(len(view), dtype=bool)
     absorbed[piece] = True
-    truncated = bool(margins[list(level)].min() <= thr)
+    truncated = bool(margins[level].min() <= thr)
     for _ in range(m):
-        hood = np.unique(space.neighbors(sorted(level), s)[1])
+        hood = np.unique(space.neighbors(np.flatnonzero(level), s)[1])
         met = np.unique(_csr_take(mptr, mpid, hood)[1])
-        for pid in met[~absorbed[met]].tolist():
-            absorbed[pid] = True
-            level.update(family.pieces[pid])
-        levels.append(frozenset(level))
-        if margins[list(level)].min() <= thr:
+        new = met[~absorbed[met]]
+        absorbed[new] = True
+        level[_csr_take(view.ptr, view.pts, new)[1]] = True
+        levels.append(frozenset(np.flatnonzero(level).tolist()))
+        if margins[level].min() <= thr:
             truncated = True
     return NeighborhoodChain(base_piece=piece, s=s, levels=levels,
                              truncated=truncated)
@@ -469,42 +559,37 @@ def kolmogorov_amplify(decomp: ColoredDecomposition,
     n = (k + 1) - c_min
 
     # fatten each piece by r_new in the model metric
+    view, colors = decomp.pieces, np.asarray(decomp.colors, dtype=np.int64)
     indptr, near = space.neighbors(np.arange(space.n), r_new)
-    fat_pieces: list[set[int]] = []
-    for piece in decomp.pieces:
-        fat = set(piece)
-        fat.update(_csr_take(indptr, near, sorted(piece))[1].tolist())
-        fat_pieces.append(fat)
-
-    fat_class = [set() for _ in range(space.n)]  # colours whose fattening has x
-    for pid, c in enumerate(decomp.colors):
-        for x in fat_pieces[pid]:
-            fat_class[x].add(c)
-
-    out_pieces: list[frozenset[int]] = []
-    out_colors: list[int] = []
-    trace: list[tuple[str, int]] = []
-    for pid, c in enumerate(decomp.colors):
-        out_pieces.append(frozenset(fat_pieces[pid]))
-        out_colors.append(c)
-        trace.append(("fattened", pid))
+    entry, nbr = _csr_take(indptr, near, view.pts)
+    owner = view.owners()
+    fat_ptr, fat_pts = _sorted_rows(np.r_[owner, owner[entry]],
+                                    np.r_[view.pts, nbr], len(view), space.n)
+    fat_hit = np.zeros((space.n, k + 1), dtype=bool)
+    fat_hit[fat_pts, np.repeat(colors, np.diff(fat_ptr))] = True
 
     # new colour k+1: points whose exact colour set S (|S| = c_min) is clear
-    # of every fattened foreign class; split along the pieces of min(S)
-    groups: dict[tuple[tuple[int, ...], int], set[int]] = {}
-    ptr, pids = _membership(decomp.pieces, space.n)
-    for x in range(space.n):
-        own = pids[ptr[x]:ptr[x + 1]].tolist()
-        S = {decomp.colors[pid] for pid in own}
-        if len(S) != c_min or fat_class[x] - S:
-            continue
-        # the first piece of colour min(S) holding x
-        pid = next(pid for pid in own if decomp.colors[pid] == min(S))
-        groups.setdefault((tuple(sorted(S)), pid), set()).add(x)
-    for (S, pid), pts in sorted(groups.items()):
-        out_pieces.append(frozenset(pts))
-        out_colors.append(k + 1)
-        trace.append(("selected", pid))
+    # of every fattened foreign class, i.e. the fattened classes holding
+    # them are S itself; grouped by (sorted S, the first piece of colour
+    # min(S) holding the point), in that order
+    own_hit = decomp._colour_hits()
+    size = own_hit.sum(axis=1)
+    xs = np.flatnonzero((size == c_min) & (fat_hit.sum(axis=1) == size))
+    sets = np.nonzero(own_hit[xs])[1].reshape(len(xs), c_min)
+    at, pid = _csr_take(*view.inverse(), xs)
+    match = colors[pid] == sets[at, 0]
+    at, pid = at[match], pid[match]
+    pid = pid[np.r_[True, at[1:] != at[:-1]]] if len(at) else pid
+    order = np.lexsort((xs, pid, *sets.T[::-1]))
+    xs, pid, sets = xs[order], pid[order], sets[order]
+    head = np.ones(len(xs), dtype=bool)
+    head[1:] = (pid[1:] != pid[:-1]) | (sets[1:] != sets[:-1]).any(axis=1)
+    heads = np.flatnonzero(head)
+    out_pieces = PieceView(np.r_[fat_ptr, fat_ptr[-1] + np.r_[heads, len(xs)][1:]],
+                           np.r_[fat_pts, xs], space.n)
+    out_colors = list(decomp.colors) + [k + 1] * len(heads)
+    trace = ([("fattened", p) for p in range(len(view))]
+             + [("selected", p) for p in pid[heads].tolist()])
 
     out = ColoredDecomposition(
         space=space, pieces=out_pieces, colors=out_colors, r=r_new, d=k + 1,
@@ -547,8 +632,9 @@ def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
         raise ArityError("product space must have exactly two factors")
     # every same-colour (piece of ix, piece of iy) of each point (ix, iy)
     codes = product._codes
-    point, pa = _csr_take(*_membership(dx.pieces, factors[0].n), codes[:, 0])
-    sub, pb = _csr_take(*_membership(dy.pieces, factors[1].n), codes[point, 1])
+    point, pa = _csr_take(*_piece_view(dx.pieces, factors[0].n).inverse(), codes[:, 0])
+    sub, pb = _csr_take(*_piece_view(dy.pieces, factors[1].n).inverse(),
+                        codes[point, 1])
     point, pa = point[sub], pa[sub]
     cx, cy = np.asarray(dx.colors), np.asarray(dy.colors)
     same = cx[pa] == cy[pb]
@@ -557,7 +643,7 @@ def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
     order = np.lexsort((point, pb, pa, cx[pa]))
     point, pa, pb = point[order], pa[order], pb[order]
     heads = np.r_[0, np.flatnonzero((np.diff(pa) != 0) | (np.diff(pb) != 0)) + 1]
-    pieces = _frozensets(np.r_[heads, len(point)], point, product.n)
+    pieces = PieceView(np.r_[heads, len(point)], point, product.n)
     colors = cx[pa[heads]].tolist()
     trace = list(zip(pa[heads].tolist(), pb[heads].tolist()))
 
@@ -573,19 +659,17 @@ def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
 # pullbacks and refinement
 
 
-def _preimages(f, pieces: list[frozenset[int]]
-               ) -> tuple[list[int], list[frozenset[int]]]:
+def _preimages(f, pieces) -> tuple[list[int], PieceView]:
     """Ids of the target pieces with a nonempty preimage under the map
     ``f``, in increasing order, and those preimages."""
     if len(f.assignment) != f.source.n:
         raise DomainError("map is not total on its source window")
-    ptr, pids = _membership(pieces, f.target.n)
-    src, pid = _csr_take(ptr, pids, np.asarray(f.assignment, dtype=np.int64))
+    inverse = _piece_view(pieces, f.target.n).inverse()
+    src, pid = _csr_take(*inverse, np.asarray(f.assignment, dtype=np.int64))
     order = np.argsort(pid, kind="stable")
     src, pid = src[order], pid[order]
-    cuts = np.flatnonzero(np.diff(pid)) + 1
-    return (pid[np.r_[0, cuts]].tolist(),
-            _frozensets(np.r_[0, cuts, len(src)], src, f.source.n))
+    heads = np.r_[0, np.flatnonzero(np.diff(pid)) + 1]
+    return pid[heads].tolist(), PieceView(np.r_[heads, len(src)], src, f.source.n)
 
 
 def pullback_cover(f, cover: Cover) -> Cover:
@@ -617,6 +701,8 @@ def pullback_decomposition(f, decomp: ColoredDecomposition,
 
 def refine_connected(cover: Cover, R: float, verify: bool = True) -> Cover:
     """Split every piece into its R-connected components (model metric).
+    Component ``i`` of piece ``pid`` is labelled ``pid.i``, in order of
+    (piece, smallest point).
 
     A closed ball of radius R/2 cannot meet two R-components of one
     piece, so multiplicity at that scale is preserved; this is verified
@@ -625,13 +711,10 @@ def refine_connected(cover: Cover, R: float, verify: bool = True) -> Cover:
     if R <= 0:
         raise UnsupportedError("R must be positive")
     space = cover.space
-    pieces_out: list[frozenset[int]] = []
-    labels: list[str] = []
-    for pid, piece in enumerate(cover.pieces):
-        for comp_i, comp in enumerate(_components(space, sorted(piece), R)):
-            pieces_out.append(frozenset(comp))
-            labels.append(f"{pid}.{comp_i}")
-    out = Cover(space=space, pieces=pieces_out, labels=labels)
+    owner, comps = _components(space, cover.pieces, R)
+    index = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    out = Cover(space=space, pieces=comps,
+                labels=list(map("{}.{}".format, owner.tolist(), index.tolist())))
     if verify:
         rho = math.floor(R / 2)
         before, _ = r_multiplicity(cover, rho)
@@ -643,41 +726,36 @@ def refine_connected(cover: Cover, R: float, verify: bool = True) -> Cover:
     return out
 
 
-def _components(space: SpaceGraph, idx: list[int], R: float) -> list[list[int]]:
-    if not idx:
-        return []
+def _components(space: SpaceGraph, pieces: PieceView,
+                R: float) -> tuple[np.ndarray, PieceView]:
+    """The R-connected components (model metric) of every piece, in one
+    pass: the piece of each component, and the components, in order of
+    (piece, smallest point).  Entries run piece-major with rows sorted, so
+    a component's first entry is its smallest point."""
+    row, pts, n = pieces.owners(), pieces.pts, space.n
     if space.model == "z":
-        vals = sorted((space.points[i].n, i) for i in idx)
-        comps: list[list[int]] = []
-        cur: list[int] = []
-        last = None
-        for v, i in vals:
-            if last is not None and v - last > R:
-                comps.append(cur)
-                cur = []
-            cur.append(i)
-            last = v
-        if cur:
-            comps.append(cur)
-        return comps
+        # z codes increase with the index: each row runs in coordinate order
+        cut = (row[1:] != row[:-1]) | (np.diff(space._codes[pts]) > R)
+        heads = np.r_[0, np.flatnonzero(cut) + 1]
+        return row[heads], PieceView(np.r_[heads, len(pts)], pts, n)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    idx_arr = np.asarray(idx, dtype=np.int64)
-    local = np.full(space.n, -1, dtype=np.int64)
-    local[idx_arr] = np.arange(len(idx_arr))
-    indptr, nbr = space.neighbors(idx_arr, R)
-    row = np.repeat(np.arange(len(idx_arr)), np.diff(indptr))
-    col = local[nbr]
-    inside = col >= 0
-    graph = csr_matrix((np.ones(int(inside.sum()), dtype=np.int8),
-                        (row[inside], col[inside])),
-                       shape=(len(idx_arr), len(idx_arr)))
+    # link each entry (piece, x) to the entries (piece, y), y near x
+    key = row * n + pts  # sorted
+    members = np.flatnonzero(np.bincount(pts, minlength=n))
+    entry, y = _csr_take(*space.neighbors(members, R),
+                         np.searchsorted(members, pts))
+    cand = row[entry] * n + y
+    hit = np.minimum(np.searchsorted(key, cand), len(key) - 1)
+    linked = key[hit] == cand
+    graph = csr_matrix((np.ones(int(linked.sum()), dtype=np.int8),
+                        (entry[linked], hit[linked])), shape=(len(key), len(key)))
     ncomp, label = connected_components(graph, directed=False)
-    # components in order of their smallest point, members in idx order
-    low = np.full(ncomp, space.n, dtype=np.int64)
-    np.minimum.at(low, label, idx_arr)
-    key = low[label]
-    order = np.argsort(key, kind="stable")
-    cuts = np.nonzero(np.diff(key[order]))[0] + 1
-    return [part.tolist() for part in np.split(idx_arr[order], cuts)]
+    first = np.unique(label, return_index=True)[1]
+    rank = np.empty(ncomp, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(ncomp)
+    comp = rank[label]
+    order = np.argsort(comp, kind="stable")
+    ptr, _ = _csr_from_rows(comp, None, ncomp)
+    return row[np.sort(first)], PieceView(ptr, pts[order], n)

@@ -220,7 +220,7 @@ class TestDefect:
         # the quadratic tiling piece tracks geodesics within a bounded
         # distance; its measured defect barely moves when the window grows
         from coarselab.constructions import build_h2_tiling, tiling_to_decomposition
-        from coarselab.covers import _components
+        from test_piece_csr import components_oracle
 
         vals = {}
         for R in (7.0, 9.0):
@@ -231,7 +231,7 @@ class TestDefect:
             bpid = next(p for p in range(len(dec.pieces))
                         if labels[p].startswith("('B',")
                         and len(dec.pieces[p]) > 100)
-            main = max(_components(net, sorted(dec.pieces[bpid]), 3.0),
+            main = max(components_oracle(net, sorted(dec.pieces[bpid]), 3.0),
                        key=len)
             vals[R] = quasi_convexity_defect(net, main, r=3.0, pair_cap=250,
                                              seed=4)

@@ -119,15 +119,42 @@ ARTIFACT_HASHES = {
         "decomposition.json": "31ab034a258473474d5e6d1ae93f3dcbc71be525988a385ac027631160fe9e81",
         "verification.json": "29e9372d176874a3fc0b26cda22bf38c7c4e919b7ebf55fcffebeeffb7cfbb69",
         "build-tiling.manifest.json": "336ef0260a6b5791183e719ba2e2c6024d29103fa57d18d6fc0a6150adf50a2d"},
+    # recorded before covers held their pieces as CSR
+    ("build", "bradyfarb", "--d", "3", "--ball", "3.5", "--r", "1"): {
+        "hd_cover.json": "36b22f77680d8364eac4a260372a7d8e5c2bf1cbed24875e406301f26a7ffbd6",
+        "verification.json": "165b3d3a2dcb67f626c922877b6c5b19979135742211db674775c1f2f17b0085",
+        "build-bradyfarb.manifest.json": "020d03050d7403cfe8b49e5fb1cf11877d47b86cb36b758279ce2630977eed88"},
+    ("build", "nerve", "--cover", "TILING/decomposition.json"): {
+        "nerve.json": "152a3bd8567db250ae67200f05a8302e7e27ca1898eb195043cd39f38314dce3",
+        "verification.json": "9100bd89b5be606a7382fab3c8ed6f01b1b343b6a647827039bec48d9ab32beb"},
+    ("analyze", "distortion", "--map", "WALK/walk.json"): {
+        "distortion.json": "ca1152d1bce85a86567d9493793ade2da68248ffe21493aefad9792defcb123f",
+        "distortion.csv": "5d1c69061b0ef70353cc26b35a9b0c934024037eb81409f6c6b1c04e9331cc5e"},
 }
+# the commands that write the inputs the commands above name by a prefix;
+# a manifest naming such an input holds its path, so it is not pinned
+INPUTS = {"TILING": ("build", "tiling", "--r", "1", "--ball", "6"),
+          "WALK": ("build", "walk", "--n-max", "6")}
 
 
 @pytest.mark.parametrize("argv", list(ARTIFACT_HASHES), ids=" ".join)
 def test_artifacts_byte_identical(argv, tmp_path):
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in os.listdir(tmp_path)}
-    assert got == ARTIFACT_HASHES[argv]
+    args = []
+    for arg in argv:
+        prefix = arg.partition("/")[0]
+        if prefix in INPUTS:
+            assert main([*INPUTS[prefix], "--out", str(tmp_path / prefix)]) == 0
+            arg = str(tmp_path / arg)
+        args.append(arg)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in os.listdir(out)}
+    pins = ARTIFACT_HASHES[argv]
+    unpinned = set(got) - set(pins)
+    assert unpinned == (set() if args == list(argv) else
+                        {f"{argv[0]}-{argv[1]}.manifest.json"})
+    assert {name: got[name] for name in pins} == pins
 
 
 class TestBuildCommand:
@@ -200,6 +227,29 @@ class TestBuildCommand:
         nerve = json.loads(read(tmp_path / "n" / "nerve.json"))
         assert nerve["dimension"] == 0  # a partition has singleton supports
         assert nerve["lipschitz"] >= 0.0
+
+    def test_cover_point_outside_the_space_exit_2(self, tmp_path, capsys):
+        main(["build", "tiling", "--ball", "4", "--out", str(tmp_path)])
+        dec = json.loads(read(tmp_path / "decomposition.json"))
+        dec["pieces"][1]["points"].append(1000000)
+        for rec in dec["pieces"]:
+            del rec["colour"]
+        (tmp_path / "bad.json").write_text(json.dumps(dec))
+        capsys.readouterr()
+        rc = main(["build", "nerve", "--cover", str(tmp_path / "bad.json"),
+                   "--out", str(tmp_path / "n")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "piece 1 holds point 1000000" in err and "Traceback" not in err
+
+    def test_coverage_minimum_names_low_points(self, tmp_path):
+        main(["build", "tiling", "--r", "1", "--ball", "4", "--out", str(tmp_path)])
+        for need, rc, witness in ((1, 0, None), (2, 4, [0, 1, 2])):
+            assert main(["verify", str(tmp_path / "decomposition.json"),
+                         "--checks", f"coverage:min={need}",
+                         "--out", str(tmp_path / f"v{need}")]) == rc
+            report = json.loads(read(tmp_path / f"v{need}" / "verification.json"))
+            assert report["checks"][0]["witness"] == witness
 
     def test_unknown_check_exit_2(self, tmp_path):
         main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])
