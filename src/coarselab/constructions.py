@@ -21,9 +21,9 @@ from .covers import (ColoredDecomposition, Cover, PieceView,
                      pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
                      PreconditionError, SizeCapError, UnsupportedError)
-from .spaces import (PRODUCT_CAP, SpaceGraph, _csr_from_edges, _radix_strides,
-                     _sorted_lookup, _t_values, _within, _word_view,
-                     build_product, generate_net)
+from .spaces import (_HIGHER_CHILD, _LOWER_CHILD, PRODUCT_CAP, SpaceGraph,
+                     _csr_from_edges, _radix_strides, _sorted_lookup, _t_values,
+                     _within, _word_view, build_product, generate_net)
 
 __all__ = [
     "MapRecord",
@@ -459,11 +459,6 @@ def tiling_to_decomposition(tiling: Tiling, net: SpaceGraph) -> ColoredDecomposi
 
 # ---------------------------------------------------------------------------
 # the spine walk into the 3-regular tree
-
-
-# the two child letters after a letter: (lower, higher) of the other two
-_LOWER_CHILD = np.array([1, 0, 0], dtype=np.int8)
-_HIGHER_CHILD = np.array([2, 2, 1], dtype=np.int8)
 
 
 def _level(h: np.ndarray) -> np.ndarray:

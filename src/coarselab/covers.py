@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ArityError, DomainError, PreconditionError,
                      UnsupportedError)
 from .spaces import (_VIEW_BLOCK, SpaceGraph, _concat_csr, _csr_from_rows,
-                     _csr_take)
+                     _csr_take, _sorted_lookup)
 
 __all__ = [
     "PieceView",
@@ -356,19 +356,23 @@ def r_multiplicity(cover: PieceFamily, R: float,
 def check_disjointness(decomp: ColoredDecomposition,
                        r: Optional[float] = None) -> list[Violation]:
     """Exhaustively verify same-colour pieces sit >= r apart (model metric,
-    default r = decomp.r).
+    default r = decomp.r).  Each violating piece pair comes with the
+    distance of its closest point pair, in piece-pair order."""
+    a, b, d = _close_pairs(decomp.space, decomp.pieces, decomp.colors,
+                           decomp.r if r is None else r)
+    return list(map(Violation, a.tolist(), b.tolist(), d.tolist()))
 
-    Scans every point's r-neighbourhood (:meth:`SpaceGraph.neighbor_blocks`)
-    for points of a foreign same-colour piece, which finds exactly the
-    violating piece pairs in any model.  Each comes with the distance of
-    its closest point pair, in piece-pair order.
-    """
-    if r is None:
-        r = decomp.r
-    space = decomp.space
-    mptr, mpid = decomp.pieces.inverse()
-    colors = np.asarray(decomp.colors, dtype=np.int64)
-    npieces = len(decomp.pieces)
+
+def _close_pairs(space: SpaceGraph, pieces: PieceView, colors, r: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs a < b of distinct same-colour pieces less than r apart
+    (model metric), in increasing order, with the distance of each pair's
+    closest points.  Scans every point's r-neighbourhood
+    (:meth:`SpaceGraph.neighbor_blocks`) for points of a foreign
+    same-colour piece, which finds exactly these pairs in any model."""
+    mptr, mpid = pieces.inverse()
+    colors = np.asarray(colors, dtype=np.int64)
+    npieces = len(pieces)
     keys, dists = [], []
     for rows, indptr, nbr in space.neighbor_blocks(np.arange(space.n), r):
         x = np.repeat(rows, np.diff(indptr))
@@ -391,8 +395,7 @@ def check_disjointness(decomp: ColoredDecomposition,
     keys, dists = keys[order], dists[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return [Violation(k // npieces, k % npieces, d) for k, d in
-            zip(keys[first].tolist(), dists[first].tolist())]
+    return keys[first] // npieces, keys[first] % npieces, dists[first]
 
 
 # ---------------------------------------------------------------------------
@@ -442,76 +445,63 @@ def greedy_decomposition(cover: Cover, R: float, n: int) -> ColoredDecomposition
     taken in piece-index order; points still uncovered are patched with
     clipped pieces V \\cap B(x, R), processed in point-index order.
     """
-    space = cover.space
+    space, view = cover.space, cover.pieces
     mult, witness = r_multiplicity(cover, 2 * R, metric="model")
     if mult > n + 1:
         raise PreconditionError(
             f"cover has 2R-multiplicity {mult} > n+1 = {n + 1}", witness=witness)
 
-    piece_sets = [set(p) for p in cover.pieces]
-    assigned: list[Optional[int]] = [None] * len(piece_sets)  # piece -> colour
+    # close[cptr[p]:cptr[p + 1]]: the pieces less than R from piece p
+    npieces = len(view)
+    a, b, _ = _close_pairs(space, view, np.zeros(npieces), R)
+    cptr, close = _sorted_rows(np.r_[a, b], np.r_[b, a], npieces, npieces)
+    colour = np.full(npieces, -1)
+    for c in range(n + 1):
+        member = np.zeros(npieces, dtype=bool)
+        for pid in np.flatnonzero(colour < 0).tolist():
+            member[pid] = not member[close[cptr[pid]:cptr[pid + 1]]].any()
+        colour[member] = c
+    # the whole pieces, by colour and then index
+    whole = np.flatnonzero(colour >= 0)
+    whole = whole[np.argsort(colour[whole], kind="stable")]
+    _, pts = _csr_take(view.ptr, view.pts, whole)
+    sizes = np.diff(view.ptr)[whole].tolist()
+    # classes[x, c]: whether colour class c holds point x
+    classes = np.zeros((space.n, n + 1), dtype=bool)
+    classes[pts, np.repeat(colour[whole], sizes)] = True
 
-    def separated(pid: int, members: list[int]) -> bool:
-        return all(
-            space.set_distance(piece_sets[pid], piece_sets[q], upper=R) >= R
-            for q in members)
-
-    classes: list[list[int]] = []
-    for color in range(n + 1):
-        members: list[int] = []
-        for pid in range(len(piece_sets)):
-            if assigned[pid] is None and separated(pid, members):
-                assigned[pid] = color
-                members.append(pid)
-        classes.append(members)
-
-    out_pieces: list[set[int]] = []
-    out_colors: list[int] = []
-    out_sources: list[int] = []
-    class_points: list[set[int]] = []
-    for members in classes:
-        pts: set[int] = set()
-        for pid in members:
-            out_pieces.append(set(piece_sets[pid]))
-            out_colors.append(len(class_points))
-            out_sources.append(pid)
-            pts |= piece_sets[pid]
-        class_points.append(pts)
-
-    covered = set().union(*class_points) if class_points else set()
-    owner = cover.piece_of()
-    todo = [x for x in range(space.n) if x not in covered]
+    covered = classes.any(axis=1)
+    todo = np.flatnonzero(~covered)
     ptr2, near2 = space.neighbors(todo, 2 * R)
     ptr1, near1 = space.neighbors(todo, R)
-    for i, x in enumerate(todo):
-        if x in covered:
+    mptr, mpid = view.inverse()
+    rows, colours, sources = [pts], colour[whole].tolist(), whole.tolist()
+    for i, x in enumerate(todo.tolist()):
+        if covered[x]:
             continue
-        vid = owner[x][0]
-        ball2 = set(near2[ptr2[i]:ptr2[i + 1]].tolist())
-        free = None
-        for c, pts in enumerate(class_points):
-            if not (ball2 & pts):
-                free = c
-                break
-        if free is None:
+        vid = int(mpid[mptr[x]])
+        free = np.flatnonzero(~classes[near2[ptr2[i]:ptr2[i + 1]]].any(axis=0))
+        if not len(free):
             raise PreconditionError(
                 f"no colour class avoids the 2R-ball of point {x}", witness=x)
-        clipped = piece_sets[vid] & set(near1[ptr1[i]:ptr1[i + 1]].tolist())
-        out_pieces.append(clipped)
-        out_colors.append(free)
-        out_sources.append(vid)
-        class_points[free] |= clipped
-        covered |= clipped
+        clipped = np.intersect1d(view.row(vid), near1[ptr1[i]:ptr1[i + 1]],
+                                 assume_unique=True)
+        rows.append(clipped)
+        sizes.append(len(clipped))
+        colours.append(int(free[0]))
+        sources.append(vid)
+        classes[clipped, free[0]] = True
+        covered[clipped] = True
 
     decomp = ColoredDecomposition(
         space=space,
-        pieces=[frozenset(p) for p in out_pieces],
-        colors=out_colors,
+        pieces=PieceView(np.cumsum([0] + sizes), np.concatenate(rows), space.n),
+        colors=colours,
         r=R,
         d=n,
         partition=False,
         provenance={"construction": "greedy_decomposition", "R": R, "n": n,
-                    "source_pieces": out_sources},
+                    "source_pieces": sources},
     )
     _verify_greedy(decomp, cover)
     return decomp
@@ -524,11 +514,14 @@ def _verify_greedy(decomp: ColoredDecomposition, cover: Cover) -> None:
         raise PreconditionError(
             f"greedy output violates R-disjointness: pieces {v.piece_a},"
             f" {v.piece_b} at distance {v.distance}", witness=v)
-    sources = decomp.provenance["source_pieces"]
-    for piece, src in zip(decomp.pieces, sources):
-        if not piece <= cover.pieces[src]:
-            raise PreconditionError("greedy piece escapes its source piece",
-                                    witness=src)
+    # every entry (piece, x) must be an entry (source piece, x) of the cover
+    n, src = decomp.space.n, np.asarray(decomp.provenance["source_pieces"])
+    owner = src[decomp.pieces.owners()]
+    held = _sorted_lookup(cover.pieces.owners() * n + cover.pieces.pts,
+                          owner * n + decomp.pieces.pts) >= 0
+    if not held.all():
+        raise PreconditionError("greedy piece escapes its source piece",
+                                witness=int(owner[held.argmin()]))
 
 
 # ---------------------------------------------------------------------------

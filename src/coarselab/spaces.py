@@ -11,7 +11,6 @@ that boundary effects (truncation) can be flagged.
 from __future__ import annotations
 
 import collections.abc
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -69,6 +68,10 @@ PRODUCT_CAP = 2_000_000
 
 # letters of a tree word
 _TREE_LETTERS = frozenset((0, 1, 2))
+
+# the two child letters after a letter: (lower, higher) of the other two
+_LOWER_CHILD = np.array([1, 0, 0], dtype=np.int8)
+_HIGHER_CHILD = np.array([2, 2, 1], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +200,26 @@ def _take_points(points: Sequence[ModelPoint], idx: np.ndarray) -> list:
     return list(map(points.__getitem__, idx.tolist()))
 
 
-def _word_view(words: np.ndarray, depth: np.ndarray) -> PointView:
-    """Tree addresses of the rows of a padded word matrix (see
-    :meth:`SpaceGraph._words`)."""
-    columns = np.arange(words.shape[1])
+def _prefix_tuples(cells: np.ndarray, lengths: np.ndarray) -> list[tuple]:
+    """The first ``lengths[i]`` entries of each row i of ``cells``, as
+    tuples."""
+    flat = cells[np.arange(cells.shape[1]) < lengths[:, None]].tolist()
+    ends = np.cumsum(lengths).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
-    def take(idx):
-        d = depth[idx]
-        flat = words[idx][columns < d[:, None]].tolist()
-        ends = np.cumsum(d).tolist()
-        return [TreeAddress(tuple(flat[a:b])) for a, b in zip([0] + ends[:-1], ends)]
-    return PointView(len(depth), take)
+
+def _word_view(words: np.ndarray, depth: np.ndarray) -> PointView:
+    """Tree addresses of the rows of a padded word matrix: int8 letters,
+    -1 beyond each word's ``depth``, with one all-padding column."""
+    return PointView(len(depth), lambda idx: list(
+        map(TreeAddress, _prefix_tuples(words[idx], depth[idx]))))
+
+
+def _comb_view(path: np.ndarray) -> PointView:
+    """Comb nodes of the rows of a comb path matrix (see :func:`_net_comb`)."""
+    return PointView(len(path), lambda idx: list(map(
+        CombNode, path[idx, 0].tolist(), _prefix_tuples(
+            path[idx, 1:], np.count_nonzero(path[idx, 1:], axis=1)))))
 
 
 def point_key(p: ModelPoint):
@@ -524,6 +536,50 @@ class _StratifiedGrid:
 
 
 # ---------------------------------------------------------------------------
+# distance kernels: model distances of row-aligned index pairs (a[k], b[k]),
+# bit-identical to point_distance
+
+
+def _tree_kernel(words: np.ndarray, depth: np.ndarray):
+    """Kernel of padded int8 words (see :func:`_word_view`)."""
+    def tree(a, b):
+        # a mismatch is forced at the padding column; where both words
+        # end together it is clipped to their common depth
+        mismatch = words[a] != words[b]
+        mismatch[:, -1] = True
+        lcp = np.minimum(mismatch.argmax(axis=1), np.minimum(depth[a], depth[b]))
+        return (depth[a] + depth[b] - 2 * lcp).astype(float)
+    return tree
+
+
+def _comb_kernel(path: np.ndarray, tail: np.ndarray):
+    """Kernel of a comb path matrix and its suffix sums (see
+    :func:`_net_comb`)."""
+    def comb(a, b):
+        # climb each path to the first mismatching column k (forced at
+        # the padding column), then step between the two entries there
+        pa, pb = path[a], path[b]
+        mismatch = pa != pb
+        mismatch[:, -1] = True
+        k = mismatch.argmax(axis=1)
+        rows = np.arange(len(k))
+        return (tail[a, k] + np.abs(pa[rows, k] - pb[rows, k])
+                + tail[b, k]).astype(float)
+    return comb
+
+
+def _kernel_blocks(distances, n: int, idx: np.ndarray, radius: float):
+    """:meth:`SpaceGraph.neighbor_blocks` of n points, each tested with
+    the kernel ``distances``, about _CANDIDATE_BUDGET pairs per block."""
+    step = max(1, _CANDIDATE_BUDGET // n)
+    for lo in range(0, len(idx), step):
+        rows = idx[lo:lo + step]
+        near = (distances(np.repeat(rows, n), np.tile(np.arange(n), len(rows)))
+                <= radius).reshape(len(rows), n)
+        yield rows, *_csr_from_rows(*np.nonzero(near), len(rows))
+
+
+# ---------------------------------------------------------------------------
 # the space graph
 
 
@@ -534,8 +590,8 @@ class SpaceGraph:
     The adjacency is CSR: the neighbours of point i, sorted, are
     ``indices[indptr[i]:indptr[i + 1]]``; edges join points at model
     distance <= ``edge_threshold``.  ``points`` is a list, or for nets
-    built from arrays (half-plane and half-space nets, products, the walk
-    target) a :class:`PointView` that builds each point when it is read.
+    built from arrays (every net but integer windows and explicit metric
+    graphs) a :class:`PointView` that builds each point when it is read.
     All queries are read-only.
     """
 
@@ -552,8 +608,8 @@ class SpaceGraph:
     _dist_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _csr: object = field(default=None, repr=False)
     _grid: object = field(default=None, repr=False)
-    # integer codes: z values and product factor indices, set when the
-    # net is built; t3 words, set by the walk or built on first use
+    # integer codes, set when the net is built: z values, product factor
+    # indices, t3 (words, depth), comb (path, tail)
     _codes: object = field(default=None, repr=False)
     _margins: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -609,7 +665,7 @@ class SpaceGraph:
     def _letter_codes(self) -> tuple[list[int], list[int]]:
         # t3 words as Python ints, a byte a letter with the first letter
         # highest (exact at any depth), and the word lengths
-        words, depth = self._words()
+        words, depth = self._codes
         flat = words[np.arange(words.shape[1]) < depth[:, None]].tobytes()
         lengths = depth.tolist()
         ends = np.cumsum(depth).tolist()
@@ -647,7 +703,9 @@ class SpaceGraph:
         from scipy.sparse.csgraph import dijkstra
 
         lim = np.inf if limit is None else float(limit)
-        d = dijkstra(self._as_csr(), directed=False, unweighted=True,
+        # every adjacency is symmetric: a directed search reads the same
+        # graph without scipy's transpose
+        d = dijkstra(self._as_csr(), directed=True, unweighted=True,
                      indices=indices, limit=lim, **kw)
         out = np.full(d.shape, -1, dtype=np.int64)
         finite = np.isfinite(d)
@@ -681,12 +739,9 @@ class SpaceGraph:
         if self._dist_matrix is not None:
             return lambda a, b: self._dist_matrix[a, b]
         if self.model in ("h2", "hd"):
-            xs, ys = self._coords()
-
-            def hyperbolic(a, b):
-                return _acosh1p_array(
-                    _t_exact(self.model == "hd", xs[a], ys[a], xs[b], ys[b]))
-            return hyperbolic
+            xs, ys, hd = *self._coords(), self.model == "hd"
+            return lambda a, b: _acosh1p_array(
+                _t_exact(hd, xs[a], ys[a], xs[b], ys[b]))
         if self.model == "z":
             ns = self._codes
             return lambda a, b: np.abs(ns[a] - ns[b]).astype(float)
@@ -696,35 +751,10 @@ class SpaceGraph:
             return lambda a, b: sum(f.distances(codes[a, k], codes[b, k])
                                     for k, f in enumerate(fs))
         if self.model == "t3":
-            words, depth = self._words()
-
-            def tree(a, b):
-                # a mismatch is forced at the padding column; where both
-                # words end together it is clipped to their common depth
-                mismatch = words[a] != words[b]
-                mismatch[:, -1] = True
-                lcp = np.minimum(mismatch.argmax(axis=1),
-                                 np.minimum(depth[a], depth[b]))
-                return (depth[a] + depth[b] - 2 * lcp).astype(float)
-            return tree
-        pts = self.points
-        return lambda a, b: np.array(
-            [point_distance(pts[p], pts[q]) for p, q in zip(a.tolist(), b.tolist())],
-            dtype=float)
-
-    def _words(self):
-        # padded int8 words (-1 beyond each word, with one all-padding
-        # column) and depths of a t3 net
-        if self._codes is None:
-            words = [p.word for p in self.points]
-            depth = np.fromiter(map(len, words), dtype=np.int64, count=self.n)
-            padded = np.full((self.n, int(depth.max()) + 1), -1, dtype=np.int8)
-            # a boolean mask fills row by row, in word order
-            padded[np.arange(padded.shape[1]) < depth[:, None]] = np.fromiter(
-                itertools.chain.from_iterable(words), dtype=np.int8,
-                count=int(depth.sum()))
-            self._codes = (padded, depth)
-        return self._codes
+            return _tree_kernel(*self._codes)
+        if self.model == "comb":
+            return _comb_kernel(*self._codes)
+        raise UnsupportedError(f"no distance kernel for model {self.model!r}")
 
     # -- model-metric range queries ---------------------------------------
 
@@ -744,13 +774,7 @@ class SpaceGraph:
                     grid.xs[idx], grid.ys[idx], radius):
                 yield idx[lo:hi], indptr, indices
             return
-        step = max(1, _CANDIDATE_BUDGET // self.n)
-        for lo in range(0, len(idx), step):
-            rows = idx[lo:lo + step]
-            near = (self.distances(np.repeat(rows, self.n),
-                                   np.tile(np.arange(self.n), len(rows)))
-                    <= radius).reshape(len(rows), self.n)
-            yield rows, *_csr_from_rows(*np.nonzero(near), len(rows))
+        yield from _kernel_blocks(self.distances, self.n, idx, radius)
 
     def neighbors(self, idx: Sequence[int], radius: float
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -865,10 +889,9 @@ class SpaceGraph:
             return np.minimum(self._codes - w["lo"], w["hi"] - self._codes
                               ).astype(float)
         if kind == "tree_ball":
-            return (w["radius"] - self._words()[1]).astype(float)
+            return (w["radius"] - self._codes[1]).astype(float)
         if kind == "comb_extent":
-            return np.array([w["extent"] - max((abs(p.base), *p.offsets))
-                             for p in self.points], dtype=float)
+            return (w["extent"] - np.abs(self._codes[0]).max(axis=1)).astype(float)
         return np.full(n, math.inf)
 
     def _coord_dist(self, c: int, coords: tuple[float, ...], y: float) -> float:
@@ -877,25 +900,12 @@ class SpaceGraph:
         dx2 = sum((a - b) ** 2 for a, b in zip(xs[c].tolist(), coords))
         return _acosh1p((dx2 + (py - y) ** 2) / (2.0 * py * y))
 
-    def set_distance(self, a: Iterable[int], b: Iterable[int],
-                     upper: Optional[float] = None) -> float:
+    def set_distance(self, a: Iterable[int], b: Iterable[int]) -> float:
         """Min model distance between two point sets: the least value of
-        :meth:`distances` over every pair.
-
-        ``upper`` lets callers stop caring above a threshold: the exact
-        minimum is still returned whenever it is <= upper.
-        """
+        :meth:`distances` over every pair."""
         ia, ib = np.fromiter(a, dtype=np.int64), np.fromiter(b, dtype=np.int64)
         if not len(ia) or not len(ib):
             return math.inf
-        if self.model in ("h2", "hd") and upper is not None:
-            # quick reject via log-height gap: d >= |log y1 - log y2|
-            ys = self._coords()[1]
-            la = np.log(ys[ia])
-            lb = np.log(ys[ib])
-            gap = max(la.min() - lb.max(), lb.min() - la.max())
-            if gap > upper:
-                return float(gap)  # a valid lower bound > upper
         return self._extreme_distance(ia, ib, np.min)
 
     def set_diameter(self, idx: Iterable[int]) -> float:
@@ -987,11 +997,18 @@ def growth_report(space: SpaceGraph, center: int,
 
 def generate_net(model: str, window: dict, sep: float = 1.0,
                  edge_threshold: Optional[float] = None) -> SpaceGraph:
-    """Deterministic net of a model region.
+    """Deterministic net of a model region; edges join the points at
+    model distance <= edge_threshold.
 
     Discrete models (z, t3, comb) default to edge_threshold = sep, which
-    reproduces their native graphs.  Half-space models default to 3*sep
-    and require edge_threshold >= 2*sep so the interior stays connected.
+    reproduces their native graphs; their points lie >= 1 apart, so below
+    1 there are no edges.  z keeps every ceil(sep)-th integer; t3 keeps
+    the greedy sep-separated subsequence of its breadth-first words (the
+    whole ball at sep <= 1); comb keeps every integer point and refuses
+    sep > 1 and edge_threshold >= 2 with :class:`UnsupportedError`.
+    Half-space models (h2, hd) space their points sep apart, default to
+    3*sep and require edge_threshold >= 2*sep so the interior stays
+    connected.
     """
     if not sep > 0:
         raise UnsupportedError("sep must be positive")
@@ -1013,13 +1030,17 @@ def generate_net(model: str, window: dict, sep: float = 1.0,
     raise UnsupportedError(f"unknown model: {model}")
 
 
-def _greedy_select(candidates: list[ModelPoint], sep: float) -> list[ModelPoint]:
-    """Greedy maximal sep-separated subsequence, in stream order."""
-    chosen: list[ModelPoint] = []
-    for cand in candidates:
-        if all(point_distance(cand, p) >= sep for p in chosen):
-            chosen.append(cand)
-    return chosen
+def _greedy_select(n: int, sep: float, distances) -> np.ndarray:
+    """Indices of the greedy maximal sep-separated subsequence of a stream
+    of n points: point i is kept unless a kept earlier point lies within
+    sep of it.  ``distances`` is a distance kernel of the stream."""
+    kept = np.empty(n, dtype=np.int64)
+    m = 0
+    for i in range(n):
+        if not m or distances(np.full(m, i), kept[:m]).min() >= sep:
+            kept[m] = i
+            m += 1
+    return kept[:m]
 
 
 def _net_z(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGraph:
@@ -1060,85 +1081,87 @@ def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceG
     if size > cap:
         raise SizeCapError(f"tree ball of radius {radius} exceeds cap {cap}")
     thr = sep if edge_threshold is None else edge_threshold
-    pts: list[TreeAddress] = [TreeAddress(())]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            letters = (0, 1, 2) if not w else tuple(a for a in (0, 1, 2) if a != w[-1])
-            for a in letters:
-                nxt.append(w + (a,))
-        pts.extend(TreeAddress(w) for w in nxt)
-        frontier = nxt
+    # breadth first, each depth in lexicographic order: word i >= 1 is a
+    # child of word parent[i], the lower of the two at even i
+    idx = np.arange(size)
+    parent = np.maximum((idx - 2) // 2, 0)
+    depth = np.repeat(np.arange(radius + 1), np.r_[1, 3 * 2 ** np.arange(radius)])
+    words = np.full((size, radius + 1), -1, dtype=np.int8)
+    if radius:
+        words[1:4, 0] = (0, 1, 2)
+    for k in range(2, radius + 1):
+        child = np.arange(3 * 2 ** (k - 1) - 2, 3 * 2 ** k - 2)
+        up = parent[child]
+        words[child, :k - 1] = words[up, :k - 1]
+        last = words[up, k - 2]
+        words[child, k - 1] = np.where(child & 1, _HIGHER_CHILD[last],
+                                       _LOWER_CHILD[last])
     if sep > 1.0:
-        pts = _greedy_select(pts, sep)
-    if thr < 2.0 and sep <= 1.0:
+        kept = _greedy_select(size, sep, _tree_kernel(words, depth))
+        depth = depth[kept]
+        words = words[kept, :int(depth.max()) + 1]
+    n = len(depth)
+    if thr < 1.0:  # distinct words lie at least 1 apart
+        indptr, indices = _csr_from_edges(n, [], [])
+    elif sep <= 1.0 and thr < 2.0:
         # edges are exactly parent/child word pairs
-        index = {p.word: i for i, p in enumerate(pts)}
-        parent = [index[p.word[:-1]] for p in pts[1:]]
-        indptr, indices = _csr_from_edges(len(pts), range(1, len(pts)), parent)
+        indptr, indices = _csr_from_edges(n, idx[1:], parent[1:])
     else:
-        indptr, indices = _edges_brute(pts, thr)
-    return SpaceGraph(model="t3", points=pts, indptr=indptr, indices=indices,
-                      sep=sep, edge_threshold=thr,
+        indptr, indices = _drop_diagonal(*_concat_csr(
+            b[1:] for b in _kernel_blocks(_tree_kernel(words, depth), n,
+                                          np.arange(n), thr)))
+    return SpaceGraph(model="t3", points=_word_view(words, depth), indptr=indptr,
+                      indices=indices, sep=sep, edge_threshold=thr,
                       window={"kind": "tree_ball", "radius": radius,
-                              "basepoint": 0})
+                              "basepoint": 0}, _codes=(words, depth))
 
 
 def _net_comb(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGraph:
+    """Point i is row i of an int32 path matrix: its base, its hair
+    offsets (>= 1), zeros, and one more all-zero column.  Generation g
+    holds (2e+1)*e^g nodes in lexicographic order; its row p hangs at
+    offset p % e + 1 below row p // e of generation g - 1."""
     d = int(window["d"])
     extent = int(window["extent"])
     if d < 1 or extent < 1:
         raise UnsupportedError("comb needs d >= 1 and extent >= 1")
     cap = window.get("cap", PRODUCT_CAP)
     # 2e+1 base nodes, each generation of hairs multiplying by e
-    size = (2 * extent + 1) * sum(extent ** g for g in range(d))
-    if size > cap:
-        raise SizeCapError(f"comb size {size} exceeds cap {cap}")
+    sizes = [(2 * extent + 1) * extent ** g for g in range(d)]
+    if sum(sizes) > cap:
+        raise SizeCapError(f"comb size {sum(sizes)} exceeds cap {cap}")
     thr = sep if edge_threshold is None else edge_threshold
-    pts: list[CombNode] = [CombNode(b) for b in range(-extent, extent + 1)]
-    layer = pts
-    for _ in range(d - 1):
-        nxt = []
-        for node in layer:
-            for o in range(1, extent + 1):
-                nxt.append(CombNode(node.base, node.offsets + (o,)))
-        pts = pts + nxt
-        # next generation of hairs attaches along the new hairs only
-        layer = nxt
-    indptr, indices = _comb_edges(pts)
-    base = next(i for i, p in enumerate(pts) if p.base == 0 and not p.offsets)
-    return SpaceGraph(model="comb", points=pts, indptr=indptr, indices=indices,
-                      sep=sep, edge_threshold=thr,
+    if sep > 1.0:
+        raise UnsupportedError(f"comb sep {sep} > 1 is not supported")
+    if thr >= 2.0:
+        raise UnsupportedError(f"comb edge_threshold {thr} >= 2 is not supported")
+    starts = np.cumsum([0] + sizes)
+    path = np.zeros((starts[-1], d + 1), dtype=np.int32)
+    path[:sizes[0], 0] = np.arange(-extent, extent + 1)
+    # along the base, then from each node to its parent: along its own
+    # hair, or the hair's root one generation down
+    a, b = [np.arange(2 * extent)], [np.arange(1, 2 * extent + 1)]
+    for g in range(1, d):
+        rows, ups = slice(starts[g], starts[g + 1]), slice(starts[g - 1], starts[g])
+        path[rows, :g] = np.repeat(path[ups, :g], extent, axis=0)
+        path[rows, g] = np.tile(np.arange(1, extent + 1), sizes[g - 1])
+        row = np.arange(starts[g], starts[g + 1])
+        a.append(row)
+        b.append(np.where(path[rows, g] > 1, row - 1,
+                          np.repeat(np.arange(starts[g - 1], starts[g]), extent)))
+    a, b = np.concatenate(a), np.concatenate(b)
+    if thr < 1.0:  # distinct points lie at least 1 apart
+        a, b = a[:0], b[:0]
+    indptr, indices = _csr_from_edges(len(path), a, b)
+    # tail[i, k]: the sum of path[i, k + 1:], what point i climbs to
+    # reach column k
+    tail = np.zeros_like(path)
+    for k in range(d - 1, -1, -1):
+        tail[:, k] = tail[:, k + 1] + path[:, k + 1]
+    return SpaceGraph(model="comb", points=_comb_view(path), indptr=indptr,
+                      indices=indices, sep=sep, edge_threshold=thr,
                       window={"kind": "comb_extent", "d": d, "extent": extent,
-                              "basepoint": base})
-
-
-def _comb_edges(pts: list[CombNode]) -> tuple[np.ndarray, np.ndarray]:
-    index = {(p.base, p.offsets): i for i, p in enumerate(pts)}
-    a, b = [], []
-    for i, p in enumerate(pts):
-        if p.offsets:
-            # parent along own hair, or the hair's root one generation down
-            *head, last = p.offsets
-            if last > 1:
-                j = index[(p.base, tuple(head) + (last - 1,))]
-            else:
-                j = index[(p.base, tuple(head))]
-        else:
-            j = index.get((p.base + 1, ()))
-            if j is None:
-                continue
-        a.append(i)
-        b.append(j)
-    return _csr_from_edges(len(pts), a, b)
-
-
-def _edges_brute(pts: list[ModelPoint], thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency CSR of the point pairs within ``thr``, testing every pair."""
-    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
-             if point_distance(pts[i], pts[j]) <= thr]
-    return _csr_from_edges(len(pts), [i for i, _ in pairs], [j for _, j in pairs])
+                              "basepoint": extent}, _codes=(path, tail))
 
 
 def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
@@ -1175,15 +1198,21 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
         heights.append(np.full(len(xs), y))
     grid = _StratifiedGrid(np.concatenate(cols), np.concatenate(heights), sep,
                            model == "hd")
-    points = _halfspace_view(grid.xs, grid.ys)
+    indptr, indices = _drop_diagonal(*grid.query(grid.xs, grid.ys, thr + 1e-12))
+    space = SpaceGraph(model=model, points=_halfspace_view(grid.xs, grid.ys),
+                       indptr=indptr, indices=indices, sep=sep,
+                       edge_threshold=thr, _grid=grid,
+                       window={"kind": kind, "radius": radius, "basepoint": 0,
+                               "d": dim})
     if window.get("greedy_check"):
         # the stream is sep-separated by construction; this guard proves it
-        _check_separated(points, sep)
-    indptr, indices = _drop_diagonal(*grid.query(grid.xs, grid.ys, thr + 1e-12))
-    space = SpaceGraph(model=model, points=points, indptr=indptr,
-                       indices=indices, sep=sep, edge_threshold=thr,
-                       window={"kind": kind, "radius": radius, "basepoint": 0,
-                               "d": dim}, _grid=grid)
+        dropped = np.ones(space.n, dtype=bool)
+        dropped[_greedy_select(space.n, sep, space.distances)] = False
+        if dropped.any():
+            i = int(dropped.argmax())
+            raise PreconditionError(
+                f"net point {i} ({space.points[i]}) lies within sep {sep} of an "
+                "earlier point; the window cannot be built as a sep-net", witness=i)
     # basepoint: the net point (0,..,0;1), which every window contains
     origin = np.zeros((1, dim - 1))
     space.window["basepoint"] = int(space.nearest_points(origin, np.ones(1))[0])
@@ -1201,18 +1230,6 @@ def _halfspace_view(xs: np.ndarray, ys: np.ndarray) -> PointView:
             return list(map(HalfSpace, map(tuple, xs[idx].tolist()),
                             ys[idx].tolist()))
     return PointView(len(ys), take)
-
-
-def _check_separated(points: PointView, sep: float) -> None:
-    """Raise :class:`PreconditionError` naming the first point that greedy
-    sep-selection (:func:`_greedy_select`) would drop from ``points``."""
-    seen: list[ModelPoint] = []
-    for i, p in enumerate(points):
-        if any(point_distance(p, q) < sep for q in seen):
-            raise PreconditionError(
-                f"net point {i} ({p}) lies within sep {sep} of an earlier "
-                "point; the window cannot be built as a sep-net", witness=i)
-        seen.append(p)
 
 
 def _halfspace_layers(window: dict, radius: float, sep: float, dim: int):
@@ -1302,22 +1319,16 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
         centers = list(window["centers"])
         dists = [s.distances(np.arange(s.n), np.full(s.n, c))
                  for s, c in zip(spaces, centers)]
-        if len(spaces) == 2:
-            d0, d1 = dists
-            budget = radius - d0
-            size = int(np.searchsorted(np.sort(d1), budget, side="right").sum())
-            codes = np.column_stack(_masked_pairs(
-                len(d0), len(d1), lambda lo, hi: d1 <= budget[lo:hi, None],
-                cap, size))
-        else:
-            # one factor at a time: a prefix keeps its running sum ``used``
-            codes, used = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
-            for dv in dists:
-                row, col = _masked_pairs(
-                    len(used), len(dv),
-                    lambda lo, hi: used[lo:hi, None] + dv <= radius, cap)
-                codes = np.column_stack([codes[row], col])
-                used = used[row] + dv[col]
+        # one factor at a time: a prefix keeps its running sum ``used``,
+        # summed left to right from 0, as point_distance sums the parts
+        codes, used = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
+        for dv in dists:
+            row, col = _masked_pairs(
+                len(used), len(dv),
+                lambda lo, hi: used[lo:hi, None] + dv <= radius, cap)
+            codes = np.column_stack([codes[row], col])
+            used = used[row] + dv[col]
+        del row, col, used  # not held through the adjacency pass, the peak
         wdesc = {"kind": "l1_ball", "radius": radius, "centers": centers,
                  "factors": list(spaces)}
 
@@ -1333,19 +1344,17 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
                       window=wdesc, _codes=codes)
 
 
-def _masked_pairs(rows: int, cols: int, mask, cap: int,
-                  size: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+def _masked_pairs(rows: int, cols: int, mask,
+                  cap: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, col) of the true entries of a rows x cols mask, row-major.
 
     ``mask(lo, hi)`` gives rows [lo, hi), evaluated in blocks of about
-    _CANDIDATE_BUDGET entries.  The number of entries (``size``, counted
-    block by block when not given) is checked against ``cap`` before
-    any is kept.
+    _CANDIDATE_BUDGET entries.  The number of entries, counted block by
+    block, is checked against ``cap`` before any is kept.
     """
     step = max(1, _CANDIDATE_BUDGET // max(1, cols))
-    if size is None:
-        size = sum(int(np.count_nonzero(mask(lo, lo + step)))
-                   for lo in range(0, rows, step))
+    size = sum(int(np.count_nonzero(mask(lo, lo + step)))
+               for lo in range(0, rows, step))
     if size > cap:
         raise SizeCapError(f"product size {size} exceeds cap {cap}")
     row, col = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)

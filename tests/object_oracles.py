@@ -1,0 +1,200 @@
+"""Object-based reference builders, kept as oracles for the array code.
+
+The t3 ball and comb loops build the model point objects one by one and
+look parents up in dictionaries; the greedy decomposition holds every
+piece as a Python set and compares pieces pairwise with ``set_distance``.
+They are slow and simple, and the array builders must reproduce them
+exactly (see ``test_array_core.py``).
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from coarselab.covers import ColoredDecomposition, Cover, r_multiplicity
+from coarselab.errors import PreconditionError
+from coarselab.spaces import (CombNode, TreeAddress, _csr_from_edges,
+                              point_distance)
+
+
+def greedy_select_oracle(points, sep: float) -> list[int]:
+    """Indices of the greedy maximal sep-separated subsequence."""
+    chosen: list[int] = []
+    for i, cand in enumerate(points):
+        if all(point_distance(cand, points[j]) >= sep for j in chosen):
+            chosen.append(i)
+    return chosen
+
+
+def edges_brute(pts, thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency CSR of the point pairs within ``thr``, testing every pair."""
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+             if point_distance(pts[i], pts[j]) <= thr]
+    return _csr_from_edges(len(pts), [i for i, _ in pairs], [j for _, j in pairs])
+
+
+def net_t3_oracle(radius: int, sep: float = 1.0,
+                  thr: Optional[float] = None) -> tuple[list, np.ndarray, np.ndarray]:
+    """Points and adjacency CSR of a t3 ball, built word by word."""
+    thr = sep if thr is None else thr
+    pts: list[TreeAddress] = [TreeAddress(())]
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            letters = (0, 1, 2) if not w else tuple(a for a in (0, 1, 2) if a != w[-1])
+            for a in letters:
+                nxt.append(w + (a,))
+        pts.extend(TreeAddress(w) for w in nxt)
+        frontier = nxt
+    if sep > 1.0:
+        pts = [pts[i] for i in greedy_select_oracle(pts, sep)]
+    if sep <= 1.0 and 1.0 <= thr < 2.0:
+        # edges are exactly parent/child word pairs
+        index = {p.word: i for i, p in enumerate(pts)}
+        parent = [index[p.word[:-1]] for p in pts[1:]]
+        indptr, indices = _csr_from_edges(len(pts), range(1, len(pts)), parent)
+    else:
+        indptr, indices = edges_brute(pts, thr)
+    return pts, indptr, indices
+
+
+def words_oracle(pts: list[TreeAddress]) -> tuple[np.ndarray, np.ndarray]:
+    """Padded int8 word matrix (-1 beyond each word, with one all-padding
+    column) and depths of tree addresses."""
+    depth = np.array([len(p.word) for p in pts], dtype=np.int64)
+    words = np.full((len(pts), int(depth.max()) + 1), -1, dtype=np.int8)
+    for i, p in enumerate(pts):
+        words[i, :len(p.word)] = p.word
+    return words, depth
+
+
+def net_comb_oracle(d: int, extent: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Points and native adjacency CSR of a comb, built node by node."""
+    pts: list[CombNode] = [CombNode(b) for b in range(-extent, extent + 1)]
+    layer = pts
+    for _ in range(d - 1):
+        nxt = []
+        for node in layer:
+            for o in range(1, extent + 1):
+                nxt.append(CombNode(node.base, node.offsets + (o,)))
+        pts = pts + nxt
+        # next generation of hairs attaches along the new hairs only
+        layer = nxt
+    return (pts, *comb_edges_oracle(pts))
+
+
+def comb_edges_oracle(pts: list[CombNode]) -> tuple[np.ndarray, np.ndarray]:
+    index = {(p.base, p.offsets): i for i, p in enumerate(pts)}
+    a, b = [], []
+    for i, p in enumerate(pts):
+        if p.offsets:
+            # parent along own hair, or the hair's root one generation down
+            *head, last = p.offsets
+            if last > 1:
+                j = index[(p.base, tuple(head) + (last - 1,))]
+            else:
+                j = index[(p.base, tuple(head))]
+        else:
+            j = index.get((p.base + 1, ()))
+            if j is None:
+                continue
+        a.append(i)
+        b.append(j)
+    return _csr_from_edges(len(pts), a, b)
+
+
+def greedy_decomposition_oracle(cover: Cover, R: float, n: int) -> ColoredDecomposition:
+    """The set-based greedy extraction, with pairwise piece distances."""
+    space = cover.space
+    mult, witness = r_multiplicity(cover, 2 * R, metric="model")
+    if mult > n + 1:
+        raise PreconditionError(
+            f"cover has 2R-multiplicity {mult} > n+1 = {n + 1}", witness=witness)
+
+    piece_sets = [set(p) for p in cover.pieces]
+    assigned: list[Optional[int]] = [None] * len(piece_sets)  # piece -> colour
+
+    def separated(pid: int, members: list[int]) -> bool:
+        return all(space.set_distance(piece_sets[pid], piece_sets[q]) >= R
+                   for q in members)
+
+    classes: list[list[int]] = []
+    for color in range(n + 1):
+        members: list[int] = []
+        for pid in range(len(piece_sets)):
+            if assigned[pid] is None and separated(pid, members):
+                assigned[pid] = color
+                members.append(pid)
+        classes.append(members)
+
+    out_pieces: list[set[int]] = []
+    out_colors: list[int] = []
+    out_sources: list[int] = []
+    class_points: list[set[int]] = []
+    for members in classes:
+        pts: set[int] = set()
+        for pid in members:
+            out_pieces.append(set(piece_sets[pid]))
+            out_colors.append(len(class_points))
+            out_sources.append(pid)
+            pts |= piece_sets[pid]
+        class_points.append(pts)
+
+    covered = set().union(*class_points) if class_points else set()
+    owner = cover.piece_of()
+    todo = [x for x in range(space.n) if x not in covered]
+    ptr2, near2 = space.neighbors(todo, 2 * R)
+    ptr1, near1 = space.neighbors(todo, R)
+    for i, x in enumerate(todo):
+        if x in covered:
+            continue
+        vid = owner[x][0]
+        ball2 = set(near2[ptr2[i]:ptr2[i + 1]].tolist())
+        free = None
+        for c, pts in enumerate(class_points):
+            if not (ball2 & pts):
+                free = c
+                break
+        if free is None:
+            raise PreconditionError(
+                f"no colour class avoids the 2R-ball of point {x}", witness=x)
+        clipped = piece_sets[vid] & set(near1[ptr1[i]:ptr1[i + 1]].tolist())
+        out_pieces.append(clipped)
+        out_colors.append(free)
+        out_sources.append(vid)
+        class_points[free] |= clipped
+        covered |= clipped
+
+    decomp = ColoredDecomposition(
+        space=space,
+        pieces=[frozenset(p) for p in out_pieces],
+        colors=out_colors,
+        r=R,
+        d=n,
+        partition=False,
+        provenance={"construction": "greedy_decomposition", "R": R, "n": n,
+                    "source_pieces": out_sources},
+    )
+    verify_greedy_oracle(decomp, cover)
+    return decomp
+
+
+def verify_greedy_oracle(decomp: ColoredDecomposition, cover: Cover) -> None:
+    space, pieces = decomp.space, list(decomp.pieces)
+    for a in range(len(pieces)):
+        for b in range(a + 1, len(pieces)):
+            if decomp.colors[a] != decomp.colors[b]:
+                continue
+            d = space.set_distance(pieces[a], pieces[b])
+            if d < decomp.r:
+                raise PreconditionError(
+                    f"greedy output violates R-disjointness: pieces {a},"
+                    f" {b} at distance {d}", witness=(a, b, d))
+    sources = decomp.provenance["source_pieces"]
+    for piece, src in zip(pieces, sources):
+        if not piece <= cover.pieces[src]:
+            raise PreconditionError("greedy piece escapes its source piece",
+                                    witness=src)

@@ -157,16 +157,12 @@ class TestSetDistances:
         # blocks of 7 pairs, so that every set spans several blocks
         monkeypatch.setattr(spaces, "_DISTANCE_BLOCK", 7)
 
-        @given(sets=two_sets(), upper=st.none() | st.floats(0.0, 6.0))
+        @given(sets=two_sets())
         @settings(max_examples=150, deadline=None)
-        def check(sets, upper):
+        def check(sets):
             space, a, b = sets
             lowest = min(_oracle(space, i, j) for i in a for j in b)
-            got = space.set_distance(a, b, upper=upper)
-            if upper is None or lowest <= upper:
-                assert got == lowest
-            else:
-                assert upper < got <= lowest
+            assert space.set_distance(a, b) == lowest
             widest = max(_oracle(space, i, j) for i in a for j in a)
             assert space.set_diameter(a) == widest
             assert space.set_diameter(frozenset(b)) == \

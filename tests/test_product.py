@@ -39,22 +39,13 @@ def loop_build_product(factors, window=None):
         centers = list(window["centers"])
         dists = [np.array([s.model_distance(i, c) for i in range(s.n)])
                  for s, c in zip(factors, centers)]
-        combos = []
-        if len(factors) == 2:
-            d0, d1 = dists
-            ok1 = np.argsort(d1, kind="stable")
-            for i in range(factors[0].n):
-                budget = radius - d0[i]
-                if budget < 0:
-                    continue
-                js = ok1[: int(np.searchsorted(d1[ok1], budget, side="right"))]
-                combos.extend((i, int(j)) for j in sorted(js))
-        else:
-            stack = [((), 0.0)]
-            for s, dv in zip(factors, dists):
-                stack = [(combo + (i,), used + dv[i]) for combo, used in stack
-                         for i in range(s.n) if used + dv[i] <= radius]
-            combos = [c for c, _ in stack]
+        # the factor distances summed left to right from 0, as
+        # point_distance sums the parts
+        stack = [((), 0.0)]
+        for s, dv in zip(factors, dists):
+            stack = [(combo + (i,), used + dv[i]) for combo, used in stack
+                     for i in range(s.n) if used + dv[i] <= radius]
+        combos = [c for c, _ in stack]
         wdesc = {"kind": "l1_ball", "radius": radius, "centers": centers}
     index = {c: i for i, c in enumerate(combos)}
     pts = [TuplePoint(tuple(s.points[i] for s, i in zip(factors, combo)))
@@ -145,13 +136,15 @@ def test_build_product_matches_loop(name, budget, monkeypatch):
 
 def test_boundary_radius_splits_the_two_tests():
     # at the float-boundary radius ``d1 <= r - d0`` keeps a different number
-    # of pairs than ``d0 + d1 <= r`` would
+    # of pairs than ``d0 + d1 <= r``, the sum point_distance takes; the
+    # product keeps the pairs of the sum
     factors, window = case("h2-x-h2-boundary")
     d0, d1 = (f.distances(np.arange(f.n), np.full(f.n, c))
               for f, c in zip(factors, window["centers"]))
     r = window["radius"]
-    assert build_product(factors, window=window).n != int(
-        (d0[:, None] + d1[None, :] <= r).sum())
+    kept = build_product(factors, window=window).n
+    assert kept == int((d0[:, None] + d1[None, :] <= r).sum())
+    assert kept != int((d1[None, :] <= r - d0[:, None]).sum())
 
 
 _l1_h2 = {}

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from coarselab import spaces
 from coarselab.errors import CoarselabError, UnsupportedError
 from coarselab.spaces import generate_net, point_distance
+from object_oracles import edges_brute
 
 NETS = {
     "h2-ball": ("h2", {"kind": "ball", "radius": 4.5}, 0.8, 1.6),
@@ -138,8 +139,8 @@ class TestEdgesOracle:
     @pytest.mark.parametrize("name", sorted(NETS))
     def test_edges_match_brute_force(self, name):
         net, _ = net_and_distances(name)
-        indptr, indices = spaces._edges_brute(list(net.points),
-                                              net.edge_threshold + 1e-12)
+        indptr, indices = edges_brute(list(net.points),
+                                      net.edge_threshold + 1e-12)
         assert net.indptr.tolist() == indptr.tolist()
         assert net.indices.tolist() == indices.tolist()
         assert net.degree_bound == int(np.diff(indptr).max())

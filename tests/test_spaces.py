@@ -14,6 +14,7 @@ from coarselab.errors import EmptySpaceError, PreconditionError, SizeCapError
 from coarselab.spaces import (CombNode, HalfPlane, TreeAddress, TuplePoint,
                               ZPoint, ball, build_product, generate_net,
                               growth_report, point_distance)
+from object_oracles import greedy_select_oracle
 
 # arcosh(1.5) evaluated independently with 60-digit decimal arithmetic
 ARCOSH_1_5 = 0.9624236501192069
@@ -167,11 +168,13 @@ class TestGenerateNet:
         # columns a third as wide put neighbours of a layer within sep
         monkeypatch.setattr(spaces, "_X_STEP_SCALE", 1.0 / 3.0)
         window = {"kind": "ball", "radius": 3.0}
-        pts = list(generate_net("h2", window, sep=1.0).points)
-        kept = spaces._greedy_select(pts, 1.0)
+        net = generate_net("h2", window, sep=1.0)
+        pts = list(net.points)
+        kept = spaces._greedy_select(net.n, 1.0, net.distances)
+        assert kept.tolist() == greedy_select_oracle(pts, 1.0)
         assert len(kept) < len(pts)
-        first = next(i for i, p in enumerate(pts)
-                     if i == len(kept) or kept[i] is not p)
+        first = next(i for i in range(len(pts))
+                     if i == len(kept) or kept[i] != i)
         with pytest.raises(PreconditionError) as err:
             generate_net("h2", {**window, "greedy_check": True}, sep=1.0)
         assert err.value.witness == first
