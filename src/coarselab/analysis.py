@@ -15,9 +15,10 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .covers import (ColoredDecomposition, Cover, PieceView, _components,
+                     _default_centres, _intrinsic_growth,
                      iterated_neighborhood)
-from .errors import (DataError, PreconditionError, TruncationError,
-                     UnsupportedError)
+from .errors import (DataError, DomainError, PreconditionError,
+                     TruncationError, UnsupportedError)
 from .spaces import GrowthReport, SpaceGraph, growth_report
 
 __all__ = [
@@ -91,58 +92,49 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
     """Growth of a point set, as ball-count table around a center.
 
     ``metric="ambient"`` counts subset points inside ambient graph balls
-    (the subset as a metric subspace).  ``metric="intrinsic"`` runs BFS in
-    the subset's induced subgraph instead; this removes the additive
-    detour cost ambient balls pay to reach a thin set's far side, which
-    otherwise biases window-scale exponent fits upward.  Default center:
-    the subset point with the largest window margin.
+    (the subset as a metric subspace).  ``metric="intrinsic"`` searches
+    the subset's induced subgraph instead, with the kernel of
+    :meth:`PieceView.growth` on a one-piece view; this removes the
+    additive detour cost ambient balls pay to reach a thin set's far
+    side, which otherwise biases window-scale exponent fits upward, and
+    its center must be a subset point.  Default center: the subset point
+    with the largest window margin, the lowest index among equals.
+    Radii run to ``r_max`` or to the last radius that reaches a new
+    point.  A point outside ``range(space.n)`` raises
+    :class:`DomainError`; an intrinsic center outside the subset raises
+    :class:`PreconditionError` with the center as witness.
     """
-    subset = sorted(subset)
-    if not subset:
-        raise DataError("empty subset")
-    if center is None:
-        margins = space.margins()
-        center = max(subset, key=lambda i: (margins[i], -i))
-    if metric == "ambient":
-        return growth_report(space, center, r_max=r_max, subset=subset)
-    if metric != "intrinsic":
+    if metric not in ("ambient", "intrinsic"):
         raise UnsupportedError(f"unknown metric {metric!r}")
-    from collections import deque
-
-    sset = set(subset)
-    margins = space.margins()
-    dist = {center: 0}
-    dq = deque([center])
-    while dq:
-        v = dq.popleft()
-        if r_max is not None and dist[v] >= r_max:
-            continue
-        for w in space.adj[v]:
-            if w in sset and w not in dist:
-                dist[w] = dist[v] + 1
-                dq.append(w)
-    by_r: dict[int, list[int]] = {}
-    for v, d in dist.items():
-        by_r.setdefault(d, []).append(v)
-    radii, counts, trunc = [], [], []
-    running, hit = 0, False
-    for r in range(max(dist.values()) + 1):
-        at = by_r.get(r, [])
-        if at and min(margins[v] for v in at) <= space.edge_threshold:
-            hit = True
-        running += len(at)
-        radii.append(r)
-        counts.append(running)
-        trunc.append(hit)
-    return GrowthReport(center=center, radii=radii, counts=counts,
-                        truncated=trunc)
+    pts = np.unique(np.fromiter(subset, dtype=np.int64))
+    if not len(pts):
+        raise DataError("empty subset")
+    for p in (pts[0], pts[-1], center):
+        if p is not None and not 0 <= p < space.n:
+            raise DomainError(f"point {p} is outside the {space.n} points"
+                              f" of the space")
+    ptr = np.array([0, len(pts)])
+    if center is None:
+        center = int(_default_centres(space, ptr, pts)[0])
+    if metric == "ambient":
+        return growth_report(space, center, r_max=r_max, subset=pts)
+    if center not in pts:
+        raise PreconditionError(f"center {center} is not a point of the subset",
+                                witness=center)
+    return _intrinsic_growth(space, ptr, pts, np.array([center])).report(0, r_max)
 
 
 def piece_growth(decomp_or_cover: Union[Cover, ColoredDecomposition],
                  piece: int, r_max: Optional[int] = None,
                  metric: str = "ambient") -> GrowthReport:
+    """:func:`set_growth` of one piece around its default center.  The
+    intrinsic growth of every piece is computed together on the first
+    call and kept with the family's pieces; later calls read it."""
+    if metric == "intrinsic":
+        return decomp_or_cover.pieces.growth(
+            decomp_or_cover.space).report(piece, r_max)
     return set_growth(decomp_or_cover.space,
-                      decomp_or_cover.pieces.row(piece).tolist(),
+                      decomp_or_cover.pieces.row(piece),
                       r_max=r_max, metric=metric)
 
 

@@ -183,17 +183,35 @@ class Tiling:
                 c = x ** n * c0
                 if meets_window(c, rho):
                     stack.append((_descend_matrix(x, n), rho, 1, mirrored))
+        # the children m * D_n of a parent m for every n at once; the image
+        # of the y-axis under a child is the circle through m(0) = b/d and
+        # m(inf) = a/c, centred on the real axis
+        e, f, g, h = np.array([[v for row in _descend_matrix(x, n) for v in row]
+                               for n in range(n_lo, n_hi + 1)]).T
         while stack:
             m, rho, depth, mirrored = stack.pop()
             if 2.0 * rho < resolution or depth > 60:
                 continue
             tiles.append(TileRecord("A", m, depth, mirrored))
             tiles.append(TileRecord("B", m, depth, mirrored))
-            for n in range(n_lo, n_hi + 1):
-                child = _mobius_mul(m, _descend_matrix(x, n))
-                crho, cc = _image_circle(child)
-                if crho >= resolution / 2.0 and meets_window(cc, crho):
-                    stack.append((child, crho, depth + 1, mirrored))
+            (a, b), (c, d) = m
+            ca, cb = a * e + b * g, a * f + b * h
+            cc, cd = c * e + d * g, c * f + d * h
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                z0 = np.where(cd != 0, cb / cd, math.inf)
+                zinf = np.where(cc != 0, ca / cc, math.inf)
+                finite = np.isfinite(z0) & np.isfinite(zinf)
+                crho = np.where(finite, np.abs(zinf - z0) / 2.0, math.inf)
+                cen = np.where(finite, (z0 + zinf) / 2.0, 0.0)
+                # numpy's hypot can differ from math.hypot in the last bit:
+                # a loose prefilter, then the scalar test
+                reach = (crho + ball_r + resolution) * (1.0 + 1e-9)
+                live = (crho >= resolution / 2.0) & (np.hypot(cen, ball_c) <= reach)
+            for k in np.flatnonzero(live).tolist():
+                if meets_window(float(cen[k]), float(crho[k])):
+                    child = ((float(ca[k]), float(cb[k])),
+                             (float(cc[k]), float(cd[k])))
+                    stack.append((child, float(crho[k]), depth + 1, mirrored))
         return tiles
 
 
@@ -221,12 +239,6 @@ def _solve_dilation(r: float, tol: float = 1e-12) -> float:
     else:
         raise NumericError("tangency bisection did not converge")
     return 0.5 * (lo + hi)
-
-
-def _mobius_mul(m1: tuple, m2: tuple) -> tuple:
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _descend_matrix(x: float, n: int) -> tuple:
@@ -295,17 +307,6 @@ def build_h2_tiling(r: float, window: dict) -> Tiling:
 
 def _identity() -> tuple:
     return ((1.0, 0.0), (0.0, 1.0))
-
-
-def _image_circle(m: tuple) -> tuple[float, float]:
-    # image of the right half-plane boundary (the y-axis) under m is the
-    # circle through m(0) and m(inf) centred on the real axis
-    (a, b), (c, d) = m
-    z0 = b / d if d != 0 else math.inf
-    zinf = a / c if c != 0 else math.inf
-    if not (math.isfinite(z0) and math.isfinite(zinf)):
-        return math.inf, 0.0
-    return abs(zinf - z0) / 2.0, (z0 + zinf) / 2.0
 
 
 def _complex_quotient(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ArityError, DomainError, PreconditionError,
+from .errors import (ArityError, DataError, DomainError, PreconditionError,
                      UnsupportedError)
-from .spaces import (_VIEW_BLOCK, SpaceGraph, _concat_csr, _csr_from_rows,
-                     _csr_take, _sorted_lookup)
+from .spaces import (_VIEW_BLOCK, GrowthReport, SpaceGraph, _concat_csr,
+                     _csr_from_rows, _csr_take, _path_lengths, _sorted_lookup)
 
 __all__ = [
     "PieceView",
@@ -56,7 +56,7 @@ class PieceView(collections.abc.Sequence):
     view, of equal sets.
     """
 
-    __slots__ = ("ptr", "pts", "_n", "_inverse")
+    __slots__ = ("ptr", "pts", "_n", "_inverse", "_growth")
 
     def __init__(self, ptr, pts, n: int):
         ptr = np.asarray(ptr, dtype=np.int64)
@@ -74,6 +74,7 @@ class PieceView(collections.abc.Sequence):
                                     pts, len(ptr) - 1, n)
         ptr.flags.writeable = pts.flags.writeable = False
         self.ptr, self.pts, self._n, self._inverse = ptr, pts, n, None
+        self._growth = None
 
     def __len__(self) -> int:
         return len(self.ptr) - 1
@@ -116,6 +117,120 @@ class PieceView(collections.abc.Sequence):
             order = np.argsort(self.pts, kind="stable")
             self._inverse = _csr_from_rows(self.pts, self.owners()[order], self._n)
         return self._inverse
+
+    def growth(self, space: SpaceGraph) -> "GrowthTable":
+        """Intrinsic growth of every piece in ``space``, each around its
+        default centre (see :func:`_intrinsic_growth`).  Computed on the
+        first call for ``space`` and kept with it."""
+        if self._growth is None or self._growth[0] is not space:
+            centres = _default_centres(space, self.ptr, self.pts)
+            self._growth = (space, _intrinsic_growth(space, self.ptr,
+                                                     self.pts, centres))
+        return self._growth[1]
+
+
+# entries of the piece-major CSR per block of the intrinsic growth search
+_GROWTH_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class GrowthTable:
+    """Intrinsic ball counts of the pieces of a family, as ragged arrays:
+    piece i around ``centres[i]`` has radii 0..k-1, with cumulative
+    counts ``counts[rptr[i]:rptr[i + 1]]`` and cumulative truncation flags
+    ``truncated[rptr[i]:rptr[i + 1]]``; an empty piece has centre -1 and
+    no radii."""
+
+    centres: np.ndarray
+    rptr: np.ndarray
+    counts: np.ndarray
+    truncated: np.ndarray
+
+    def report(self, i: int, r_max: Optional[int] = None) -> GrowthReport:
+        """The growth report of piece i, read up to radius ``r_max``."""
+        i = range(len(self.centres))[i]
+        lo, hi = int(self.rptr[i]), int(self.rptr[i + 1])
+        if lo == hi:
+            raise DataError("empty subset")
+        if r_max is not None:
+            hi = min(hi, lo + max(r_max, 0) + 1)
+        return GrowthReport(center=int(self.centres[i]),
+                            radii=list(range(hi - lo)),
+                            counts=self.counts[lo:hi].tolist(),
+                            truncated=self.truncated[lo:hi].tolist())
+
+
+def _default_centres(space: SpaceGraph, ptr: np.ndarray,
+                     pts: np.ndarray) -> np.ndarray:
+    """The point of each piece with the largest window margin, the lowest
+    index among equals; -1 for an empty piece."""
+    order = np.lexsort((pts, -space.margins()[pts],
+                        np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))))
+    centres = np.full(len(ptr) - 1, -1, dtype=np.int64)
+    full = np.diff(ptr) > 0
+    centres[full] = pts[order[ptr[:-1][full]]]
+    return centres
+
+
+def _intrinsic_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
+                      centres: np.ndarray) -> GrowthTable:
+    """Ball counts of every piece ``pts[ptr[i]:ptr[i + 1]]`` (rows sorted)
+    in its own induced subgraph, around ``centres[i]``, a point of piece i.
+
+    One unweighted graph search covers a block of whole pieces: its nodes
+    are the entries (piece, point) of the block, and an edge joins two
+    entries of one piece whose points are adjacent.  The graph is
+    block-diagonal, so the nearest centre of an entry is its own piece's.
+    A radius is flagged truncated once a point at that distance comes
+    within the edge threshold of the window boundary.
+    """
+    dist = np.empty(len(pts), dtype=np.int64)
+    lo = 0
+    while lo < len(ptr) - 1:
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _GROWTH_BLOCK,
+                                             side="right")) - 1)
+        a, b = int(ptr[lo]), int(ptr[hi])
+        if a < b:
+            dist[a:b] = _entry_distances(space, ptr[lo:hi + 1] - a, pts[a:b],
+                                         centres[lo:hi])
+        lo = hi
+    # eccentricity of each piece: its centre is at 0, so the row maximum
+    full = np.diff(ptr) > 0
+    length = np.zeros(len(ptr) - 1, dtype=np.int64)
+    length[full] = np.maximum.reduceat(dist, ptr[:-1][full]) + 1
+    rptr = np.zeros(len(ptr), dtype=np.int64)
+    np.cumsum(length, out=rptr[1:])
+    reached = dist >= 0
+    at = (np.repeat(rptr[:-1], np.diff(ptr)) + dist)[reached]
+    edge = space.margins()[pts[reached]] <= space.edge_threshold
+
+    def within_rows(marks: np.ndarray) -> np.ndarray:
+        # cumulative sums of the marks at each radius, restarted per piece
+        total = np.cumsum(np.bincount(marks, minlength=rptr[-1]))
+        return total - np.repeat(np.r_[0, total][rptr[:-1]], length)
+
+    return GrowthTable(centres=centres, rptr=rptr, counts=within_rows(at),
+                       truncated=within_rows(at[edge]) > 0)
+
+
+def _entry_distances(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
+                     centres: np.ndarray) -> np.ndarray:
+    """Distance of every entry of the pieces ``(ptr, pts)`` from its
+    piece's centre in the piece's induced subgraph; -1 if unreachable."""
+    m, n = len(pts), space.n
+    owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    key = owner * n + pts
+    entry, nbr = _csr_take(space.indptr, space.indices, pts)
+    at = _sorted_lookup(key, owner[entry] * n + nbr)
+    indptr, indices = _csr_from_rows(entry[at >= 0], at[at >= 0], m)
+    full = centres >= 0
+    sources = _sorted_lookup(key, np.flatnonzero(full) * n + centres[full])
+    from scipy.sparse import csr_matrix
+
+    graph = csr_matrix((np.ones(len(indices), dtype=np.int8),
+                        indices.astype(np.int32), indptr.astype(np.int32)),
+                       shape=(m, m))
+    return _path_lengths(graph, sources, min_only=True)
 
 
 def _sorted_rows(row: np.ndarray, pts: np.ndarray, nrows: int,

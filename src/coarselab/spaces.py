@@ -300,6 +300,23 @@ def point_distance(p: ModelPoint, q: ModelPoint) -> float:
 # growth report
 
 
+def _path_lengths(graph, indices, limit: Optional[int] = None,
+                  **kw) -> np.ndarray:
+    """The one BFS: an unweighted csgraph search of a symmetric scipy
+    graph from ``indices``; -1 where unreachable or over ``limit``."""
+    from scipy.sparse.csgraph import dijkstra
+
+    lim = np.inf if limit is None else float(limit)
+    # every adjacency is symmetric: a directed search reads the same
+    # graph without scipy's transpose
+    d = dijkstra(graph, directed=True, unweighted=True, indices=indices,
+                 limit=lim, **kw)
+    out = np.full(d.shape, -1, dtype=np.int64)
+    finite = np.isfinite(d)
+    out[finite] = d[finite].astype(np.int64)
+    return out
+
+
 @dataclass
 class GrowthReport:
     """Ball cardinalities around a center, with boundary-truncation flags."""
@@ -364,7 +381,10 @@ def _within(t: np.ndarray, radius: np.ndarray, exact_t=None) -> np.ndarray:
     numpy's arccosh can differ from ``math.acosh`` in the last bit, so
     entries whose 1 + t lies within a relative 1e-9 of cosh(radius) are
     decided by the scalar function itself, on ``exact_t(band)`` (the t of
-    the entries ``band`` in scalar arithmetic) where that is given.
+    the entries ``band`` in scalar arithmetic) where that is given.  Each
+    distinct (t, radius) pair of the band is decided once: on a stratified
+    net every same-layer neighbour pair lies exactly 2*sep apart, so the
+    band holds many entries but few values.
     """
     u = 1.0 + t
     with np.errstate(over="ignore"):
@@ -373,8 +393,14 @@ def _within(t: np.ndarray, radius: np.ndarray, exact_t=None) -> np.ndarray:
     band = np.nonzero(np.abs(u / c - 1.0) <= 1e-9)[0]
     if len(band):
         tb = t[band] if exact_t is None else exact_t(band)
-        keep[band] = [_acosh1p(v) <= r for v, r in
-                      zip(tb.tolist(), radius[band].tolist())]
+        rb = radius[band]
+        order = np.lexsort((rb, tb))
+        tb, rb = tb[order], rb[order]
+        new = np.r_[True, (tb[1:] != tb[:-1]) | (rb[1:] != rb[:-1])]
+        first = np.flatnonzero(new)
+        verdict = np.array([_acosh1p(v) <= r for v, r in
+                            zip(tb[first].tolist(), rb[first].tolist())], bool)
+        keep[band[order]] = verdict[np.cumsum(new) - 1]
     return keep
 
 
@@ -688,7 +714,7 @@ class SpaceGraph:
         """Shortest-path distances from center; -1 where unreachable/over limit."""
         if not 0 <= center < self.n:
             raise IndexError(f"point index out of range: {center}")
-        return self._path_lengths(center, limit)
+        return _path_lengths(self._as_csr(), center, limit)
 
     def multi_source_distances(self, sources: Sequence[int],
                                limit: Optional[int] = None) -> np.ndarray:
@@ -696,21 +722,7 @@ class SpaceGraph:
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
         if not len(sources):
             return np.full(self.n, -1, dtype=np.int64)
-        return self._path_lengths(sources, limit, min_only=True)
-
-    def _path_lengths(self, indices, limit: Optional[int], **kw) -> np.ndarray:
-        # the one BFS: unweighted csgraph search, -1 for inf
-        from scipy.sparse.csgraph import dijkstra
-
-        lim = np.inf if limit is None else float(limit)
-        # every adjacency is symmetric: a directed search reads the same
-        # graph without scipy's transpose
-        d = dijkstra(self._as_csr(), directed=True, unweighted=True,
-                     indices=indices, limit=lim, **kw)
-        out = np.full(d.shape, -1, dtype=np.int64)
-        finite = np.isfinite(d)
-        out[finite] = d[finite].astype(np.int64)
-        return out
+        return _path_lengths(self._as_csr(), sources, limit, min_only=True)
 
     # -- row-aligned model distances --------------------------------------
 

@@ -2,21 +2,121 @@
 
 The t3 ball and comb loops build the model point objects one by one and
 look parents up in dictionaries; the greedy decomposition holds every
-piece as a Python set and compares pieces pairwise with ``set_distance``.
-They are slow and simple, and the array builders must reproduce them
-exactly (see ``test_array_core.py``).
+piece as a Python set and compares pieces pairwise with ``set_distance``;
+intrinsic growth runs one deque BFS per set over the adjacency tuples;
+the tile enumeration multiplies one Möbius matrix pair at a time.  They
+are slow and simple, and the array code must reproduce them exactly (see
+``test_array_core.py`` and ``test_growth_table.py``).
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from typing import Optional
 
 import numpy as np
 
+from coarselab.constructions import TileRecord, Tiling, _descend_matrix
 from coarselab.covers import ColoredDecomposition, Cover, r_multiplicity
 from coarselab.errors import PreconditionError
-from coarselab.spaces import (CombNode, TreeAddress, _csr_from_edges,
-                              point_distance)
+from coarselab.spaces import (CombNode, GrowthReport, SpaceGraph, TreeAddress,
+                              _csr_from_edges, point_distance)
+
+
+def intrinsic_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = None,
+                            r_max: Optional[int] = None) -> GrowthReport:
+    """Ball counts of a point set in its induced subgraph, by one deque BFS
+    over ``space.adj`` from ``center`` (default: the subset point with the
+    largest margin, the lowest index among equals)."""
+    subset = sorted(subset)
+    margins = space.margins()
+    if center is None:
+        center = max(subset, key=lambda i: (margins[i], -i))
+    sset = set(subset)
+    dist = {center: 0}
+    dq = deque([center])
+    while dq:
+        v = dq.popleft()
+        if r_max is not None and dist[v] >= r_max:
+            continue
+        for w in space.adj[v]:
+            if w in sset and w not in dist:
+                dist[w] = dist[v] + 1
+                dq.append(w)
+    by_r: dict[int, list[int]] = {}
+    for v, d in dist.items():
+        by_r.setdefault(d, []).append(v)
+    radii, counts, trunc = [], [], []
+    running, hit = 0, False
+    for r in range(max(dist.values()) + 1):
+        at = by_r.get(r, [])
+        if at and min(margins[v] for v in at) <= space.edge_threshold:
+            hit = True
+        running += len(at)
+        radii.append(r)
+        counts.append(running)
+        trunc.append(hit)
+    return GrowthReport(center=center, radii=radii, counts=counts,
+                        truncated=trunc)
+
+
+def _mobius_mul(m1: tuple, m2: tuple) -> tuple:
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _image_circle(m: tuple) -> tuple[float, float]:
+    # image of the right half-plane boundary (the y-axis) under m is the
+    # circle through m(0) and m(inf) centred on the real axis
+    (a, b), (c, d) = m
+    z0 = b / d if d != 0 else math.inf
+    zinf = a / c if c != 0 else math.inf
+    if not (math.isfinite(z0) and math.isfinite(zinf)):
+        return math.inf, 0.0
+    return abs(zinf - z0) / 2.0, (z0 + zinf) / 2.0
+
+
+def tiles_oracle(tiling: Tiling) -> list[TileRecord]:
+    """The tiles of ``tiling``, enumerated child by child with scalar
+    Möbius products."""
+    x = tiling.dilation
+    radius = float(tiling.window.get("radius", 8.0))
+    resolution = float(tiling.window.get("resolution", math.exp(-radius / 2.0)))
+    x_extent = math.sinh(radius) * 1.05 + 2.0
+    c0, rho0 = tiling.circle0
+    logx = math.log(x)
+    ball_c, ball_r = math.cosh(radius), math.sinh(radius)
+
+    def meets_window(c: float, rho: float) -> bool:
+        return math.hypot(c, ball_c) <= rho + ball_r + resolution
+
+    ident = ((1.0, 0.0), (0.0, 1.0))
+    tiles = [TileRecord("B1", ident, 0, False)]
+    for mirrored in (False, True):
+        tiles.append(TileRecord("A", ident, 0, mirrored))
+        tiles.append(TileRecord("B", ident, 0, mirrored))
+    stack = []
+    n_hi = int(math.floor(math.log(x_extent) / logx)) + 1
+    n_lo = int(math.ceil(math.log(max(resolution / rho0, 1e-300)) / logx)) - 1
+    for mirrored in (False, True):
+        for n in range(n_lo, n_hi + 1):
+            rho = x ** n * rho0
+            if meets_window(x ** n * c0, rho):
+                stack.append((_descend_matrix(x, n), rho, 1, mirrored))
+    while stack:
+        m, rho, depth, mirrored = stack.pop()
+        if 2.0 * rho < resolution or depth > 60:
+            continue
+        tiles.append(TileRecord("A", m, depth, mirrored))
+        tiles.append(TileRecord("B", m, depth, mirrored))
+        for n in range(n_lo, n_hi + 1):
+            child = _mobius_mul(m, _descend_matrix(x, n))
+            crho, cc = _image_circle(child)
+            if crho >= resolution / 2.0 and meets_window(cc, crho):
+                stack.append((child, crho, depth + 1, mirrored))
+    return tiles
 
 
 def greedy_select_oracle(points, sep: float) -> list[int]:

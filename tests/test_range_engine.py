@@ -3,7 +3,9 @@
 Every engine result is compared with brute force over all net points: CSR
 neighbourhoods with the dense matrix of exact ``distances`` (bit-identical
 to ``point_distance``), net edges with ``_edges_brute``, and nearest points
-with an argmin under the engine's ``(round(d, 12), index)`` key.
+with an argmin under the engine's ``(round(d, 12), index)`` key.  The
+exact test ``_within`` decides its tie band once per distinct (t, radius)
+value; it is compared with the scalar test entry by entry.
 """
 
 from __future__ import annotations
@@ -201,3 +203,23 @@ class TestUnsupportedDimension:
         with pytest.raises(UnsupportedError, match=f"d={d}"):
             generate_net("hd", {"kind": "ball", "radius": 1000.0, "d": d})
         assert issubclass(UnsupportedError, CoarselabError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3),
+                          st.integers(0, 2)), min_size=1, max_size=60),
+       st.booleans())
+def test_within_matches_the_scalar_test(entries, exact):
+    # t values a few ulps either side of cosh(r) - 1, drawn with repeats
+    radii = [0.8, 1.6, 2.0, 4.5, 9.25]
+    r = np.array([radii[i] for i, _, _ in entries])
+    base = np.cosh(r) - 1.0
+    t = base.copy()
+    for k, (_, ulps, _) in enumerate(entries):
+        for _ in range(abs(ulps)):
+            t[k] = np.nextafter(t[k], math.copysign(math.inf, ulps))
+    t += np.array([(0.0, 1e-3, -1e-12)[j] for _, _, j in entries]) * base
+    scalar = t * (1 + 1e-15) if exact else t
+    want = [spaces._acosh1p(v) <= rad for v, rad in zip(scalar.tolist(), r.tolist())]
+    got = spaces._within(t, r, (lambda b: scalar[b]) if exact else None)
+    assert got.tolist() == want

@@ -5,7 +5,9 @@ It is compared with the scalar ``assign_tile`` point by point, and its
 pieces, colours and labels with the per-point grouping loop it replaced.
 Adversarial points (on the bounding semicircles, on the slope rays, on the
 axis, mirrored, or pushed through several half-disk maps) exercise the
-near-tie band, where the batch defers to ``assign_tile``.
+near-tie band, where the batch defers to ``assign_tile``.  The tile list,
+enumerated a parent's children at a time, is compared with the scalar
+child-by-child enumeration.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from coarselab.constructions import (_assign_tiles, _complex_quotient,
                                      build_h2_tiling, tiling_to_decomposition)
 from coarselab.errors import AssignmentError
 from coarselab.spaces import generate_net
+from object_oracles import tiles_oracle
 
 
 def batch_ids(tiling, xs, ys):
@@ -91,6 +94,16 @@ def test_tiles_enumerated_only_when_read():
     assert "tiles" not in vars(tiling)
     tiles = tiling.tiles
     assert len(tiles) > 5 and tiling.tiles is tiles
+
+
+@pytest.mark.parametrize("r, window", [
+    (1.0, {"radius": 6.0}), (1.0, {"radius": 10.0}), (0.6, {"radius": 7.0}),
+    (1.5, {"radius": 8.0}), (1.0, {"radius": 7.0, "resolution": 0.002})])
+def test_tiles_match_the_scalar_enumeration(r, window):
+    tiling = build_h2_tiling(r, window)
+    tiles = tiling.tiles
+    assert tiles == tiles_oracle(tiling)
+    assert all(type(v) is float for t in tiles for row in t.matrix for v in row)
 
 
 def test_assignment_error_is_preserved(monkeypatch):
