@@ -186,8 +186,10 @@ class Tiling:
         # the children m * D_n of a parent m for every n at once; the image
         # of the y-axis under a child is the circle through m(0) = b/d and
         # m(inf) = a/c, centred on the real axis
+        # (empty when the window is too small for any descent)
         e, f, g, h = np.array([[v for row in _descend_matrix(x, n) for v in row]
-                               for n in range(n_lo, n_hi + 1)]).T
+                               for n in range(n_lo, n_hi + 1)],
+                              dtype=float).reshape(-1, 4).T
         while stack:
             m, rho, depth, mirrored = stack.pop()
             if 2.0 * rho < resolution or depth > 60:

@@ -190,6 +190,13 @@ class TestBuildCommand:
         assert report["all_pass"]
         assert len(report["checks"]) == 3
 
+    def test_tiling_build_on_a_small_ball(self, tmp_path):
+        # no descended copy meets a ball of radius 2: the base tiles only
+        rc = main(["build", "tiling", "--r", "1", "--ball", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(json.loads(read(tmp_path / "tiling.json"))["tiles"]) == 5
+
     def test_comb_build(self, tmp_path):
         rc = main(["build", "comb", "--d", "2", "--extent", "50",
                    "--out", str(tmp_path)])

@@ -98,7 +98,9 @@ def test_tiles_enumerated_only_when_read():
 
 @pytest.mark.parametrize("r, window", [
     (1.0, {"radius": 6.0}), (1.0, {"radius": 10.0}), (0.6, {"radius": 7.0}),
-    (1.5, {"radius": 8.0}), (1.0, {"radius": 7.0, "resolution": 0.002})])
+    (1.5, {"radius": 8.0}), (1.0, {"radius": 7.0, "resolution": 0.002}),
+    # windows too small for any descended copy: only the base tiles
+    (1.0, {"radius": 2.0}), (1.0, {"radius": 0.5})])
 def test_tiles_match_the_scalar_enumeration(r, window):
     tiling = build_h2_tiling(r, window)
     tiles = tiling.tiles
