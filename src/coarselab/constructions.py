@@ -22,8 +22,9 @@ from .covers import (ColoredDecomposition, Cover, PieceView,
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
                      PreconditionError, SizeCapError, UnsupportedError)
 from .spaces import (_HIGHER_CHILD, _LOWER_CHILD, PRODUCT_CAP, SpaceGraph,
-                     _csr_from_edges, _radix_strides, _sorted_lookup, _t_values,
-                     _within, _word_view, build_product, generate_net)
+                     _centre_distances, _csr_from_edges, _product_space,
+                     _radix_strides, _t_values, _within, _word_view,
+                     generate_net)
 
 __all__ = [
     "MapRecord",
@@ -586,9 +587,19 @@ def walk_value(walk: MapRecord, b: int) -> int:
 
 
 def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
-               product: Optional[SpaceGraph] = None) -> MapRecord:
+               window: Optional[dict] = None) -> MapRecord:
     """Snap (x_1..x_{d-1}; y) onto the tuple of nearest factor net points
-    ((x_i; y))_i.  With ``product`` given, the image is indexed there."""
+    ((x_i; y))_i.
+
+    The target is the image product: the distinct snapped tuples, as
+    factor-index tuples in key order, with the adjacency they induce in
+    the l1-product of the factors.  ``window`` = {"kind": "l1_ball",
+    "radius": R, "centers": [i...]} is the product window (as in
+    :func:`~coarselab.spaces.build_product`) that the image must lie in;
+    the first tuple outside it raises :class:`DomainError`.  The target's
+    window descriptor is that window (or the full product's), with the
+    factors and ``"image": True``.
+    """
     d = source.window.get("d", 2)
     if len(factors) != d - 1:
         raise ArityError(f"need {d - 1} plane factors, got {len(factors)}")
@@ -609,26 +620,23 @@ def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
             f" a radius-{factors[i].window['radius']} factor window")
     snapped = np.column_stack([f.nearest_points(xs[:, i:i + 1], ys)
                                for i, f in enumerate(factors)])
-    if product is None:
-        if len(factors) == 1:
-            target = factors[0]
-            assignment = snapped[:, 0].tolist()
-        else:
-            raise ValueError("multi-factor images need a product space")
-    else:
-        target = product
-        sizes = [f.n for f in product.window["factors"]]
-        if len(sizes) != len(factors):
-            raise ArityError(f"product has {len(sizes)} factors, need {len(factors)}")
-        # the product's points are its factor-index tuples in key order
-        strides = _radix_strides(sizes)
-        rows = _sorted_lookup(product._codes @ strides, np.where(
-            (snapped < sizes).all(axis=1), snapped @ strides, -1))
-        if (rows < 0).any():
-            c = tuple(snapped[np.argmax(rows < 0)].tolist())
+    wdesc = {"kind": "full"}
+    if window is not None:
+        radius, centers = float(window["radius"]), list(window["centers"])
+        # summed left to right from 0, as build_product sums the parts
+        total = sum(dv[snapped[:, k]] for k, dv in
+                    enumerate(_centre_distances(factors, centers)))
+        outside = ~(total <= radius)
+        if outside.any():
+            c = tuple(snapped[np.argmax(outside)].tolist())
             raise DomainError(f"image tuple {c} outside the product window")
-        assignment = rows.tolist()
-    return MapRecord(source=source, target=target, assignment=assignment,
+        wdesc = {"kind": "l1_ball", "radius": radius, "centers": centers}
+    sizes = [f.n for f in factors]
+    keys, rows = np.unique(snapped @ _radix_strides(sizes), return_inverse=True)
+    target = _product_space(
+        factors, np.column_stack(np.unravel_index(keys, sizes)),
+        wdesc | {"factors": list(factors), "image": True})
+    return MapRecord(source=source, target=target, assignment=rows.tolist(),
                      provenance={"construction": "brady_farb", "d": d})
 
 
@@ -638,8 +646,17 @@ def hd_cover_pipeline(d: int, radius: float, r: float, *,
     """Coloured decomposition of a half-space window, pulled back through
     the plane-product embedding of amplified factor tilings, with every
     intermediate artifact: the source net, tiling, factor nets and
-    decompositions, product space and its decomposition, and the
-    embedding map.  d = 2 degenerates to the plane tiling itself."""
+    decompositions, the embedding map, and its target (``"product"``) with
+    the product decomposition.  d = 2 degenerates to the plane tiling
+    itself.
+
+    The product window is the l1 ball of radius ``radius + snap_slack``
+    about the factor basepoints, but only its part the embedding meets is
+    built: ``"product"`` is the image product of :func:`brady_farb`, with
+    induced adjacency.  Its decomposition keeps every colour-diagonal piece
+    of the whole window, restricted to the image (so some are empty), and
+    the pulled pieces name their target pieces by those window ids.
+    """
     if d < 2:
         raise UnsupportedError("d must be >= 2")
     if d == 2:
@@ -656,17 +673,16 @@ def hd_cover_pipeline(d: int, radius: float, r: float, *,
     tiling = build_h2_tiling(r, {"radius": radius})
     decomps = [tiling_to_decomposition(tiling, f) for f in factors]
     amplified = [kolmogorov_amplify(dc) for dc in decomps]
-    product = build_product(
-        factors,
-        window={"kind": "l1_ball", "radius": radius + snap_slack,
-                "centers": [f.window["basepoint"] for f in factors]})
-    prod_decomp = product_decomposition(amplified[0], amplified[1], product)
     source = generate_net("hd", {"kind": "birad", "radius": radius, "d": d},
                           sep=source_sep, edge_threshold=2 * source_sep)
-    emb = brady_farb(source, factors, product)
+    emb = brady_farb(source, factors, window={
+        "kind": "l1_ball", "radius": radius + snap_slack,
+        "centers": [f.window["basepoint"] for f in factors]})
+    prod_decomp = product_decomposition(amplified[0], amplified[1], emb.target)
     pulled = pullback_decomposition(emb, prod_decomp)
     return {"decomposition": pulled, "net": source, "tiling": tiling,
-            "map": emb, "product": product, "product_decomposition": prod_decomp,
+            "map": emb, "product": emb.target,
+            "product_decomposition": prod_decomp,
             "factors": factors, "factor_decompositions": amplified}
 
 

@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import (ArityError, DataError, DomainError, PreconditionError,
                      UnsupportedError)
-from .spaces import (_VIEW_BLOCK, GrowthReport, SpaceGraph, _concat_csr,
-                     _csr_from_rows, _csr_take, _path_lengths, _sorted_lookup)
+from .spaces import (_VIEW_BLOCK, GrowthReport, SpaceGraph, _centre_distances,
+                     _concat_csr, _csr_from_rows, _csr_take, _path_lengths,
+                     _sorted_lookup)
 
 __all__ = [
     "PieceView",
@@ -725,7 +726,17 @@ def kolmogorov_amplify(decomp: ColoredDecomposition,
 
 def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
                           product: SpaceGraph) -> ColoredDecomposition:
-    """Colour-diagonal product decomposition on an l1-product space."""
+    """Colour-diagonal product decomposition on an l1-product space.
+
+    The pieces are the same-colour pairs (pa, pb) that meet the product's
+    window, in (colour, pa, pb) order, each holding the product points
+    (ix, iy) with ix in pa and iy in pb.  A pair meets an l1 window of
+    radius R exactly when min_pa d_a + min_pb d_b <= R (d the factor
+    distances to the centres; float addition is monotone), so the pieces
+    are enumerated per piece, not per point.  On an image product (a
+    subset of the window, see :func:`~coarselab.constructions.brady_farb`)
+    pieces that miss the subset stay, empty, and keep the window's ids.
+    """
     if dx.d != dy.d:
         raise ArityError(f"colour counts differ: {dx.d + 1} vs {dy.d + 1}")
     k = dx.d
@@ -735,31 +746,52 @@ def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
         raise PreconditionError(
             "factor coverage counts too small for the counting argument",
             witness=(int(cx.min()), int(cy.min())))
-    factors = product.window.get("factors")
+    window = product.window
+    factors = window.get("factors")
     if factors is None or len(factors) != 2:
         raise ArityError("product space must have exactly two factors")
+    views = [_piece_view(dc.pieces, f.n) for dc, f in zip((dx, dy), factors)]
+    cx, cy = np.asarray(dx.colors), np.asarray(dy.colors)
+
+    # the window's pieces: every same-colour pair of nonempty pieces whose
+    # nearest points to the centres (summed from 0, as build_product sums
+    # the parts) lie within the radius; a piece's id is the rank of its
+    # key (colour, pa, pb)
+    held = [np.diff(v.ptr) > 0 for v in views]
+    meet = (cx[:, None] == cy[None, :]) & held[0][:, None] & held[1][None, :]
+    if window["kind"] == "l1_ball":
+        low = []
+        for v, dv, rows in zip(views, _centre_distances(factors, window["centers"]),
+                               held):
+            m = np.full(len(v), np.inf)
+            m[rows] = np.minimum.reduceat(dv[v.pts], v.ptr[:-1][rows])
+            low.append(m)
+        meet &= low[0][:, None] + low[1][None, :] <= window["radius"]
+    nx, ny = meet.shape
+    pa, pb = np.nonzero(meet)
+    keys = np.sort((cx[pa] * nx + pa) * ny + pb)
+    pa, pb = keys // ny % nx, keys % ny
+
     # every same-colour (piece of ix, piece of iy) of each point (ix, iy)
     codes = product._codes
-    point, pa = _csr_take(*_piece_view(dx.pieces, factors[0].n).inverse(), codes[:, 0])
-    sub, pb = _csr_take(*_piece_view(dy.pieces, factors[1].n).inverse(),
-                        codes[point, 1])
-    point, pa = point[sub], pa[sub]
-    cx, cy = np.asarray(dx.colors), np.asarray(dy.colors)
-    same = cx[pa] == cy[pb]
-    point, pa, pb = point[same], pa[same], pb[same]
-    # pieces in (colour, pa, pb) order
-    order = np.lexsort((point, pb, pa, cx[pa]))
-    point, pa, pb = point[order], pa[order], pb[order]
-    heads = np.r_[0, np.flatnonzero((np.diff(pa) != 0) | (np.diff(pb) != 0)) + 1]
-    pieces = PieceView(np.r_[heads, len(point)], point, product.n)
-    colors = cx[pa[heads]].tolist()
-    trace = list(zip(pa[heads].tolist(), pb[heads].tolist()))
+    point, qa = _csr_take(*views[0].inverse(), codes[:, 0])
+    sub, qb = _csr_take(*views[1].inverse(), codes[point, 1])
+    point, qa = point[sub], qa[sub]
+    same = cx[qa] == cy[qb]
+    point, qa, qb = point[same], qa[same], qb[same]
+    pid = _sorted_lookup(keys, (cx[qa] * nx + qa) * ny + qb)
+    if (pid < 0).any():
+        raise DomainError(f"product point {int(point[np.argmax(pid < 0)])}"
+                          " lies outside its window")
+    ptr = np.r_[0, np.cumsum(np.bincount(pid, minlength=len(keys)))]
 
     # ColoredDecomposition rejects a product point that no piece covers
     return ColoredDecomposition(
-        space=product, pieces=pieces, colors=colors,
-        r=min(dx.r, dy.r), d=k, partition=False,
-        provenance={"construction": "product_decomposition", "factor_pieces": trace},
+        space=product,
+        pieces=PieceView(ptr, point[np.lexsort((point, pid))], product.n),
+        colors=cx[pa].tolist(), r=min(dx.r, dy.r), d=k, partition=False,
+        provenance={"construction": "product_decomposition",
+                    "factor_pieces": list(zip(pa.tolist(), pb.tolist()))},
     )
 
 

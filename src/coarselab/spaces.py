@@ -15,12 +15,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (EmptySpaceError, PreconditionError, SizeCapError,
-                     UnsupportedError)
+from .errors import (ArityError, EmptySpaceError, PreconditionError,
+                     SizeCapError, UnsupportedError)
 
 __all__ = [
     "HalfPlane",
@@ -247,8 +248,17 @@ def _acosh1p(t: float) -> float:
 
 
 def _acosh1p_array(t: np.ndarray) -> np.ndarray:
-    # numpy's arccosh can differ from math.acosh in the last bit
-    return np.fromiter(map(_acosh1p, t.tolist()), float, len(t))
+    # _acosh1p elementwise: numpy's arccosh can differ from math.acosh in
+    # the last bit, so math.acosh runs as a C-level map; 1 + t clamped at
+    # 1 gives acosh 0 wherever t <= 0 (NaN stays NaN)
+    return np.fromiter(map(math.acosh, np.maximum(1.0 + t, 1.0).tolist()),
+                       float, len(t))
+
+
+def _squares(v: np.ndarray) -> np.ndarray:
+    # v ** 2 elementwise through libm pow, as Python's ``**`` squares a
+    # float (numpy's square is v * v, which can differ in the last bit)
+    return np.fromiter(map(float.__pow__, v.tolist(), repeat(2)), float, len(v))
 
 
 def _word_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -369,8 +379,11 @@ def _t_exact(hd: bool, xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
     """
     if not hd:
         return _t_values(xa, ya, xb, yb)
-    dx2 = np.fromiter((sum(v ** 2 for v in row) for row in (xa - xb).tolist()),
-                      float, len(ya))
+    # summed left to right, as point_distance sums the columns
+    dx = xa - xb
+    dx2 = _squares(dx[:, 0])
+    for c in range(1, dx.shape[1]):
+        dx2 = dx2 + _squares(dx[:, c])
     dy = ya - yb
     return (dx2 + dy * dy) / (2.0 * ya * yb)
 
@@ -642,7 +655,9 @@ class SpaceGraph:
     def __post_init__(self):
         self.n = len(self.points)
         if not self.n:
-            raise EmptySpaceError(f"window produced no points: {self.window}")
+            # a product window holds its factor graphs: name it without them
+            shown = {k: v for k, v in self.window.items() if k != "factors"}
+            raise EmptySpaceError(f"window produced no points: {shown}")
         self.degree_bound = int(np.diff(self.indptr).max(initial=0))
 
     # -- basic queries ----------------------------------------------------
@@ -880,7 +895,7 @@ class SpaceGraph:
             # to the boundary from below.  (y - 1)**2 squares through libm
             # pow, as Python's ``**`` does.
             xs, ys = self._coords()
-            dy2 = np.fromiter((v ** 2 for v in (ys - 1.0).tolist()), float, n)
+            dy2 = _squares(ys - 1.0)
             total = np.zeros(n)
             for c in range(xs.shape[1]):
                 total = total + _acosh1p_array(
@@ -892,8 +907,8 @@ class SpaceGraph:
             if kind == "l1_ball":
                 # summed left to right from 0, as point_distance sums the parts
                 out = w["radius"] - sum(
-                    f.distances(np.arange(f.n), np.full(f.n, c))[codes[:, k]]
-                    for k, (f, c) in enumerate(zip(fs, w["centers"])))
+                    dv[codes[:, k]] for k, dv in
+                    enumerate(_centre_distances(fs, w["centers"])))
             for k, f in enumerate(fs):
                 out = np.minimum(out, f.margins()[codes[:, k]])
             return out
@@ -1329,8 +1344,7 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
     else:
         radius = float(window["radius"])
         centers = list(window["centers"])
-        dists = [s.distances(np.arange(s.n), np.full(s.n, c))
-                 for s, c in zip(spaces, centers)]
+        dists = _centre_distances(spaces, centers)
         # one factor at a time: a prefix keeps its running sum ``used``,
         # summed left to right from 0, as point_distance sums the parts
         codes, used = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
@@ -1344,6 +1358,15 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
         wdesc = {"kind": "l1_ball", "radius": radius, "centers": centers,
                  "factors": list(spaces)}
 
+    return _product_space(spaces, codes, wdesc)
+
+
+def _product_space(spaces: Sequence[SpaceGraph], codes: np.ndarray,
+                   window: dict) -> SpaceGraph:
+    """The l1-product graph on the factor-index tuples ``codes`` (rows in
+    key order): two tuples are adjacent when they differ in one factor, by
+    an edge of that factor, so a subset of a product gets the induced
+    adjacency."""
     def take(idx):
         parts = [_take_points(s.points, codes[idx, f]) for f, s in enumerate(spaces)]
         return list(map(TuplePoint, zip(*parts)))
@@ -1353,7 +1376,18 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
                       indptr=indptr, indices=indices,
                       sep=min(s.sep for s in spaces),
                       edge_threshold=max(s.edge_threshold for s in spaces),
-                      window=wdesc, _codes=codes)
+                      window=window, _codes=codes)
+
+
+def _centre_distances(spaces: Sequence[SpaceGraph],
+                      centers: Sequence[int]) -> list[np.ndarray]:
+    """Model distance from every point of each factor to its centre; a
+    count of centres other than of factors is refused first."""
+    if len(centers) != len(spaces):
+        raise ArityError(f"{len(centers)} window centres for "
+                         f"{len(spaces)} factors")
+    return [s.distances(np.arange(s.n), np.full(s.n, c))
+            for s, c in zip(spaces, centers)]
 
 
 def _masked_pairs(rows: int, cols: int, mask,

@@ -4,9 +4,11 @@ The t3 ball and comb loops build the model point objects one by one and
 look parents up in dictionaries; the greedy decomposition holds every
 piece as a Python set and compares pieces pairwise with ``set_distance``;
 intrinsic growth runs one deque BFS per set over the adjacency tuples;
-the tile enumeration multiplies one Möbius matrix pair at a time.  They
-are slow and simple, and the array code must reproduce them exactly (see
-``test_array_core.py`` and ``test_growth_table.py``).
+the tile enumeration multiplies one Möbius matrix pair at a time; the hd
+cover builds the whole l1 product window and looks the snapped tuples up
+in it.  They are slow and simple, and the array code must reproduce them
+exactly (see ``test_array_core.py``, ``test_growth_table.py`` and
+``test_image_product.py``).
 """
 
 from __future__ import annotations
@@ -17,11 +19,17 @@ from typing import Optional
 
 import numpy as np
 
-from coarselab.constructions import TileRecord, Tiling, _descend_matrix
-from coarselab.covers import ColoredDecomposition, Cover, r_multiplicity
-from coarselab.errors import PreconditionError
+from coarselab.constructions import (MapRecord, TileRecord, Tiling,
+                                     _descend_matrix, build_h2_tiling,
+                                     tiling_to_decomposition)
+from coarselab.covers import (ColoredDecomposition, Cover, PieceView,
+                              kolmogorov_amplify, pullback_decomposition,
+                              r_multiplicity)
+from coarselab.errors import DomainError, PreconditionError
 from coarselab.spaces import (CombNode, GrowthReport, SpaceGraph, TreeAddress,
-                              _csr_from_edges, point_distance)
+                              _csr_from_edges, _csr_take, _radix_strides,
+                              _sorted_lookup, build_product, generate_net,
+                              point_distance)
 
 
 def intrinsic_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = None,
@@ -298,3 +306,64 @@ def verify_greedy_oracle(decomp: ColoredDecomposition, cover: Cover) -> None:
         if not piece <= cover.pieces[src]:
             raise PreconditionError("greedy piece escapes its source piece",
                                     witness=src)
+
+
+def product_decomposition_oracle(dx: ColoredDecomposition,
+                                 dy: ColoredDecomposition,
+                                 product: SpaceGraph) -> ColoredDecomposition:
+    """Colour-diagonal pieces enumerated per point: every same-colour
+    (piece of ix, piece of iy) of each product point (ix, iy), grouped, in
+    (colour, pa, pb) order.  A pair is a piece when it holds a point."""
+    fx, fy = product.window["factors"]
+    codes = product._codes
+    point, pa = _csr_take(*PieceView(dx.pieces.ptr, dx.pieces.pts, fx.n).inverse(),
+                          codes[:, 0])
+    sub, pb = _csr_take(*PieceView(dy.pieces.ptr, dy.pieces.pts, fy.n).inverse(),
+                        codes[point, 1])
+    point, pa = point[sub], pa[sub]
+    cx, cy = np.asarray(dx.colors), np.asarray(dy.colors)
+    same = cx[pa] == cy[pb]
+    point, pa, pb = point[same], pa[same], pb[same]
+    order = np.lexsort((point, pb, pa, cx[pa]))
+    point, pa, pb = point[order], pa[order], pb[order]
+    heads = np.r_[0, np.flatnonzero((np.diff(pa) != 0) | (np.diff(pb) != 0)) + 1]
+    return ColoredDecomposition(
+        space=product, pieces=PieceView(np.r_[heads, len(point)], point, product.n),
+        colors=cx[pa[heads]].tolist(), r=min(dx.r, dy.r), d=dx.d,
+        partition=False,
+        provenance={"construction": "product_decomposition",
+                    "factor_pieces": list(zip(pa[heads].tolist(),
+                                              pb[heads].tolist()))})
+
+
+def full_product_pipeline(radius: float, r: float, *, source_sep: float = 0.35,
+                          factor_sep: float = 1.0, snap_slack: float = 2.5) -> dict:
+    """``hd_cover_pipeline(3, ...)`` through the whole l1 product window:
+    ``build_product`` materialises every tuple of the window, the product
+    decomposition enumerates its pieces point by point, and each snapped
+    source tuple is looked up among the window's keys (the first one
+    missing raises :class:`DomainError`)."""
+    factors = [generate_net("h2", {"kind": "ball", "radius": radius},
+                            sep=factor_sep) for _ in range(2)]
+    tiling = build_h2_tiling(r, {"radius": radius})
+    amplified = [kolmogorov_amplify(tiling_to_decomposition(tiling, f))
+                 for f in factors]
+    product = build_product(
+        factors,
+        window={"kind": "l1_ball", "radius": radius + snap_slack,
+                "centers": [f.window["basepoint"] for f in factors]})
+    prod_decomp = product_decomposition_oracle(amplified[0], amplified[1], product)
+    source = generate_net("hd", {"kind": "birad", "radius": radius, "d": 3},
+                          sep=source_sep, edge_threshold=2 * source_sep)
+    xs, ys = source._coords()
+    snapped = np.column_stack([f.nearest_points(xs[:, i:i + 1], ys)
+                               for i, f in enumerate(factors)])
+    strides = _radix_strides([f.n for f in factors])
+    rows = _sorted_lookup(product._codes @ strides, snapped @ strides)
+    if (rows < 0).any():
+        c = tuple(snapped[np.argmax(rows < 0)].tolist())
+        raise DomainError(f"image tuple {c} outside the product window")
+    emb = MapRecord(source=source, target=product, assignment=rows.tolist(),
+                    provenance={"construction": "brady_farb", "d": 3})
+    return {"decomposition": pullback_decomposition(emb, prod_decomp),
+            "map": emb, "product": product, "product_decomposition": prod_decomp}

@@ -291,6 +291,18 @@ class TestBuildCommand:
         err = capsys.readouterr().err
         assert "--factor" in err and "Traceback" not in err
 
+    def test_empty_product_window_exit_2(self, tmp_path, capsys):
+        main(["space", "--model", "z", "--range", "6",
+              "--out", str(tmp_path / "net")])
+        capsys.readouterr()
+        factor = str(tmp_path / "net" / "space.json")
+        rc = main(["build", "product", "--factor", factor, "--factor", factor,
+                   "--l1-radius", "-1", "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "window produced no points" in err and "l1_ball" in err
+        assert "SpaceGraph(" not in err and "Traceback" not in err
+
     def test_negative_multiplicity_radius_exit_2(self, tmp_path, capsys):
         main(["build", "tiling", "--r", "1", "--ball", "4", "--sep", "1.0",
               "--out", str(tmp_path)])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarselab import analysis, covers
+from coarselab import analysis, covers, spaces
 from coarselab.constructions import MapRecord, tree_walk
 from coarselab.covers import (ColoredDecomposition, Cover, pullback_cover,
                               pullback_decomposition, r_multiplicity)
@@ -450,3 +450,14 @@ def test_product_decomposition_matches_loop(seed, l1):
     assert got.pieces == [p for p, _, _ in expect]
     assert got.colors == [c for _, c, _ in expect]
     assert got.provenance["factor_pieces"] == [t for _, _, t in expect]
+
+    # on a subset of the window (an image product) every window piece
+    # keeps its id and colour, restricted to the subset, empty or not
+    keep = sorted(rng.sample(range(product.n), rng.randint(1, product.n)))
+    image = spaces._product_space([fx, fy], product._codes[keep],
+                                  product.window | {"image": True})
+    sub = covers.product_decomposition(dx, dy, image)
+    assert sub.pieces == [frozenset(i for i, j in enumerate(keep) if j in p)
+                          for p, _, _ in expect]
+    assert sub.colors == got.colors
+    assert sub.provenance == got.provenance

@@ -3,7 +3,7 @@
 ``build_product`` is compared with the tuple loop it replaced, point for
 point and edge for edge; the product ``distances`` kernel with the scalar
 ``point_distance``; the size cap with its allocation; and the
-``brady_farb`` product lookup with a tuple set.
+``brady_farb`` window test and image rows with a tuple set.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from coarselab import spaces
 from coarselab.constructions import brady_farb
-from coarselab.errors import DomainError, SizeCapError
+from coarselab.errors import ArityError, DomainError, SizeCapError
 from coarselab.spaces import (TuplePoint, build_product, generate_net,
                               point_distance)
 
@@ -182,6 +182,19 @@ def test_l1_cap_fires_before_allocation():
     assert peak < 4 * 2**20
 
 
+def test_too_few_centres_refused_before_allocation():
+    f = z(-200_000, 200_000)
+    window = {"kind": "l1_ball", "radius": 10.0, "centers": [f.n // 2]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArityError, match="1 window centres for 2 factors"):
+            build_product([f, f], window=window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one factor's centre distances take 3.2 MB
+
+
 def test_three_factor_l1_cap():
     f = z(-30, 30)
     with pytest.raises(SizeCapError):
@@ -201,11 +214,12 @@ def test_brady_farb_names_first_missing_tuple():
     first = next(c for c in snapped if c not in inside)
     with pytest.raises(DomainError, match=re.escape(
             f"image tuple {first} outside the product window")):
-        brady_farb(src, fs, product)
-    # with the whole window every tuple is found, at its own row
-    whole = build_product(fs, window=l1(fs, 20.0))
-    rows = brady_farb(src, fs, whole).assignment
-    assert [tuple(whole._codes[r].tolist()) for r in rows] == snapped
+        brady_farb(src, fs, l1(fs, 1.5))
+    # with the whole window every tuple is found, at its own row of the
+    # image product: the distinct tuples in key order
+    rec = brady_farb(src, fs, l1(fs, 20.0))
+    assert [tuple(rec.target._codes[r].tolist()) for r in rec.assignment] == snapped
+    assert list(map(tuple, rec.target._codes.tolist())) == sorted(set(snapped))
 
 
 def test_single_factor_ignores_window():
