@@ -102,7 +102,8 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
     Radii run to ``r_max`` or to the last radius that reaches a new
     point.  A point outside ``range(space.n)`` raises
     :class:`DomainError`; an intrinsic center outside the subset raises
-    :class:`PreconditionError` with the center as witness.
+    :class:`PreconditionError` with the center as witness, and a
+    negative ``r_max`` raises :class:`UnsupportedError`.
     """
     if metric not in ("ambient", "intrinsic"):
         raise UnsupportedError(f"unknown metric {metric!r}")
@@ -127,15 +128,13 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
 def piece_growth(decomp_or_cover: Union[Cover, ColoredDecomposition],
                  piece: int, r_max: Optional[int] = None,
                  metric: str = "ambient") -> GrowthReport:
-    """:func:`set_growth` of one piece around its default center.  The
-    intrinsic growth of every piece is computed together on the first
-    call and kept with the family's pieces; later calls read it."""
-    if metric == "intrinsic":
-        return decomp_or_cover.pieces.growth(
-            decomp_or_cover.space).report(piece, r_max)
-    return set_growth(decomp_or_cover.space,
-                      decomp_or_cover.pieces.row(piece),
-                      r_max=r_max, metric=metric)
+    """:func:`set_growth` of one piece around its default center, read from
+    the growth table of the family's pieces (:meth:`PieceView.growth`).
+    Intrinsic tables are made for every piece on the first call; ambient
+    tables one block of 64 pieces at a time, on the first call for a
+    piece of the block.  Later calls read them."""
+    return decomp_or_cover.pieces.growth(
+        decomp_or_cover.space, metric).report(piece, r_max)
 
 
 # ---------------------------------------------------------------------------

@@ -668,22 +668,24 @@ def hd_cover_pipeline(d: int, radius: float, r: float, *,
                 "map": None, "product": None, "factors": [net]}
     if d != 3:
         raise UnsupportedError("only d in {2, 3} windows are generated")
-    factors = [generate_net("h2", {"kind": "ball", "radius": radius},
-                            sep=factor_sep) for _ in range(d - 1)]
+    # every factor is the same plane window: build it, its tiling
+    # decomposition and its amplification once
+    factor = generate_net("h2", {"kind": "ball", "radius": radius},
+                          sep=factor_sep)
     tiling = build_h2_tiling(r, {"radius": radius})
-    decomps = [tiling_to_decomposition(tiling, f) for f in factors]
-    amplified = [kolmogorov_amplify(dc) for dc in decomps]
+    amplified = kolmogorov_amplify(tiling_to_decomposition(tiling, factor))
+    factors = [factor] * (d - 1)
     source = generate_net("hd", {"kind": "birad", "radius": radius, "d": d},
                           sep=source_sep, edge_threshold=2 * source_sep)
     emb = brady_farb(source, factors, window={
         "kind": "l1_ball", "radius": radius + snap_slack,
         "centers": [f.window["basepoint"] for f in factors]})
-    prod_decomp = product_decomposition(amplified[0], amplified[1], emb.target)
+    prod_decomp = product_decomposition(amplified, amplified, emb.target)
     pulled = pullback_decomposition(emb, prod_decomp)
     return {"decomposition": pulled, "net": source, "tiling": tiling,
             "map": emb, "product": emb.target,
             "product_decomposition": prod_decomp,
-            "factors": factors, "factor_decompositions": amplified}
+            "factors": factors, "factor_decompositions": [amplified] * (d - 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -119,28 +119,42 @@ class PieceView(collections.abc.Sequence):
             self._inverse = _csr_from_rows(self.pts, self.owners()[order], self._n)
         return self._inverse
 
-    def growth(self, space: SpaceGraph) -> "GrowthTable":
-        """Intrinsic growth of every piece in ``space``, each around its
-        default centre (see :func:`_intrinsic_growth`).  Computed on the
-        first call for ``space`` and kept with it."""
+    def growth(self, space: SpaceGraph,
+               metric: str = "intrinsic") -> Union[GrowthTable, AmbientGrowth]:
+        """Growth of every piece in ``space`` around its default centre, in
+        the piece's induced subgraph (``metric="intrinsic"``, see
+        :func:`_intrinsic_growth`) or inside ambient graph balls
+        (``metric="ambient"``, see :class:`AmbientGrowth`).  One table per
+        metric is made on the first call for ``space`` and kept with it."""
+        if metric not in ("ambient", "intrinsic"):
+            raise UnsupportedError(f"unknown metric {metric!r}")
         if self._growth is None or self._growth[0] is not space:
+            self._growth = (space, {})
+        tables = self._growth[1]
+        if metric not in tables:
             centres = _default_centres(space, self.ptr, self.pts)
-            self._growth = (space, _intrinsic_growth(space, self.ptr,
-                                                     self.pts, centres))
-        return self._growth[1]
+            tables[metric] = (
+                _intrinsic_growth(space, self.ptr, self.pts, centres)
+                if metric == "intrinsic"
+                else AmbientGrowth(space, self.ptr, self.pts, centres))
+        return tables[metric]
 
 
 # entries of the piece-major CSR per block of the intrinsic growth search
 _GROWTH_BLOCK = 1 << 16
 
+# pieces per ambient growth search: one bit of a uint64 mask each
+_AMBIENT_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class GrowthTable:
-    """Intrinsic ball counts of the pieces of a family, as ragged arrays:
-    piece i around ``centres[i]`` has radii 0..k-1, with cumulative
-    counts ``counts[rptr[i]:rptr[i + 1]]`` and cumulative truncation flags
+    """Ball counts of the pieces of a family, as ragged arrays: piece i
+    around ``centres[i]`` has radii 0..k-1, with cumulative counts
+    ``counts[rptr[i]:rptr[i + 1]]`` and cumulative truncation flags
     ``truncated[rptr[i]:rptr[i + 1]]``; an empty piece has centre -1 and
-    no radii."""
+    no radii.  The balls are intrinsic (:func:`_intrinsic_growth`) or
+    ambient (:func:`_ambient_growth`) as the table was made."""
 
     centres: np.ndarray
     rptr: np.ndarray
@@ -148,17 +162,44 @@ class GrowthTable:
     truncated: np.ndarray
 
     def report(self, i: int, r_max: Optional[int] = None) -> GrowthReport:
-        """The growth report of piece i, read up to radius ``r_max``."""
+        """The growth report of piece i, read up to radius ``r_max``; a
+        negative ``r_max`` raises :class:`UnsupportedError`."""
         i = range(len(self.centres))[i]
+        if r_max is not None and r_max < 0:
+            raise UnsupportedError("radius must be >= 0")
         lo, hi = int(self.rptr[i]), int(self.rptr[i + 1])
         if lo == hi:
             raise DataError("empty subset")
         if r_max is not None:
-            hi = min(hi, lo + max(r_max, 0) + 1)
+            hi = min(hi, lo + r_max + 1)
         return GrowthReport(center=int(self.centres[i]),
                             radii=list(range(hi - lo)),
                             counts=self.counts[lo:hi].tolist(),
                             truncated=self.truncated[lo:hi].tolist())
+
+
+class AmbientGrowth:
+    """Ambient growth of every piece of a family around ``centres``, read
+    like a :class:`GrowthTable`.  The pieces are searched in blocks of
+    ``_AMBIENT_BLOCK``, a block on the first read of one of its pieces,
+    so a loop over the pieces makes one search per block and a single
+    read makes one search."""
+
+    def __init__(self, space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
+                 centres: np.ndarray):
+        self.space, self.ptr, self.pts, self.centres = space, ptr, pts, centres
+        self._blocks: dict[int, GrowthTable] = {}
+
+    def report(self, i: int, r_max: Optional[int] = None) -> GrowthReport:
+        """The growth report of piece i, read up to radius ``r_max``."""
+        b, i = divmod(range(len(self.centres))[i], _AMBIENT_BLOCK)
+        if b not in self._blocks:
+            lo = b * _AMBIENT_BLOCK
+            ptr = self.ptr[lo:lo + _AMBIENT_BLOCK + 1]
+            self._blocks[b] = _ambient_growth(
+                self.space, ptr - ptr[0], self.pts[ptr[0]:ptr[-1]],
+                self.centres[lo:lo + _AMBIENT_BLOCK])
+        return self._blocks[b].report(i, r_max)
 
 
 def _default_centres(space: SpaceGraph, ptr: np.ndarray,
@@ -212,6 +253,82 @@ def _intrinsic_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
 
     return GrowthTable(centres=centres, rptr=rptr, counts=within_rows(at),
                        truncated=within_rows(at[edge]) > 0)
+
+
+def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
+                    centres: np.ndarray) -> GrowthTable:
+    """Ambient ball counts of at most 64 pieces ``pts[ptr[i]:ptr[i + 1]]``
+    around ``centres[i]``, equal to :func:`~coarselab.spaces.growth_report`
+    with the piece as ``subset``: a row runs to its centre's eccentricity
+    in its component, and a radius is flagged truncated once any point at
+    that distance, in the piece or not, comes within the edge threshold
+    of the window boundary.
+
+    One level-synchronous search serves every centre (multi-source BFS
+    with one bit per source): each point holds a uint64 mask of the
+    centres that have reached it, and a level expands only the points
+    that some centre reached at the level before, so its work is
+    proportional to the frontier.
+    """
+    k = len(centres)
+    full = centres >= 0
+    if not full.any():
+        return GrowthTable(centres, np.zeros(k + 1, dtype=np.int64),
+                           np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+    bit = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    member = np.zeros(space.n, dtype=np.uint64)
+    np.bitwise_or.at(member, pts, np.repeat(bit, np.diff(ptr)))
+    seen = np.zeros(space.n, dtype=np.uint64)
+    np.bitwise_or.at(seen, centres[full], bit[full])
+    slot = np.zeros(space.n, dtype=np.int64)
+    indptr, indices = space.indptr, space.indices
+    edge = space.margins() <= space.edge_threshold
+    front = np.unique(centres[full])
+    mask = seen[front]
+    # per level: the centres still reaching new points, those reaching
+    # the window edge, and the piece points reached
+    alive, touched, hits = [], [], []
+    while len(front):
+        alive.append(np.bitwise_or.reduce(mask))
+        touched.append(np.bitwise_or.reduce(mask[edge[front]]))
+        hit = mask & member[front]
+        hits.append(hit[hit != 0])
+        start = indptr[front]
+        size = indptr[front + 1] - start
+        end = np.cumsum(size)
+        nbr = indices[np.arange(end[-1]) + np.repeat(start - end + size, size)]
+        before = seen[nbr]
+        new = np.repeat(mask, size) & ~before
+        keep = np.flatnonzero(new)
+        nbr, before = nbr[keep], before[keep]
+        np.bitwise_or.at(seen, nbr, new[keep])
+        # the first entry of each point, found without a sort
+        at = np.arange(len(nbr))
+        slot[nbr] = at
+        first = slot[nbr] == at
+        front = nbr[first]
+        mask = seen[front] & ~before[first]
+
+    def unpack(words: np.ndarray) -> np.ndarray:
+        # (len(words), k) bits of each word, the lowest first
+        octets = np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets, axis=1, bitorder="little")[:, :k] == 1
+
+    levels = len(alive)
+    # a row ends at the last level its centre reaches a new point
+    reach = unpack(np.array(alive, dtype=np.uint64))
+    length = np.where(full, levels - reach[::-1].argmax(axis=0), 0)
+    entry, piece = np.nonzero(unpack(np.concatenate(hits)))
+    level = np.repeat(np.arange(levels), [len(h) for h in hits])[entry]
+    counts = np.bincount(level * k + piece, minlength=levels * k)
+    rows = np.arange(levels) < length[:, None]
+    rptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(length, out=rptr[1:])
+    return GrowthTable(
+        centres=centres, rptr=rptr,
+        counts=np.cumsum(counts.reshape(levels, k), axis=0).T[rows],
+        truncated=np.logical_or.accumulate(
+            unpack(np.array(touched, dtype=np.uint64)), axis=0).T[rows])
 
 
 def _entry_distances(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,

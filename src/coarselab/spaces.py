@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -685,33 +685,34 @@ class SpaceGraph:
         return self._index[key]
 
     def model_distance(self, i: int, j: int) -> float:
+        if self.model == "t3":
+            return self._tree_distance(i, j)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"point index out of range: {i}, {j}")
         if self._dist_matrix is not None:
             return float(self._dist_matrix[i, j])
-        if self.model == "t3":
-            codes, depth = self._letter_codes
-            a, b, la, lb = codes[i], codes[j], depth[i], depth[j]
-            # compare the prefixes of the common length; the highest
-            # differing letter ends the common prefix
-            if la > lb:
-                a >>= 8 * (la - lb)
-            else:
-                b >>= 8 * (lb - la)
-            common = min(la, lb) - ((a ^ b).bit_length() + 7) // 8
-            return float(la + lb - 2 * common)
         return point_distance(self.points[i], self.points[j])
 
     @cached_property
-    def _letter_codes(self) -> tuple[list[int], list[int]]:
+    def _tree_distance(self) -> Callable[[int, int], float]:
         # t3 words as Python ints, a byte a letter with the first letter
-        # highest (exact at any depth), and the word lengths
+        # highest, padded to one width: the common prefix of two words ends
+        # at their highest differing byte or at the shorter word's end
+        # (exact at any depth)
         words, depth = self._codes
-        flat = words[np.arange(words.shape[1]) < depth[:, None]].tobytes()
-        lengths = depth.tolist()
-        ends = np.cumsum(depth).tolist()
-        return [int.from_bytes(flat[a - d:a], "big")
-                for a, d in zip(ends, lengths)], lengths
+        width, flat = words.shape[1], words.tobytes()
+        codes = [int.from_bytes(flat[a * width:(a + 1) * width], "big")
+                 for a in range(self.n)]
+        depth, n = depth.tolist(), self.n
+
+        def distance(i: int, j: int) -> float:
+            if not (0 <= i < n and 0 <= j < n):
+                raise IndexError(f"point index out of range: {i}, {j}")
+            la, lb = depth[i], depth[j]
+            short = la if la < lb else lb
+            common = width - ((codes[i] ^ codes[j]).bit_length() + 7) // 8
+            return float(la + lb - 2 * (common if common < short else short))
+        return distance
 
     # -- graph metric -----------------------------------------------------
 
@@ -1000,8 +1001,11 @@ def growth_report(space: SpaceGraph, center: int,
 
     With ``subset`` given, counts are of subset points inside ambient
     balls (the subset as a metric subspace).  Flags are cumulative: once
-    a frontier touches the boundary, all larger radii stay flagged.
+    a frontier touches the boundary, all larger radii stay flagged.  A
+    negative ``r_max`` raises :class:`UnsupportedError`.
     """
+    if r_max is not None and r_max < 0:
+        raise UnsupportedError("radius must be >= 0")
     dist = space.graph_distances(center, limit=r_max)
     reached = np.flatnonzero(dist >= 0)
     d = dist[reached]

@@ -3,12 +3,12 @@
 The t3 ball and comb loops build the model point objects one by one and
 look parents up in dictionaries; the greedy decomposition holds every
 piece as a Python set and compares pieces pairwise with ``set_distance``;
-intrinsic growth runs one deque BFS per set over the adjacency tuples;
-the tile enumeration multiplies one Möbius matrix pair at a time; the hd
-cover builds the whole l1 product window and looks the snapped tuples up
-in it.  They are slow and simple, and the array code must reproduce them
-exactly (see ``test_array_core.py``, ``test_growth_table.py`` and
-``test_image_product.py``).
+intrinsic and ambient growth run one deque BFS per set over the adjacency
+tuples; the tile enumeration multiplies one Möbius matrix pair at a time;
+the hd cover builds the whole l1 product window and looks the snapped
+tuples up in it.  They are slow and simple, and the array code must
+reproduce them exactly (see ``test_array_core.py``,
+``test_growth_table.py`` and ``test_image_product.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +37,20 @@ def intrinsic_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = N
     """Ball counts of a point set in its induced subgraph, by one deque BFS
     over ``space.adj`` from ``center`` (default: the subset point with the
     largest margin, the lowest index among equals)."""
+    return _deque_growth(space, subset, center, r_max, intrinsic=True)
+
+
+def ambient_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = None,
+                          r_max: Optional[int] = None) -> GrowthReport:
+    """Counts of a point set inside ambient graph balls, by one deque BFS
+    over ``space.adj`` from ``center`` (default as above).  Rows run to the
+    centre's eccentricity in its component, and every point reached, in
+    the set or not, can flag its radius truncated."""
+    return _deque_growth(space, subset, center, r_max, intrinsic=False)
+
+
+def _deque_growth(space: SpaceGraph, subset, center: Optional[int],
+                  r_max: Optional[int], intrinsic: bool) -> GrowthReport:
     subset = sorted(subset)
     margins = space.margins()
     if center is None:
@@ -49,7 +63,7 @@ def intrinsic_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = N
         if r_max is not None and dist[v] >= r_max:
             continue
         for w in space.adj[v]:
-            if w in sset and w not in dist:
+            if (w in sset or not intrinsic) and w not in dist:
                 dist[w] = dist[v] + 1
                 dq.append(w)
     by_r: dict[int, list[int]] = {}
@@ -61,7 +75,7 @@ def intrinsic_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = N
         at = by_r.get(r, [])
         if at and min(margins[v] for v in at) <= space.edge_threshold:
             hit = True
-        running += len(at)
+        running += sum(v in sset for v in at)
         radii.append(r)
         counts.append(running)
         trunc.append(hit)

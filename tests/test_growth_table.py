@@ -1,12 +1,16 @@
-"""Intrinsic growth of every piece from one graph search per block.
+"""Growth tables of every piece of a family, intrinsic and ambient.
 
-``PieceView.growth`` searches the entry graph of a family (one node per
-(piece, point) entry, edges between adjacent points of one piece) and
-keeps the ball counts of every piece; ``piece_growth`` and intrinsic
-``set_growth`` read it.  Both are compared with the deque BFS they
-replaced (``object_oracles.intrinsic_growth_oracle``) on random graphs,
-integer windows and half-plane windows, for partitions and overlapping
-covers, default and explicit centres, and cut-off radii.
+``PieceView.growth`` keeps one table per metric.  The intrinsic table
+searches the entry graph of a family (one node per (piece, point) entry,
+edges between adjacent points of one piece) in blocks of whole pieces;
+the ambient table runs one bit-parallel search of the space per block of
+64 pieces, a block when one of its pieces is first read.  ``piece_growth``
+and intrinsic ``set_growth`` read them.  Both are compared with deque BFS
+oracles (``object_oracles.intrinsic_growth_oracle`` and
+``ambient_growth_oracle``) on random and disconnected graphs, integer
+windows and half-plane windows, for partitions, overlapping covers and
+empty pieces, default and explicit centres, and cut-off radii; ambient
+rows also with ``growth_report``.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from hypothesis import strategies as st
 
 from coarselab import constructions, covers
 from coarselab.analysis import piece_growth, set_growth
-from coarselab.covers import Cover, PieceView
-from coarselab.errors import DataError, DomainError, PreconditionError
-from coarselab.spaces import generate_net, metric_graph
+from coarselab.covers import Cover, PieceView, _piece_view
+from coarselab.errors import (DataError, DomainError, PreconditionError,
+                              UnsupportedError)
+from coarselab.spaces import generate_net, growth_report, metric_graph
 
-from object_oracles import intrinsic_growth_oracle
+from object_oracles import ambient_growth_oracle, intrinsic_growth_oracle
 
 _spaces: dict = {}
 
@@ -179,3 +184,139 @@ class TestSetGrowthInputs:
     def test_empty_subset_has_no_data(self, z):
         with pytest.raises(DataError):
             set_growth(z, [], metric="intrinsic")
+
+
+# -- ambient tables -----------------------------------------------------------
+
+
+@st.composite
+def ambient_families(draw):
+    """A space (random graphs are often disconnected) and a family of
+    pieces that may overlap or be empty, sometimes of more than 64."""
+    kind = draw(st.sampled_from(["graph", "graph", "z", "h2"]))
+    if kind == "graph":
+        n = draw(st.integers(1, 30))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        space = metric_graph(n, draw(st.lists(pairs, max_size=2 * n)))
+    else:
+        space = space_of(kind, draw(st.integers(1, 12)))
+    k = draw(st.one_of(st.integers(1, 8), st.integers(60, 140)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        member = rng.random((space.n, k)) < rng.random()
+    else:
+        member = np.zeros((space.n, k), dtype=bool)
+        member[np.arange(space.n), rng.integers(0, k, space.n)] = True
+    return space, [np.flatnonzero(member[:, j]).tolist() for j in range(k)], rng
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ambient_families(), st.sampled_from([1, 5, 64]),
+       st.one_of(st.none(), st.integers(0, 6)))
+def test_ambient_tables_match_the_deque_bfs(case, block, r_max):
+    space, pieces, rng = case
+    view = _piece_view(pieces, space.n)
+    with mock.patch.object(covers, "_AMBIENT_BLOCK", block):
+        table = view.growth(space, "ambient")
+        # blocks are filled in the order their pieces are first read
+        for i in rng.permutation(len(pieces)).tolist():
+            if not pieces[i]:
+                with pytest.raises(DataError):
+                    table.report(i, r_max)
+                continue
+            want = ambient_growth_oracle(space, pieces[i], r_max=r_max)
+            assert as_tuple(table.report(i, r_max)) == as_tuple(want)
+            assert as_tuple(growth_report(space, want.center, r_max=r_max,
+                                          subset=pieces[i])) == as_tuple(want)
+            assert as_tuple(set_growth(space, pieces[i], r_max=r_max)) \
+                == as_tuple(want)
+
+
+def test_ambient_rows_of_a_tiling_match_growth_report(decomp8):
+    space = decomp8.space
+    for i in range(len(decomp8.pieces)):
+        piece = decomp8.pieces.row(i).tolist()
+        want = ambient_growth_oracle(space, piece)
+        assert as_tuple(piece_growth(decomp8, i)) == as_tuple(want), i
+        assert as_tuple(growth_report(space, want.center, subset=piece)) \
+            == as_tuple(want)
+        # r_max reads a prefix of the kept row
+        assert as_tuple(piece_growth(decomp8, i, r_max=3)) == as_tuple(
+            growth_report(space, want.center, r_max=3, subset=piece))
+
+
+def test_ambient_rows_run_past_the_piece_to_the_eccentricity():
+    # two components: rows of the left piece stop at its component
+    space = metric_graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+    table = PieceView([0, 1, 3, 3, 5], [1, 2, 3, 5, 6], space.n).growth(
+        space, "ambient")
+    assert table.report(0).counts == [1, 1, 1]
+    assert table.report(1).counts == [1, 2, 2]
+    assert table.report(3).counts == [1, 2]
+    with pytest.raises(DataError):
+        table.report(2)
+
+
+def test_centres_on_the_window_edge_flag_radius_zero():
+    z = generate_net("z", {"lo": 0, "hi": 6})
+    view = PieceView([0, 2, 3], [0, 1, 3], z.n)
+    edge = view.growth(z, "ambient").report(0)
+    assert edge.center == 1 and edge.truncated[0]
+    assert all(edge.truncated)
+    inner = view.growth(z, "ambient").report(1)
+    assert inner.center == 3 and inner.truncated[:2] == [False, False]
+    assert as_tuple(edge) == as_tuple(ambient_growth_oracle(z, [0, 1]))
+
+
+def test_one_ambient_search_per_64_pieces(decomp8):
+    space = decomp8.space
+    pieces = PieceView(decomp8.pieces.ptr, decomp8.pieces.pts, space.n)
+    family = Cover(space=space, pieces=pieces)
+    blocks = -(-len(pieces) // 64)
+    assert blocks > 2
+    with mock.patch.object(covers, "_ambient_growth",
+                           wraps=covers._ambient_growth) as search, \
+            mock.patch.object(covers, "_path_lengths") as csgraph:
+        # one read searches one block only
+        piece_growth(family, len(pieces) - 1)
+        assert search.call_count == 1
+        for _ in range(2):
+            for i in range(len(pieces)):
+                piece_growth(family, i, r_max=i % 5)
+        assert search.call_count == blocks
+        # the intrinsic table is kept apart; another space is searched again
+        other = generate_net("h2", {"kind": "ball", "radius": 8.0}, sep=0.8,
+                             edge_threshold=1.6)
+        pieces.growth(other, "ambient").report(0)
+        assert search.call_count == blocks + 1
+        assert csgraph.call_count == 0
+    assert pieces.growth(other, "ambient") is pieces.growth(other, "ambient")
+    assert pieces.growth(other) is not pieces.growth(other, "ambient")
+
+
+class TestNegativeRadii:
+    @pytest.fixture(scope="class")
+    def z(self):
+        return generate_net("z", {"lo": 0, "hi": 20})
+
+    @pytest.mark.parametrize("metric", ["ambient", "intrinsic"])
+    def test_set_growth_refuses_a_negative_radius(self, z, metric):
+        with pytest.raises(UnsupportedError):
+            set_growth(z, [5, 6, 7], r_max=-1, metric=metric)
+
+    @pytest.mark.parametrize("metric", ["ambient", "intrinsic"])
+    def test_piece_growth_refuses_a_negative_radius(self, z, metric):
+        cover = Cover(space=z, pieces=[range(10), range(10, z.n)])
+        with pytest.raises(UnsupportedError):
+            piece_growth(cover, 1, r_max=-2, metric=metric)
+        assert piece_growth(cover, 1, r_max=0, metric=metric).radii == [0]
+
+    def test_growth_report_refuses_a_negative_radius(self, z):
+        with pytest.raises(UnsupportedError):
+            growth_report(z, 3, r_max=-1)
+
+    def test_unknown_metrics_are_refused(self, z):
+        cover = Cover(space=z, pieces=[range(z.n)])
+        with pytest.raises(UnsupportedError):
+            piece_growth(cover, 0, metric="geodesic")

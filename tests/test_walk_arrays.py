@@ -162,11 +162,10 @@ def target16():
 
 
 def test_walk_words_pass_62_bits(target16):
-    depth = target16._codes[1]
-    assert int(depth.max()) == 33
-    codes, lengths = target16._letter_codes
-    assert max(c.bit_length() for c in codes) > 62
-    assert lengths == depth.tolist()
+    # 33 letters of a byte each: the scalar distance compares words as
+    # ints wider than int64
+    assert int(target16._codes[1].max()) == 33
+    assert target16._codes[0].shape[1] * 8 > 62
 
 
 @given(data=st.data())
