@@ -302,7 +302,7 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
         keep = np.flatnonzero(new)
         nbr, before = nbr[keep], before[keep]
         np.bitwise_or.at(seen, nbr, new[keep])
-        # the first entry of each point, found without a sort
+        # one entry of each point (the one the scatter kept), no sort
         at = np.arange(len(nbr))
         slot[nbr] = at
         first = slot[nbr] == at
