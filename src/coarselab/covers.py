@@ -546,8 +546,8 @@ def r_multiplicity(cover: PieceFamily, R: float,
     ``metric="graph"`` uses graph balls of integer radius floor(R);
     ``metric="model"`` uses model-metric balls (useful at sub-edge scales).
     """
-    if R < 0:
-        raise UnsupportedError("R must be >= 0")
+    if not R >= 0:
+        raise UnsupportedError(f"R must be >= 0, got {R}")
     space = cover.space
     pieces = cover.pieces
     if metric == "graph":
@@ -600,17 +600,19 @@ def _close_pairs(space: SpaceGraph, pieces: PieceView, colors, r: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs a < b of distinct same-colour pieces less than r apart
     (model metric), in increasing order, with the distance of each pair's
-    closest points.  Scans every point's r-neighbourhood
-    (:meth:`SpaceGraph.neighbor_blocks`) for points of a foreign
-    same-colour piece, which finds exactly these pairs in any model."""
+    closest points.  Scans every point pair within r, each unordered pair
+    once (:meth:`SpaceGraph.pair_blocks`), and every point with itself (a
+    point held by two same-colour pieces puts them 0 apart), for points of
+    two same-colour pieces, which finds exactly these pairs in any model.
+    A negative or NaN r is refused with :class:`UnsupportedError`."""
+    if not r >= 0:
+        raise UnsupportedError(f"r must be >= 0, got {r}")
     mptr, mpid = pieces.inverse()
     colors = np.asarray(colors, dtype=np.int64)
     npieces = len(pieces)
     keys, dists = [], []
-    for rows, indptr, nbr in space.neighbor_blocks(np.arange(space.n), r):
-        x = np.repeat(rows, np.diff(indptr))
-        keep = nbr >= x
-        x, y = x[keep], nbr[keep]
+    points = np.arange(space.n)
+    for x, y in itertools.chain([(points, points)], space.pair_blocks(r)):
         # every (piece of x, piece of y) combination of each point pair
         pair, px = _csr_take(mptr, mpid, x)
         sub, py = _csr_take(mptr, mpid, y[pair])

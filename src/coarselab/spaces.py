@@ -257,8 +257,11 @@ def _acosh1p_array(t: np.ndarray) -> np.ndarray:
 
 def _squares(v: np.ndarray) -> np.ndarray:
     # v ** 2 elementwise through libm pow, as Python's ``**`` squares a
-    # float (numpy's square is v * v, which can differ in the last bit)
-    return np.fromiter(map(float.__pow__, v.tolist(), repeat(2)), float, len(v))
+    # float (numpy's square is v * v, which can differ in the last bit);
+    # pow runs once per distinct value (-0.0 and 0.0 square alike)
+    u, inv = np.unique(v, return_inverse=True)
+    return np.fromiter(map(float.__pow__, u.tolist(), repeat(2)), float,
+                       len(u))[inv.reshape(-1)]
 
 
 def _word_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -417,6 +420,31 @@ def _within(t: np.ndarray, radius: np.ndarray, exact_t=None) -> np.ndarray:
     return keep
 
 
+def _radii(radius, m: int) -> np.ndarray:
+    """``radius``, a scalar or one value per query row, as m radii;
+    :class:`UnsupportedError` unless each is >= 0 (NaN is not)."""
+    r = np.asarray(radius, dtype=float)
+    if r.ndim > 1 or (r.ndim == 1 and len(r) != m):
+        raise UnsupportedError(
+            f"radius must be a scalar or one value per query row ({m})")
+    if not (r >= 0).all():
+        raise UnsupportedError(f"query radius must be >= 0, got {radius}")
+    return np.broadcast_to(r, (m,))
+
+
+def _query_rows(xs, ys, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Query rows ``(xs[i]; ys[i])`` as float arrays; :class:`UnsupportedError`
+    unless each is a finite point of the half space with ``cols``
+    x-coordinates."""
+    qx, qy = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if qy.ndim != 1 or qx.shape != (len(qy), cols):
+        raise UnsupportedError(
+            f"query rows need {cols} x-coordinate(s) and one y each")
+    if not (np.isfinite(qx).all() and np.isfinite(qy).all() and (qy > 0).all()):
+        raise UnsupportedError("query points must be finite, with y > 0")
+    return qx, qy
+
+
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, offset) pairs enumerating range(counts[i]) for every i."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -451,13 +479,33 @@ def _csr_from_edges(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     return _csr_from_rows(key // n, key % n, n)
 
 
-def _drop_diagonal(indptr: np.ndarray,
-                   indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A self-join CSR without its diagonal entries."""
-    n = len(indptr) - 1
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    off = indices != row
-    return _csr_from_rows(row[off], indices[off], n)
+def _csr_from_pairs(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency CSR of the graph on n points whose edges are the pairs
+    ``a[k] < b[k]`` of the blocks ``(a, b)``, without repeats (a self-join).
+
+    Pairs in increasing (a, b) order are mirrored in linear time: row i is
+    its lower entries (the a of the pairs (a, i), by a stable argsort of
+    b) followed by its upper entries (the b of the pairs (i, b)).  Pairs in
+    any other order are sorted first.
+    """
+    key = np.concatenate([np.zeros(0, dtype=np.int64)]
+                         + [a * n + b for a, b in blocks])
+    if (key[1:] <= key[:-1]).any():
+        key = np.sort(key)
+    a, b = np.divmod(key, n)
+    lower = np.bincount(b, minlength=n)
+    upper = np.bincount(a, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lower + upper, out=indptr[1:])
+    indices = np.empty(2 * len(a), dtype=np.int64)
+    # the k-th pair of a group starts its row's lower run after the upper
+    # entries of the rows before, its upper run after the lower entries
+    # of the rows up to its own
+    step = np.arange(len(a))
+    by_b = np.argsort(b, kind="stable")
+    indices[step + (np.cumsum(upper) - upper)[b[by_b]]] = a[by_b]
+    indices[step + np.cumsum(lower)[a]] = b
+    return indptr, indices
 
 
 def _concat_csr(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -479,7 +527,8 @@ class _StratifiedGrid:
     and in layer k the columns of a box (a disk, for two x-coordinates)
     around it; each contiguous run of keys is located with one
     ``searchsorted``, and a candidate is kept only if it passes the exact
-    test ``_acosh1p(t) <= r``.
+    test ``_acosh1p(t) <= r``.  The self-join (:meth:`pair_blocks`) queries
+    each net point only for the points after it in key order.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, sep: float, hd: bool):
@@ -502,14 +551,34 @@ class _StratifiedGrid:
     def query_blocks(self, qx, qy, radius):
         """Yield ``(lo, hi, indptr, indices)`` for consecutive query rows
         [lo, hi), each block testing at most about _CANDIDATE_BUDGET pairs."""
-        qx, qy = np.asarray(qx, dtype=float), np.asarray(qy, dtype=float)
+        qx, qy = _query_rows(qx, qy, self.xs.shape[1])
+        rad = _radii(radius, len(qy))
+        for lo, hi, row, cand in self._blocks(qx, qy, rad, None):
+            yield lo, hi, *_csr_from_rows(row, cand, hi - lo)
+
+    def pair_blocks(self, radius):
+        """The self-join: blocks ``(a, b)`` of the net point pairs a < b
+        within ``radius``.  Each row is queried only for the points after
+        it in key order, so each unordered pair is tested once."""
+        rad = _radii(radius, len(self.ys))
+        rank = np.empty_like(self.order)  # the sorted position of each point
+        rank[self.order] = np.arange(len(rank))
+        for lo, _, row, cand in self._blocks(self.xs, self.ys, rad, rank):
+            a = row + lo
+            yield np.minimum(a, cand), np.maximum(a, cand)
+
+    def _blocks(self, qx, qy, rad, pos):
+        # consecutive query rows [lo, hi) and the (row, candidate) pairs
+        # found for them, rows grouped in order and each row's candidates
+        # sorted; ``pos`` (the rows' sorted positions) limits each row to
+        # the points after it
         if not len(qy):
             return
-        rad = np.broadcast_to(np.asarray(radius, dtype=float), qy.shape)
         step = max(1, _CANDIDATE_BUDGET // self._candidates_per_row(rad.max()))
         for lo in range(0, len(qy), step):
             hi = min(len(qy), lo + step)
-            yield (lo, hi, *self._query(qx[lo:hi], qy[lo:hi], rad[lo:hi]))
+            yield lo, hi, *self._query(qx[lo:hi], qy[lo:hi], rad[lo:hi],
+                                       None if pos is None else pos[lo:hi])
 
     def _candidates_per_row(self, r: float) -> int:
         # rough upper bound: the ball spans 2r/h layers, and reaches at most
@@ -534,14 +603,18 @@ class _StratifiedGrid:
         last = np.clip(np.ceil((centre + half) / step), lo - 1, hi)
         return first.astype(np.int64), last.astype(np.int64)
 
-    def _query(self, qx, qy, r):
+    def _query(self, qx, qy, r, pos):
         m, dim = qx.shape
         with np.errstate(over="ignore", invalid="ignore"):
             cosh_r = np.cosh(r)
             lq = np.log(qy)
             k_first = np.clip(np.floor((lq - r) / self.h), self.lo[0], self.hi[0] + 1)
             k_last = np.clip(np.ceil((lq + r) / self.h), self.lo[0] - 1, self.hi[0])
-            row, off = _expand((k_last - k_first + 1).astype(np.int64))
+            if pos is not None:
+                # the points after a row in key order start at its layer
+                k_first = np.maximum(k_first, self.keys[pos] // self.strides[0]
+                                     + self.lo[0])
+            row, off = _expand(np.maximum(k_last - k_first + 1, 0).astype(np.int64))
             k = k_first[row].astype(np.int64) + off
             y, yk = qy[row], np.exp(k * self.h)
             bound2 = 2.0 * y * yk * (cosh_r[row] - 1.0) - (yk - y) ** 2
@@ -562,6 +635,8 @@ class _StratifiedGrid:
             stop = base + (last - self.lo[dim]) * self.strides[dim]
         a = np.searchsorted(self.keys, start, side="left")
         b = np.searchsorted(self.keys, stop, side="right")
+        if pos is not None:
+            a = np.maximum(a, pos[row] + 1)
         sub, off = _expand(np.maximum(b - a, 0))
         row = row[sub]
         cand = self.order[a[sub] + off]
@@ -571,7 +646,7 @@ class _StratifiedGrid:
         row, cand = row[keep], cand[keep]
         # rows arrive grouped in order; sort each row's indices
         n = len(self.ys)
-        return _csr_from_rows(row, np.sort(row * n + cand) - row * n, m)
+        return row, np.sort(row * n + cand) - row * n
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +685,30 @@ def _comb_kernel(path: np.ndarray, tail: np.ndarray):
 def _kernel_blocks(distances, n: int, idx: np.ndarray, radius: float):
     """:meth:`SpaceGraph.neighbor_blocks` of n points, each tested with
     the kernel ``distances``, about _CANDIDATE_BUDGET pairs per block."""
+    radius = _radii(radius, 1)[0]
     step = max(1, _CANDIDATE_BUDGET // n)
     for lo in range(0, len(idx), step):
         rows = idx[lo:lo + step]
         near = (distances(np.repeat(rows, n), np.tile(np.arange(n), len(rows)))
                 <= radius).reshape(len(rows), n)
         yield rows, *_csr_from_rows(*np.nonzero(near), len(rows))
+
+
+def _kernel_pairs(distances, n: int, radius: float):
+    """The self-join of n points under the kernel ``distances``: blocks
+    ``(a, b)`` of the pairs a < b within ``radius``, in increasing order,
+    each row tested against the later points only, about
+    _CANDIDATE_BUDGET pairs per block."""
+    radius = _radii(radius, 1)[0]
+    lo = 0
+    while lo < n - 1:
+        hi = min(n - 1, lo + max(1, _CANDIDATE_BUDGET // (n - 1 - lo)))
+        own, off = _expand(n - 1 - np.arange(lo, hi))
+        a = own + lo
+        b = a + 1 + off
+        near = distances(a, b) <= radius
+        yield a[near], b[near]
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -791,11 +884,16 @@ class SpaceGraph:
 
         Yields ``(rows, indptr, indices)`` for consecutive slices ``rows`` of
         ``idx``: CSR lists whose row i holds, sorted, the points within
-        ``radius`` of ``rows[i]``.  Half-plane and half-space nets use the
-        grid engine; other models test every point against each row, with
-        :meth:`distances`, about _CANDIDATE_BUDGET pairs per block.
+        ``radius`` of ``rows[i]``, itself included.  Half-plane and
+        half-space nets use the grid engine; other models test every point
+        against each row, with :meth:`distances`, about _CANDIDATE_BUDGET
+        pairs per block.  For every pair within a radius, use
+        :meth:`pair_blocks`, which tests each pair once.  A negative or NaN
+        radius is refused with :class:`UnsupportedError`.
         """
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        if len(idx) and (idx.min() < 0 or idx.max() >= self.n):
+            raise IndexError("point index out of range")
         if self.model in ("h2", "hd"):
             grid = self._grid
             for lo, hi, indptr, indices in grid.query_blocks(
@@ -803,6 +901,20 @@ class SpaceGraph:
                 yield idx[lo:hi], indptr, indices
             return
         yield from _kernel_blocks(self.distances, self.n, idx, radius)
+
+    def pair_blocks(self, radius: float):
+        """The self-join: blocks ``(a, b)`` of the point pairs a < b within
+        model distance ``radius``, each unordered pair tested once.
+
+        Half-plane and half-space nets query each grid row for the points
+        after it in key order; other models test each point against the
+        later points with :meth:`distances`.  Both hold about
+        _CANDIDATE_BUDGET tested pairs per block.  A negative or NaN radius
+        is refused with :class:`UnsupportedError`.
+        """
+        if self.model in ("h2", "hd"):
+            return self._grid.pair_blocks(radius)
+        return _kernel_pairs(self.distances, self.n, radius)
 
     def neighbors(self, idx: Sequence[int], radius: float
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -814,7 +926,9 @@ class SpaceGraph:
         """CSR ``(indptr, indices)`` of the net points within model distance
         ``radius`` (a scalar or one value per row) of each query row
         ``(xs[i]; ys[i])``, rows sorted; ``xs`` has one column per
-        x-coordinate.  Half-plane/half-space nets only."""
+        x-coordinate.  Half-plane/half-space nets only.  Rows that are not
+        finite points of the half space, and negative or NaN radii, are
+        refused with :class:`UnsupportedError`."""
         return self._grid.query(xs, ys, radius)
 
     def nearest_points(self, xs, ys) -> np.ndarray:
@@ -822,10 +936,11 @@ class SpaceGraph:
 
         Distances within 1e-12 tie and go to the lower index: the key is
         ``(round(d, 12), index)``.  The search radius starts at ``sep`` and
-        doubles, for the rows that found nothing, up to 40 times.
+        doubles, for the rows that found nothing, up to 40 times.  Rows
+        are refused as in :meth:`coords_within`.
         """
         grid = self._grid
-        qx, qy = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        qx, qy = _query_rows(xs, ys, grid.xs.shape[1])
         out = np.full(len(qy), -1, dtype=np.int64)
         todo = np.arange(len(qy))
         radius = self.sep
@@ -1138,9 +1253,8 @@ def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceG
         # edges are exactly parent/child word pairs
         indptr, indices = _csr_from_edges(n, idx[1:], parent[1:])
     else:
-        indptr, indices = _drop_diagonal(*_concat_csr(
-            b[1:] for b in _kernel_blocks(_tree_kernel(words, depth), n,
-                                          np.arange(n), thr)))
+        indptr, indices = _csr_from_pairs(
+            n, _kernel_pairs(_tree_kernel(words, depth), n, thr))
     return SpaceGraph(model="t3", points=_word_view(words, depth), indptr=indptr,
                       indices=indices, sep=sep, edge_threshold=thr,
                       window={"kind": "tree_ball", "radius": radius,
@@ -1229,7 +1343,7 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
         heights.append(np.full(len(xs), y))
     grid = _StratifiedGrid(np.concatenate(cols), np.concatenate(heights), sep,
                            model == "hd")
-    indptr, indices = _drop_diagonal(*grid.query(grid.xs, grid.ys, thr + 1e-12))
+    indptr, indices = _csr_from_pairs(len(grid.ys), grid.pair_blocks(thr + 1e-12))
     space = SpaceGraph(model=model, points=_halfspace_view(grid.xs, grid.ys),
                        indptr=indptr, indices=indices, sep=sep,
                        edge_threshold=thr, _grid=grid,
