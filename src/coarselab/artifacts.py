@@ -17,8 +17,7 @@ import numpy as np
 
 from .covers import ColoredDecomposition, Cover
 from .errors import SchemaError
-from .spaces import (CombNode, HalfPlane, HalfSpace, SpaceGraph, TreeAddress,
-                     TuplePoint, ZPoint, build_product, generate_net)
+from .spaces import _VIEW_BLOCK, SpaceGraph, build_product, generate_net
 
 __all__ = [
     "canonical_json",
@@ -96,38 +95,91 @@ def space_from_manifest(manifest: dict) -> SpaceGraph:
     return generate_net(model, window, sep=sep, edge_threshold=thr)
 
 
-def _point_row(i: int, p) -> list[str]:
-    if isinstance(p, HalfPlane):
-        return [str(i), "h2", repr(p.x), repr(p.y)]
-    if isinstance(p, HalfSpace):
-        return [str(i), "hd", *[repr(x) for x in p.xs], repr(p.y)]
-    if isinstance(p, TreeAddress):
-        return [str(i), "t3", "".join(map(str, p.word))]
-    if isinstance(p, ZPoint):
-        return [str(i), "z", str(p.n)]
-    if isinstance(p, CombNode):
-        return [str(i), "comb", str(p.base), "/".join(map(str, p.offsets))]
-    if isinstance(p, TuplePoint):
-        cells = []
-        for part in p.parts:
-            cells.append("|".join(_point_row(0, part)[1:]))
-        return [str(i), "prod", *cells]
-    raise SchemaError(f"unexportable point {p!r}")
+# the kind cell of each model's points in points.csv
+_POINT_KINDS = {"h2": "h2", "hd": "hd", "t3": "t3", "z": "z", "metric_graph": "z",
+                "comb": "comb", "product": "prod"}
+
+
+def _point_lines(space: SpaceGraph, head: str, sep: str):
+    """The function that formats the points ``idx`` (an index array) of
+    ``space``: each as ``head`` (``{0}`` in it is the point's index), then
+    its coordinate cells joined by ``sep``.  The cells are read from the
+    arrays of the space: floats by ``repr``, tree words as their letters,
+    comb nodes as the base and then the hair offsets joined by ``/``, and
+    product points as each factor point's kind and cells joined by
+    ``|``."""
+    model = space.model
+
+    def fmt(cells: int, spec: str = ""):
+        # cell arguments 1..cells, after the index argument 0
+        return (head + sep.join(f"{{{c}{spec}}}" for c in range(1, cells + 1))).format
+
+    if model in ("h2", "hd"):
+        xs, ys = space._coords()
+        line = fmt(xs.shape[1] + 1, "!r")
+        return lambda idx: list(map(line, idx.tolist(), *xs[idx].T.tolist(),
+                                    ys[idx].tolist()))
+    if model in ("z", "metric_graph"):
+        ns = np.arange(space.n) if space._codes is None else space._codes
+        line = fmt(1)
+        return lambda idx: list(map(line, idx.tolist(), ns[idx].tolist()))
+    if model == "t3":
+        # letters 0/1/2 as ASCII digits; NUL padding ends each word
+        words = space._codes[0]
+        chars = np.where(words >= 0, words + ord("0"), 0).astype(np.uint8)
+        text = np.ascontiguousarray(chars).view(f"S{chars.shape[1]}").ravel()
+        line = fmt(1)
+        return lambda idx: list(map(line, idx.tolist(), text[idx].astype(str).tolist()))
+    if model == "comb":
+        path = space._codes[0]
+
+        def comb(idx):
+            hairs = np.count_nonzero(path[idx, 1:], axis=1)
+            out = np.empty(len(idx), dtype=object)
+            for k in np.unique(hairs).tolist():
+                at = np.flatnonzero(hairs == k)
+                rows = idx[at]
+                line = (head + "{1}" + sep
+                        + "/".join(f"{{{c}}}" for c in range(2, k + 2))).format
+                out[at] = list(map(line, rows.tolist(), *path[rows, :k + 1].T.tolist()))
+            return out.tolist()
+        return comb
+    if model == "product":
+        # each factor's points are formatted once
+        parts = [np.array(_point_lines(f, _POINT_KINDS[f.model] + "|", "|")(
+                     np.arange(f.n)), dtype=object)
+                 for f in space.window["factors"]]
+        codes, line = space._codes, fmt(len(parts))
+        return lambda idx: list(map(line, idx.tolist(), *(
+            cells[codes[idx, f]].tolist() for f, cells in enumerate(parts))))
+    raise SchemaError(f"unexportable points of model {model!r}")
+
+
+def _csv(header: str, n: int, lines_of) -> str:
+    """``header`` and the n rows ``lines_of(idx)``, formatted in blocks of
+    _VIEW_BLOCK rows, so no list of every row is ever held."""
+    text = [header + "\n"]
+    for lo in range(0, n, _VIEW_BLOCK):
+        lines = lines_of(np.arange(lo, min(n, lo + _VIEW_BLOCK)))
+        lines.append("")
+        text.append("\n".join(lines))
+    return "".join(text)
 
 
 def points_csv(space: SpaceGraph) -> str:
-    lines = ["index,kind,coords"]
-    for i, p in enumerate(space.points):
-        row = _point_row(i, p)
-        lines.append(",".join(row[:2]) + "," + ";".join(row[2:]))
-    return "\n".join(lines) + "\n"
+    """``points.csv``: ``index,kind,coords`` rows, formatted from the
+    arrays of the space."""
+    return _csv("index,kind,coords", space.n, _point_lines(
+        space, f"{{0}},{_POINT_KINDS.get(space.model)},", ";"))
 
 
 def edges_csv(space: SpaceGraph) -> str:
+    """``edges.csv``: one ``a,b`` row per edge, a < b, in CSR order."""
     i = np.repeat(np.arange(space.n), np.diff(space.indptr))
     j = space.indices
-    lines = ["a,b", *map("{},{}".format, i[j > i].tolist(), j[j > i].tolist())]
-    return "\n".join(lines) + "\n"
+    a, b = i[j > i], j[j > i]
+    return _csv("a,b", len(a), lambda idx: list(map(
+        "{},{}".format, a[idx].tolist(), b[idx].tolist())))
 
 
 # ---------------------------------------------------------------------------

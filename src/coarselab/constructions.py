@@ -586,10 +586,22 @@ def walk_value(walk: MapRecord, b: int) -> int:
 # coordinate-sharing embedding into products of planes
 
 
+def _distinct_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rep, inv)`` for the distinct float pairs (x[k], y[k]): ``rep``
+    holds one row of each, and row k equals row ``rep[inv[k]]``."""
+    order = np.lexsort((x, y))
+    xo, yo = x[order], y[order]
+    new = np.r_[True, (xo[1:] != xo[:-1]) | (yo[1:] != yo[:-1])]
+    inv = np.empty(len(x), dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
 def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
                window: Optional[dict] = None) -> MapRecord:
     """Snap (x_1..x_{d-1}; y) onto the tuple of nearest factor net points
-    ((x_i; y))_i.
+    ((x_i; y))_i.  Each factor snaps each distinct projection (x_i; y)
+    once, and the source rows share its result.
 
     The target is the image product: the distinct snapped tuples, as
     factor-index tuples in key order, with the adjacency they induce in
@@ -604,22 +616,27 @@ def brady_farb(source: SpaceGraph, factors: Sequence[SpaceGraph],
     if len(factors) != d - 1:
         raise ArityError(f"need {d - 1} plane factors, got {len(factors)}")
     xs, ys = source._coords()
+    # the window test and nearest_points decide each row from its own
+    # projection (x_i; y) alone: run them once per distinct projection
+    groups = [_distinct_rows(xs[:, i], ys) for i in range(len(factors))]
     outside = np.zeros((len(ys), len(factors)), dtype=bool)
-    for i, f in enumerate(factors):
+    for i, (f, (rep, inv)) in enumerate(zip(factors, groups)):
         fwin = f.window
         if fwin.get("kind") == "ball":
             bx, by = f._coords()
             b = fwin["basepoint"]
-            t = _t_values(xs[:, i:i + 1], ys, np.broadcast_to(bx[b], (len(ys), 1)),
-                          np.full(len(ys), by[b]))
-            outside[:, i] = ~_within(t, np.full(len(ys), fwin["radius"] + f.sep))
+            t = _t_values(xs[rep, i:i + 1], ys[rep],
+                          np.broadcast_to(bx[b], (len(rep), 1)),
+                          np.full(len(rep), by[b]))
+            outside[:, i] = ~_within(t, np.full(len(rep), fwin["radius"] + f.sep))[inv]
     if outside.any():
         j, i = np.argwhere(outside)[0]
         raise DomainError(
             f"projection ({float(xs[j, i]):.3f}; {float(ys[j]):.3f}) falls outside"
             f" a radius-{factors[i].window['radius']} factor window")
-    snapped = np.column_stack([f.nearest_points(xs[:, i:i + 1], ys)
-                               for i, f in enumerate(factors)])
+    snapped = np.column_stack([f.nearest_points(xs[rep, i:i + 1], ys[rep])[inv]
+                               for i, (f, (rep, inv)) in
+                               enumerate(zip(factors, groups))])
     wdesc = {"kind": "full"}
     if window is not None:
         radius, centers = float(window["radius"]), list(window["centers"])

@@ -543,11 +543,14 @@ def r_multiplicity(cover: PieceFamily, R: float,
                    metric: str = "graph") -> tuple[int, int]:
     """Max number of pieces met by a closed R-ball; returns (count, witness).
 
-    ``metric="graph"`` uses graph balls of integer radius floor(R);
-    ``metric="model"`` uses model-metric balls (useful at sub-edge scales).
+    ``metric="graph"`` uses graph balls of integer radius floor(R), grown
+    one sparse product at a time until they stop growing (at the latest at
+    radius n - 1); ``metric="model"`` uses model-metric balls (useful at
+    sub-edge scales).  R must be finite and >= 0, or
+    :class:`UnsupportedError` is raised before any work.
     """
-    if not R >= 0:
-        raise UnsupportedError(f"R must be >= 0, got {R}")
+    if not 0 <= R < math.inf:
+        raise UnsupportedError(f"R must be finite and >= 0, got {R}")
     space = cover.space
     pieces = cover.pieces
     if metric == "graph":
@@ -559,13 +562,22 @@ def r_multiplicity(cover: PieceFamily, R: float,
         met = csr_matrix((np.ones(len(mpid), dtype=bool), mpid, mptr),
                          shape=(space.n, len(pieces)))
         hit = np.diff(met.indptr)
-        if R >= 1:
+        # no graph distance passes n - 1
+        rounds = min(math.floor(R), space.n - 1)
+        if rounds >= 1:
             step = _closed_adjacency(space)
-            for _ in range(int(math.floor(R)) - 1):
-                met = _pattern_product(step, met)
-            # of the last product only the row counts are needed
-            hit = np.concatenate([np.diff((step[lo:lo + _ROW_BLOCK] @ met).indptr)
-                                  for lo in range(0, space.n, _ROW_BLOCK)])
+            for _ in range(rounds - 1):
+                grown = _pattern_product(step, met)
+                # balls only grow: a product that adds no entry is a
+                # fixpoint, and so is every later one
+                if grown.nnz == met.nnz:
+                    hit = np.diff(met.indptr)
+                    break
+                met = grown
+            else:
+                # of the last product only the row counts are needed
+                hit = np.concatenate([np.diff((step[lo:lo + _ROW_BLOCK] @ met).indptr)
+                                      for lo in range(0, space.n, _ROW_BLOCK)])
         best = int(hit.argmax())
         return int(hit[best]), best
     if metric != "model":

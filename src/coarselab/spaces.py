@@ -58,6 +58,8 @@ _X_STEP_SCALE = 1.0  # horizontal step = 2*sinh(_X_STEP_SCALE*sep) * y
 # candidate pairs one engine pass may test: bounds transient arrays to a
 # few MB whatever the number of query rows
 _CANDIDATE_BUDGET = 1 << 18
+# relative slack of the grid engine's column ranges (see _StratifiedGrid)
+_GUARD = 1e-12
 
 # point pairs one distance-kernel pass evaluates
 _DISTANCE_BLOCK = 1 << 16
@@ -523,12 +525,30 @@ class _StratifiedGrid:
     """Batched model-metric range queries on a stratified half-space net.
 
     Every point is keyed by its integer (layer, column[, column2]); the keys
-    are sorted once.  A query row's ball reaches layers |k*h - log y| <= r,
-    and in layer k the columns of a box (a disk, for two x-coordinates)
-    around it; each contiguous run of keys is located with one
-    ``searchsorted``, and a candidate is kept only if it passes the exact
-    test ``_acosh1p(t) <= r``.  The self-join (:meth:`pair_blocks`) queries
-    each net point only for the points after it in key order.
+    are sorted once.  A query row (x; y) meets layer k (height y_k) in the
+    disk |x' - x|^2 <= bound2 = 2*y*y_k*(cosh r - 1) - (y_k - y)^2, and the
+    engine tests exactly the columns inside it: ``ceil`` of its low end to
+    ``floor`` of its high end (for two x-coordinates, the x_1 columns, then
+    in each the x_2 columns of the chord it leaves).  Each contiguous run
+    of keys is located with one ``searchsorted``, and a candidate is kept
+    only if it passes the exact test ``_acosh1p(t) <= r``.  The self-join
+    (:meth:`pair_blocks`) queries each net point only for the points after
+    it in key order.
+
+    The disks are drawn for cosh(r) * (1 + 1e-8), and only layers with
+    bound2 >= 0 are kept.  This loses no point that passes the test:
+    ``_within`` accepts only 1 + t <= cosh(r) * (1 + 1e-9), and the drawn
+    disk exceeds that one by 2*y*y_k*cosh(r)*9e-9 in bound2, about 1e6
+    times the rounding of bound2.  In columns that margin is at least about
+    4.5e-9 / w (6e-9 columns on the hd birad-7 source, 2.5e-9 on the
+    radius-11 h2 net), against about 1e-11 columns of rounding in
+    (centre +- half) / step, which grows with the column index.  So that no
+    window is large enough to tip that balance, each half width is also
+    widened by ``_GUARD`` times the magnitudes involved, about a thousand
+    times the rounding of the subtraction, the division and the points' own
+    positions j * step.  The self-join of the hd birad-7 source tests
+    exactly its 101,419 edges; that of the radius-11 h2 net tests 281,993
+    pairs for 281,705 edges.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, sep: float, hd: bool):
@@ -584,9 +604,9 @@ class _StratifiedGrid:
         # rough upper bound: the ball spans 2r/h layers, and reaches at most
         # sqrt(2 e^(r+h) (cosh r - 1)) / w columns either side in each
         r = min(float(r), 40.0)
-        layers = 2.0 * r / self.h + 3.0
+        layers = 2.0 * r / self.h + 1.0
         cols = 2.0 * math.sqrt(2.0 * math.exp(r + self.h)
-                               * (math.cosh(r) - 1.0)) / self.w + 3.0
+                               * (math.cosh(r) - 1.0)) / self.w + 1.0
         return int(min(layers * cols ** (len(self.lo) - 1), len(self.ys))) + 1
 
     def distances(self, qx: np.ndarray, qy: np.ndarray, indptr: np.ndarray,
@@ -597,16 +617,20 @@ class _StratifiedGrid:
         return np.arccosh(np.maximum(1.0, 1.0 + t))
 
     def _columns(self, c, centre, half, step):
-        # inclusive column range of coordinate c reaching [centre +- half]
+        # inclusive range of the columns of coordinate c inside
+        # [centre +- half], widened by the guard (see the class docstring)
         lo, hi = self.lo[c + 1], self.hi[c + 1]
-        first = np.clip(np.floor((centre - half) / step), lo, hi + 1)
-        last = np.clip(np.ceil((centre + half) / step), lo - 1, hi)
+        half = half + _GUARD * (np.abs(centre) + half)
+        first = np.clip(np.ceil((centre - half) / step), lo, hi + 1)
+        last = np.clip(np.floor((centre + half) / step), lo - 1, hi)
         return first.astype(np.int64), last.astype(np.int64)
 
     def _query(self, qx, qy, r, pos):
         m, dim = qx.shape
         with np.errstate(over="ignore", invalid="ignore"):
-            cosh_r = np.cosh(r)
+            # the disks are drawn for cosh(r) * (1 + 1e-8), past all that
+            # _within accepts (see the class docstring)
+            cosh_r = np.cosh(r) * (1.0 + 1e-8)
             lq = np.log(qy)
             k_first = np.clip(np.floor((lq - r) / self.h), self.lo[0], self.hi[0] + 1)
             k_last = np.clip(np.ceil((lq + r) / self.h), self.lo[0] - 1, self.hi[0])
@@ -618,9 +642,8 @@ class _StratifiedGrid:
             k = k_first[row].astype(np.int64) + off
             y, yk = qy[row], np.exp(k * self.h)
             bound2 = 2.0 * y * yk * (cosh_r[row] - 1.0) - (yk - y) ** 2
-            # exactly-at-radius verticals can round bound2 slightly below 0
-            live = bound2 >= -1e-9 * y * yk * cosh_r[row]
-            row, k, bound2 = row[live], k[live], np.maximum(bound2[live], 0.0)
+            live = bound2 >= 0
+            row, k, bound2 = row[live], k[live], bound2[live]
             step = self.w * np.exp(k * self.h)
             base = (k - self.lo[0]) * self.strides[0]
             first, last = self._columns(0, qx[row, 0], np.sqrt(bound2), step)
@@ -628,7 +651,12 @@ class _StratifiedGrid:
                 sub, off = _expand(np.maximum(last - first + 1, 0))
                 row, step, base = row[sub], step[sub], base[sub]
                 j = first[sub] + off
-                rem = np.maximum(bound2[sub] - (j * step - qx[row, 0]) ** 2, 0.0)
+                # what the x_1 offset leaves of the disk, the offset
+                # shrunk by the same guard
+                x1, c1 = j * step, qx[row, 0]
+                dx = np.maximum(np.abs(x1 - c1)
+                                - _GUARD * (np.abs(x1) + np.abs(c1)), 0.0)
+                rem = np.maximum(bound2[sub] - dx * dx, 0.0)
                 base = base + (j - self.lo[1]) * self.strides[1]
                 first, last = self._columns(1, qx[row, 1], np.sqrt(rem), step)
             start = base + (first - self.lo[dim]) * self.strides[dim]

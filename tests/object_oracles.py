@@ -6,9 +6,10 @@ piece as a Python set and compares pieces pairwise with ``set_distance``;
 intrinsic and ambient growth run one deque BFS per set over the adjacency
 tuples; the tile enumeration multiplies one Möbius matrix pair at a time;
 the hd cover builds the whole l1 product window and looks the snapped
-tuples up in it.  They are slow and simple, and the array code must
-reproduce them exactly (see ``test_array_core.py``,
-``test_growth_table.py`` and ``test_image_product.py``).
+tuples up in it; ``points.csv`` is written from the point objects one row
+at a time.  They are slow and simple, and the array code must reproduce
+them exactly (see ``test_array_core.py``, ``test_growth_table.py``,
+``test_image_product.py`` and ``test_output_sized.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from coarselab.covers import (ColoredDecomposition, Cover, PieceView,
                               kolmogorov_amplify, pullback_decomposition,
                               r_multiplicity)
 from coarselab.errors import DomainError, PreconditionError
-from coarselab.spaces import (CombNode, GrowthReport, SpaceGraph, TreeAddress,
+from coarselab.spaces import (CombNode, GrowthReport, HalfPlane, HalfSpace,
+                              SpaceGraph, TreeAddress, TuplePoint, ZPoint,
                               _csr_from_edges, _csr_take, _radix_strides,
                               _sorted_lookup, build_product, generate_net,
                               point_distance)
@@ -381,3 +383,29 @@ def full_product_pipeline(radius: float, r: float, *, source_sep: float = 0.35,
                     provenance={"construction": "brady_farb", "d": 3})
     return {"decomposition": pullback_decomposition(emb, prod_decomp),
             "map": emb, "product": product, "product_decomposition": prod_decomp}
+
+
+def _point_row_oracle(i: int, p) -> list[str]:
+    if isinstance(p, HalfPlane):
+        return [str(i), "h2", repr(p.x), repr(p.y)]
+    if isinstance(p, HalfSpace):
+        return [str(i), "hd", *[repr(x) for x in p.xs], repr(p.y)]
+    if isinstance(p, TreeAddress):
+        return [str(i), "t3", "".join(map(str, p.word))]
+    if isinstance(p, ZPoint):
+        return [str(i), "z", str(p.n)]
+    if isinstance(p, CombNode):
+        return [str(i), "comb", str(p.base), "/".join(map(str, p.offsets))]
+    if isinstance(p, TuplePoint):
+        cells = ["|".join(_point_row_oracle(0, part)[1:]) for part in p.parts]
+        return [str(i), "prod", *cells]
+    raise TypeError(f"unexportable point {p!r}")
+
+
+def points_csv_oracle(space: SpaceGraph) -> str:
+    """``points.csv`` written from every point object, row by row."""
+    lines = ["index,kind,coords"]
+    for i, p in enumerate(space.points):
+        row = _point_row_oracle(i, p)
+        lines.append(",".join(row[:2]) + "," + ";".join(row[2:]))
+    return "\n".join(lines) + "\n"
