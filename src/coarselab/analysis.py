@@ -213,9 +213,8 @@ def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
     """
     src, tgt = f.source, f.target
     a, b = _sample_pairs(src.n, pair_cap, seed, anchored)
-    image = np.asarray(f.assignment, dtype=np.int64)
     ds = src.distances(a, b)
-    dt = tgt.distances(image[a], image[b])
+    dt = tgt.distances(f.image[a], f.image[b])
     pos = ds > 0
     ds, dt = ds[pos], dt[pos]
     if len(ds) == 0:

@@ -70,6 +70,8 @@ class MapRecord:
     ``measured_lipschitz`` is the worst model-distance stretch over source
     edges; ``measured_max_fiber`` the largest preimage cardinality.  Both
     are recomputed at construction time, never trusted from files.
+    ``image`` holds ``assignment`` as a read-only int64 array, converted
+    once at construction.
     """
 
     source: SpaceGraph
@@ -78,19 +80,21 @@ class MapRecord:
     provenance: dict = field(default_factory=dict)
     measured_lipschitz: float = 0.0
     measured_max_fiber: int = 0
+    image: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.assignment) != self.source.n:
             raise DomainError(
                 f"assignment covers {len(self.assignment)} of {self.source.n} points")
-        image = np.asarray(self.assignment, dtype=np.int64)
+        image = self.image = np.array(self.assignment, dtype=np.int64)
+        image.flags.writeable = False
         bad = np.flatnonzero((image < 0) | (image >= self.target.n))
         if len(bad):
             raise DomainError(f"target index {int(image[bad[0]])} out of range")
         self.remeasure()
 
     def remeasure(self) -> None:
-        image = np.asarray(self.assignment, dtype=np.int64)
+        image = self.image
         indptr, nbr, n = self.source.indptr, self.source.indices, self.source.n
         lip = 0.0
         # source edges i <= j, read from the adjacency in row blocks
@@ -109,12 +113,11 @@ class MapRecord:
 
     def adjacent_steps(self) -> bool:
         """Whether consecutive source points map to target points 1 apart."""
-        image = np.asarray(self.assignment, dtype=np.int64)
+        image = self.image
         return bool((self.target.distances(image[:-1], image[1:]) == 1.0).all())
 
     def fiber_sizes(self) -> np.ndarray:
-        return np.bincount(np.array(self.assignment, dtype=np.int64),
-                           minlength=self.target.n)
+        return np.bincount(self.image, minlength=self.target.n)
 
 
 # ---------------------------------------------------------------------------
@@ -793,14 +796,6 @@ class GeodesicComb:
     D: float
     i_range: tuple[int, int]
     phase: float = 0.0
-
-    def root_angle(self, i: int) -> float:
-        # arclength s along the spine: s = log(tan(theta/2)), theta from
-        # the positive x-axis; gudermannian inversion gives theta(s)
-        s = self.phase + i * self.D
-        if s > 700.0:
-            return math.pi
-        return 2.0 * math.atan(math.exp(s))
 
     def hair_heights(self) -> list[tuple[int, float]]:
         """Height of each hair's root point (its maximum inside the dome);

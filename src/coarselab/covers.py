@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (ArityError, DataError, DomainError, PreconditionError,
                      UnsupportedError)
 from .spaces import (_VIEW_BLOCK, GrowthReport, SpaceGraph, _centre_distances,
-                     _concat_csr, _csr_from_rows, _csr_take, _path_lengths,
-                     _sorted_lookup)
+                     _concat_csr, _csr_from_rows, _csr_take, _group,
+                     _path_lengths, _sorted_lookup)
 
 __all__ = [
     "PieceView",
@@ -86,12 +86,13 @@ class PieceView(collections.abc.Sequence):
         return frozenset(self.row(i).tolist())
 
     def __iter__(self):
-        ends = self.ptr.tolist()
+        ptr = self.ptr
         for lo in range(0, len(self), _VIEW_BLOCK):
             hi = min(len(self), lo + _VIEW_BLOCK)
-            flat = self.pts[ends[lo]:ends[hi]].tolist()
-            for a, b in zip(ends[lo:hi], ends[lo + 1:hi + 1]):
-                yield frozenset(flat[a - ends[lo]:b - ends[lo]])
+            ends = (ptr[lo:hi + 1] - ptr[lo]).tolist()
+            flat = self.pts[ptr[lo]:ptr[hi]].tolist()
+            yield from map(frozenset, map(flat.__getitem__,
+                                          map(slice, ends, ends[1:])))
 
     def __eq__(self, other):
         if isinstance(other, PieceView):
@@ -113,10 +114,10 @@ class PieceView(collections.abc.Sequence):
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
         """Point-to-piece CSR ``(ptr, pids)``: ``pids[ptr[x]:ptr[x + 1]]``
         lists, in increasing order, the pieces that contain point x.
-        Computed on the first call, with one stable argsort of ``pts``."""
+        Computed on the first call, by one linear stable grouping of the
+        entries by point."""
         if self._inverse is None:
-            order = np.argsort(self.pts, kind="stable")
-            self._inverse = _csr_from_rows(self.pts, self.owners()[order], self._n)
+            self._inverse = _group(self.pts, self.owners(), self._n)
         return self._inverse
 
     def growth(self, space: SpaceGraph,
@@ -486,6 +487,7 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
         raise UnsupportedError("R must be >= 1")
     step = _closed_adjacency(space)
     blocked = np.zeros(space.n, dtype=bool)
+    flags = memoryview(blocked)  # Python bools, read without numpy scalars
     centers: list[int] = []
     for lo in range(0, space.n, _ROW_BLOCK):
         # a center blocks everything within R-1 (their distance to it is < R)
@@ -493,7 +495,7 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
                               R - 1)
         ends = near.indptr.tolist()
         for v in range(lo, lo + near.shape[0]):
-            if not blocked[v]:
+            if not flags[v]:
                 centers.append(v)
                 blocked[near.indices[ends[v - lo]:ends[v - lo + 1]]] = True
     balls = _ball_patterns(step, np.asarray(centers, dtype=np.int64), R)
@@ -933,14 +935,13 @@ def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
 def _preimages(f, pieces) -> tuple[list[int], PieceView]:
     """Ids of the target pieces with a nonempty preimage under the map
     ``f``, in increasing order, and those preimages."""
-    if len(f.assignment) != f.source.n:
+    if len(f.image) != f.source.n:
         raise DomainError("map is not total on its source window")
-    inverse = _piece_view(pieces, f.target.n).inverse()
-    src, pid = _csr_take(*inverse, np.asarray(f.assignment, dtype=np.int64))
-    order = np.argsort(pid, kind="stable")
-    src, pid = src[order], pid[order]
-    heads = np.r_[0, np.flatnonzero(np.diff(pid)) + 1]
-    return pid[heads].tolist(), PieceView(np.r_[heads, len(src)], src, f.source.n)
+    pieces = _piece_view(pieces, f.target.n)
+    src, pid = _csr_take(*pieces.inverse(), f.image)
+    ptr, src = _group(pid, src, len(pieces))
+    hit = np.flatnonzero(np.diff(ptr))
+    return hit.tolist(), PieceView(np.r_[ptr[hit], len(src)], src, f.source.n)
 
 
 def pullback_cover(f, cover: Cover) -> Cover:
@@ -1026,7 +1027,5 @@ def _components(space: SpaceGraph, pieces: PieceView,
     first = np.unique(label, return_index=True)[1]
     rank = np.empty(ncomp, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(ncomp)
-    comp = rank[label]
-    order = np.argsort(comp, kind="stable")
-    ptr, _ = _csr_from_rows(comp, None, ncomp)
-    return row[np.sort(first)], PieceView(ptr, pts[order], n)
+    ptr, grouped = _group(rank[label], pts, ncomp)
+    return row[np.sort(first)], PieceView(ptr, grouped, n)

@@ -470,6 +470,22 @@ def _csr_from_rows(row: np.ndarray, indices: np.ndarray,
     return indptr, indices
 
 
+def _group(keys: np.ndarray, values: np.ndarray,
+           nkeys: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, grouped)`` of the entries ``values`` by their key in
+    ``range(nkeys)``: ``grouped`` is ``values[np.argsort(keys,
+    kind="stable")]``, found in linear time by a radix sort on 16-bit
+    digits, lowest first (numpy sorts 16-bit keys stably by radix), and
+    ``indptr`` bounds each key's run."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, (nkeys - 1).bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    indptr = np.zeros(nkeys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=nkeys), out=indptr[1:])
+    return indptr, values[order]
+
+
 def _csr_from_edges(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency CSR of the undirected graph on n points with the edges
     ``(a[k], b[k])``: loops dropped, each row sorted and without repeats."""
@@ -682,15 +698,60 @@ class _StratifiedGrid:
 # bit-identical to point_distance
 
 
-def _tree_kernel(words: np.ndarray, depth: np.ndarray):
-    """Kernel of padded int8 words (see :func:`_word_view`)."""
+def _pack_words(words: np.ndarray) -> np.ndarray:
+    """uint64 codes of a padded int8 word matrix (see :func:`_word_view`),
+    one row per 32 letter columns: two bits a letter, the first letter
+    highest, and ``-1 & 3`` for padding (and the tail of the last row).
+    Two words share their letters up to the first bit where their codes
+    differ, clipped to the shorter word.  Filled one letter column at a
+    time, so no uint64 copy of the whole matrix is made."""
+    m, width = words.shape
+    letters = words.view(np.uint8)
+    codes = np.empty((-(-width // 32), m), dtype=np.uint64)
+    for c, acc in enumerate(codes):
+        acc[:] = 0
+        for k in range(32 * c, 32 * c + 32):
+            acc <<= 2
+            acc |= letters[:, k] & 3 if k < width else 3
+    return codes
+
+
+def _tree_distance(codes: np.ndarray, depth: np.ndarray) -> Callable[[int, int], float]:
+    """Scalar kernel of packed words (see :func:`_pack_words`): each word
+    one Python int, its code rows joined first row highest."""
+    ints = codes[0].tolist()
+    for row in codes[1:]:
+        ints = [high << 64 | low for high, low in zip(ints, row.tolist())]
+    letters, depth, n = 32 * len(codes), depth.tolist(), len(depth)
+
+    def distance(i: int, j: int) -> float:
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"point index out of range: {i}, {j}")
+        la, lb = depth[i], depth[j]
+        short = la if la < lb else lb
+        common = letters - ((ints[i] ^ ints[j]).bit_length() + 1) // 2
+        return float(la + lb - 2 * (common if common < short else short))
+    return distance
+
+
+def _tree_kernel(codes: np.ndarray, depth: np.ndarray):
+    """Kernel of packed words (see :func:`_pack_words`)."""
     def tree(a, b):
-        # a mismatch is forced at the padding column; where both words
-        # end together it is clipped to their common depth
-        mismatch = words[a] != words[b]
-        mismatch[:, -1] = True
-        lcp = np.minimum(mismatch.argmax(axis=1), np.minimum(depth[a], depth[b]))
-        return (depth[a] + depth[b] - 2 * lcp).astype(float)
+        # mark each differing letter at the low bit of its pair: the marks
+        # sit at even bits only, so the float of the mask never rounds up
+        # to the next power of two, and frexp gives the highest mark's bit
+        # length exactly.  A row adds the next row's count only when it
+        # shares all 32 letters.
+        lcp = 0
+        for row in codes[::-1]:
+            x = row[a] ^ row[b]
+            marks = (x | x >> 1) & 0x5555555555555555
+            shared = (64 - np.frexp(marks.astype(float))[1]) // 2
+            lcp = np.where(shared == 32, 32 + lcp, shared)
+        # words that differ share at most the shorter one; equal words
+        # share every row, clipped to their depth
+        da = depth[a]
+        return (da + depth[b] - 2 * np.minimum(lcp, da)).astype(float)
     return tree
 
 
@@ -805,9 +866,16 @@ class SpaceGraph:
             self._index = {point_key(q): i for i, q in enumerate(self.points)}
         return self._index[key]
 
-    def model_distance(self, i: int, j: int) -> float:
+    @cached_property
+    def model_distance(self) -> Callable[[int, int], float]:
+        """Model distance of points i and j, bit-identical to
+        :func:`point_distance`: bound once per net, so a t3 call goes
+        straight to the packed-word kernel (see :func:`_pack_words`)."""
         if self.model == "t3":
-            return self._tree_distance(i, j)
+            return _tree_distance(self._tree_codes, self._codes[1])
+        return self._point_distance
+
+    def _point_distance(self, i: int, j: int) -> float:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"point index out of range: {i}, {j}")
         if self._dist_matrix is not None:
@@ -815,25 +883,8 @@ class SpaceGraph:
         return point_distance(self.points[i], self.points[j])
 
     @cached_property
-    def _tree_distance(self) -> Callable[[int, int], float]:
-        # t3 words as Python ints, a byte a letter with the first letter
-        # highest, padded to one width: the common prefix of two words ends
-        # at their highest differing byte or at the shorter word's end
-        # (exact at any depth)
-        words, depth = self._codes
-        width, flat = words.shape[1], words.tobytes()
-        codes = [int.from_bytes(flat[a * width:(a + 1) * width], "big")
-                 for a in range(self.n)]
-        depth, n = depth.tolist(), self.n
-
-        def distance(i: int, j: int) -> float:
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexError(f"point index out of range: {i}, {j}")
-            la, lb = depth[i], depth[j]
-            short = la if la < lb else lb
-            common = width - ((codes[i] ^ codes[j]).bit_length() + 7) // 8
-            return float(la + lb - 2 * (common if common < short else short))
-        return distance
+    def _tree_codes(self) -> np.ndarray:
+        return _pack_words(self._codes[0])
 
     # -- graph metric -----------------------------------------------------
 
@@ -900,7 +951,7 @@ class SpaceGraph:
             return lambda a, b: sum(f.distances(codes[a, k], codes[b, k])
                                     for k, f in enumerate(fs))
         if self.model == "t3":
-            return _tree_kernel(*self._codes)
+            return _tree_kernel(self._tree_codes, self._codes[1])
         if self.model == "comb":
             return _comb_kernel(*self._codes)
         raise UnsupportedError(f"no distance kernel for model {self.model!r}")
@@ -1237,7 +1288,10 @@ def _net_z(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGr
     keep = nbr != row
     indptr, indices = _csr_from_rows(row[keep], nbr[keep], len(ns))
     base = int(np.argmin(np.abs(ns - (lo + hi) // 2)))
-    return SpaceGraph(model="z", points=list(map(ZPoint, ns.tolist())),
+    # the points ZPoint(n) builds, with no Python __init__ call per point
+    points = list(map(object.__new__, repeat(ZPoint, len(ns))))
+    collections.deque(map(ZPoint.n.__set__, points, ns.tolist()), maxlen=0)
+    return SpaceGraph(model="z", points=points,
                       indptr=indptr, indices=indices, sep=sep,
                       edge_threshold=thr, _codes=ns,
                       window={"kind": "range", "lo": lo, "hi": hi,
@@ -1271,7 +1325,7 @@ def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceG
         words[child, k - 1] = np.where(child & 1, _HIGHER_CHILD[last],
                                        _LOWER_CHILD[last])
     if sep > 1.0:
-        kept = _greedy_select(size, sep, _tree_kernel(words, depth))
+        kept = _greedy_select(size, sep, _tree_kernel(_pack_words(words), depth))
         depth = depth[kept]
         words = words[kept, :int(depth.max()) + 1]
     n = len(depth)
@@ -1282,7 +1336,7 @@ def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceG
         indptr, indices = _csr_from_edges(n, idx[1:], parent[1:])
     else:
         indptr, indices = _csr_from_pairs(
-            n, _kernel_pairs(_tree_kernel(words, depth), n, thr))
+            n, _kernel_pairs(_tree_kernel(_pack_words(words), depth), n, thr))
     return SpaceGraph(model="t3", points=_word_view(words, depth), indptr=indptr,
                       indices=indices, sep=sep, edge_threshold=thr,
                       window={"kind": "tree_ball", "radius": radius,
