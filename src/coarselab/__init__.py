@@ -25,6 +25,6 @@ from .covers import (ColoredDecomposition, Cover, NeighborhoodChain,
 from .spaces import (CombNode, GrowthReport, HalfPlane, HalfSpace, ModelPoint,
                      SpaceGraph, TreeAddress, TuplePoint, ZPoint, ball,
                      build_product, generate_net, growth_report,
-                     metric_graph, point_distance)
+                     metric_graph)
 
 __version__ = "0.1.0"

@@ -365,9 +365,10 @@ def quasi_convexity_defect(space: SpaceGraph, subset: Iterable[int], r: float,
     pairs = _sample_pairs(len(idx), pair_cap, seed, None)
     step = space.sep / 2.0
     defect = 0.0
+    xs, ys = space._coords()
+    px, py = xs[idx, 0].tolist(), ys[idx].tolist()
     for a, b in zip(*(p.tolist() for p in pairs)):
-        pa, pb = space.points[idx[a]], space.points[idx[b]]
-        for (gx, gy) in _geodesic_samples((pa.x, pa.y), (pb.x, pb.y), step):
+        for (gx, gy) in _geodesic_samples((px[a], py[a]), (px[b], py[b]), step):
             defect = max(defect,
                          _distance_to_subset(space, members, gx, gy,
                                              start=max(space.sep, defect)))
@@ -381,7 +382,9 @@ def _distance_to_subset(space: SpaceGraph, members: frozenset, gx: float,
         cand = [c for c in space.coords_within([[gx]], [gy], radius)[1].tolist()
                 if c in members]
         if cand:
-            return min(space._coord_dist(c, (gx,), gy) for c in cand)
+            m = len(cand)
+            return float(space._distances_from(
+                np.full((m, 1), gx), np.full(m, gy), np.array(cand)).min())
         radius *= 2.0
     raise DataError("no subset point within reach of a geodesic sample")
 

@@ -483,8 +483,9 @@ def cmd_analyze(args) -> int:
             raise SchemaError(f"analyze defect needs a half-plane space, "
                               f"got {space.model}")
         band = args.band
-        subset = [i for i, p in enumerate(space.points)
-                  if abs(math.asinh(p.x / p.y)) <= band]
+        xs, ys = space._coords()
+        subset = [i for i, (x, y) in enumerate(zip(xs[:, 0].tolist(), ys.tolist()))
+                  if abs(math.asinh(x / y)) <= band]
         val = analysis.quasi_convexity_defect(space, subset, r=args.r,
                                               pair_cap=args.pair_cap,
                                               seed=args.seed)

@@ -24,7 +24,7 @@ from .errors import (ArityError, DataError, DomainError, PreconditionError,
                      UnsupportedError)
 from .spaces import (_VIEW_BLOCK, GrowthReport, SpaceGraph, _centre_distances,
                      _concat_csr, _csr_from_rows, _csr_take, _group,
-                     _path_lengths, _sorted_lookup)
+                     _path_lengths, _sorted_lookup, _sorted_rows)
 
 __all__ = [
     "PieceView",
@@ -350,15 +350,6 @@ def _entry_distances(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
                         indices.astype(np.int32), indptr.astype(np.int32)),
                        shape=(m, m))
     return _path_lengths(graph, sources, min_only=True)
-
-
-def _sorted_rows(row: np.ndarray, pts: np.ndarray, nrows: int,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of pieces 0..nrows-1 holding the points ``pts[k]`` of pieces
-    ``row[k]``, given in any order: rows sorted, repeats dropped."""
-    key = np.sort(row * n + pts)
-    key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
-    return _csr_from_rows(key // n, key % n, nrows)
 
 
 def _piece_view(pieces, n: int) -> PieceView:

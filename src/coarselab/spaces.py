@@ -34,8 +34,6 @@ __all__ = [
     "PointView",
     "SpaceGraph",
     "GrowthReport",
-    "point_distance",
-    "point_key",
     "generate_net",
     "ball",
     "build_product",
@@ -225,34 +223,10 @@ def _comb_view(path: np.ndarray) -> PointView:
             path[idx, 1:], np.count_nonzero(path[idx, 1:], axis=1)))))
 
 
-def point_key(p: ModelPoint):
-    """Hashable canonical key of a model point."""
-    if isinstance(p, HalfPlane):
-        return ("h2", p.x, p.y)
-    if isinstance(p, HalfSpace):
-        return ("hd", p.xs, p.y)
-    if isinstance(p, TreeAddress):
-        return ("t3", p.word)
-    if isinstance(p, ZPoint):
-        return ("z", p.n)
-    if isinstance(p, CombNode):
-        return ("comb", p.base, p.offsets)
-    if isinstance(p, TuplePoint):
-        return ("prod",) + tuple(point_key(q) for q in p.parts)
-    raise TypeError(f"not a model point: {p!r}")
-
-
-def _acosh1p(t: float) -> float:
-    # acosh(1 + t) with clamping for tiny negative rounding noise
-    if t <= 0.0:
-        return 0.0
-    return math.acosh(1.0 + t)
-
-
 def _acosh1p_array(t: np.ndarray) -> np.ndarray:
-    # _acosh1p elementwise: numpy's arccosh can differ from math.acosh in
-    # the last bit, so math.acosh runs as a C-level map; 1 + t clamped at
-    # 1 gives acosh 0 wherever t <= 0 (NaN stays NaN)
+    # acosh(1 + t) elementwise: numpy's arccosh can differ from math.acosh
+    # in the last bit, so math.acosh runs as a C-level map; 1 + t clamped
+    # at 1 gives acosh 0 wherever t <= 0 (NaN stays NaN)
     return np.fromiter(map(math.acosh, np.maximum(1.0 + t, 1.0).tolist()),
                        float, len(t))
 
@@ -264,51 +238,6 @@ def _squares(v: np.ndarray) -> np.ndarray:
     u, inv = np.unique(v, return_inverse=True)
     return np.fromiter(map(float.__pow__, u.tolist(), repeat(2)), float,
                        len(u))[inv.reshape(-1)]
-
-
-def _word_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    m = min(len(u), len(v))
-    k = 0
-    while k < m and u[k] == v[k]:
-        k += 1
-    return len(u) + len(v) - 2 * k
-
-
-def _comb_distance(p: CombNode, q: CombNode) -> int:
-    if p.base != q.base:
-        return sum(p.offsets) + abs(p.base - q.base) + sum(q.offsets)
-    u, v = p.offsets, q.offsets
-    m = min(len(u), len(v))
-    k = 0
-    while k < m and u[k] == v[k]:
-        k += 1
-    if k < len(u) and k < len(v):
-        # diverge along a shared hair at generation k+1
-        return sum(u[k + 1 :]) + abs(u[k] - v[k]) + sum(v[k + 1 :])
-    return sum(u[k:]) + sum(v[k:])
-
-
-def point_distance(p: ModelPoint, q: ModelPoint) -> float:
-    """Continuous-model distance between two points of the same variant."""
-    if isinstance(p, HalfPlane) and isinstance(q, HalfPlane):
-        dx = p.x - q.x
-        dy = p.y - q.y
-        return _acosh1p((dx * dx + dy * dy) / (2.0 * p.y * q.y))
-    if isinstance(p, HalfSpace) and isinstance(q, HalfSpace):
-        dx2 = sum((a - b) ** 2 for a, b in zip(p.xs, q.xs))
-        dy = p.y - q.y
-        return _acosh1p((dx2 + dy * dy) / (2.0 * p.y * q.y))
-    if isinstance(p, TreeAddress) and isinstance(q, TreeAddress):
-        return float(_word_distance(p.word, q.word))
-    if isinstance(p, ZPoint) and isinstance(q, ZPoint):
-        return float(abs(p.n - q.n))
-    if isinstance(p, CombNode) and isinstance(q, CombNode):
-        return float(_comb_distance(p, q))
-    if isinstance(p, TuplePoint) and isinstance(q, TuplePoint):
-        if len(p.parts) != len(q.parts):
-            raise ValueError("product points of different arity")
-        return sum(point_distance(a, b) for a, b in zip(p.parts, q.parts))
-    raise TypeError(f"incomparable points: {type(p).__name__} vs {type(q).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +293,9 @@ def _grid_steps(sep: float) -> tuple[float, float]:
 
 def _t_values(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
               yb: np.ndarray) -> np.ndarray:
-    """cosh(d) - 1 of row-aligned (or broadcast) point pairs, with the
-    scalar arithmetic of :func:`point_distance`; x-coordinates are on the
-    last axis."""
+    """cosh(d) - 1 of row-aligned (or broadcast) point pairs: the summed
+    squared x-differences (each ``v * v``, left to right) plus dy * dy,
+    over 2 * ya * yb; x-coordinates are on the last axis."""
     dx2 = (xa[..., 0] - xb[..., 0]) ** 2
     for c in range(1, xa.shape[-1]):
         dx2 = dx2 + (xa[..., c] - xb[..., c]) ** 2
@@ -376,15 +305,12 @@ def _t_values(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
 
 def _t_exact(hd: bool, xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
              yb: np.ndarray) -> np.ndarray:
-    """:func:`_t_values` bit for bit as :func:`point_distance` computes it.
-
-    Half-space points square x-differences with ``**`` (libm pow), which
-    can differ from numpy's x*x in the last bit; half-plane points use
-    x*x, as numpy does.
+    """The t of the model distance ``acosh(1 + t)``: :func:`_t_values`,
+    except that half-space (``hd``) points square x-differences with
+    ``**`` (libm pow), which can differ from numpy's x*x in the last bit.
     """
     if not hd:
         return _t_values(xa, ya, xb, yb)
-    # summed left to right, as point_distance sums the columns
     dx = xa - xb
     dx2 = _squares(dx[:, 0])
     for c in range(1, dx.shape[1]):
@@ -394,12 +320,13 @@ def _t_exact(hd: bool, xa: np.ndarray, ya: np.ndarray, xb: np.ndarray,
 
 
 def _within(t: np.ndarray, radius: np.ndarray, exact_t=None) -> np.ndarray:
-    """Mask of ``_acosh1p(t) <= radius``, decided exactly as the scalar test.
+    """Mask of ``acosh(1 + t) <= radius``, decided exactly as the model
+    distance of :func:`_acosh1p_array`.
 
     numpy's arccosh can differ from ``math.acosh`` in the last bit, so
     entries whose 1 + t lies within a relative 1e-9 of cosh(radius) are
-    decided by the scalar function itself, on ``exact_t(band)`` (the t of
-    the entries ``band`` in scalar arithmetic) where that is given.  Each
+    decided by :func:`_acosh1p_array` itself, on ``exact_t(band)`` (the t
+    of the entries ``band`` in the exact arithmetic) where that is given.  Each
     distinct (t, radius) pair of the band is decided once: on a stratified
     net every same-layer neighbour pair lies exactly 2*sep apart, so the
     band holds many entries but few values.
@@ -416,8 +343,7 @@ def _within(t: np.ndarray, radius: np.ndarray, exact_t=None) -> np.ndarray:
         tb, rb = tb[order], rb[order]
         new = np.r_[True, (tb[1:] != tb[:-1]) | (rb[1:] != rb[:-1])]
         first = np.flatnonzero(new)
-        verdict = np.array([_acosh1p(v) <= r for v, r in
-                            zip(tb[first].tolist(), rb[first].tolist())], bool)
+        verdict = _acosh1p_array(tb[first]) <= rb[first]
         keep[band[order]] = verdict[np.cumsum(new) - 1]
     return keep
 
@@ -486,15 +412,26 @@ def _group(keys: np.ndarray, values: np.ndarray,
     return indptr, values[order]
 
 
+def _sorted_rows(row: np.ndarray, pts: np.ndarray, nrows: int,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of rows 0..nrows-1 holding the entries ``pts[k]`` (< n) of rows
+    ``row[k]``, given in any order: rows sorted, repeats dropped."""
+    key = row * n  # one key array, summed, sorted and reduced in place
+    key += pts
+    key.sort()
+    key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
+    row = key // n
+    key %= n
+    return _csr_from_rows(row, key, nrows)
+
+
 def _csr_from_edges(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency CSR of the undirected graph on n points with the edges
     ``(a[k], b[k])``: loops dropped, each row sorted and without repeats."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    a, b = a[a != b], b[a != b]
-    key = np.sort(np.concatenate([a * n + b, b * n + a]))
-    key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
-    return _csr_from_rows(key // n, key % n, n)
+    keep = a != b
+    return _sorted_rows(np.r_[a[keep], b[keep]], np.r_[b[keep], a[keep]], n, n)
 
 
 def _csr_from_pairs(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -547,7 +484,8 @@ class _StratifiedGrid:
     ``floor`` of its high end (for two x-coordinates, the x_1 columns, then
     in each the x_2 columns of the chord it leaves).  Each contiguous run
     of keys is located with one ``searchsorted``, and a candidate is kept
-    only if it passes the exact test ``_acosh1p(t) <= r``.  The self-join
+    only if it passes the exact test ``acosh(1 + t) <= r`` (see
+    :func:`_within`).  The self-join
     (:meth:`pair_blocks`) queries each net point only for the points after
     it in key order.
 
@@ -695,7 +633,7 @@ class _StratifiedGrid:
 
 # ---------------------------------------------------------------------------
 # distance kernels: model distances of row-aligned index pairs (a[k], b[k]),
-# bit-identical to point_distance
+# the one arithmetic of each model
 
 
 def _pack_words(words: np.ndarray) -> np.ndarray:
@@ -854,33 +792,27 @@ class SpaceGraph:
         return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
     def index_of(self, p: ModelPoint) -> int:
-        key = point_key(p)
-        if self.model == "z" and key[0] == "z":
-            # z nets hold increasing integers: no key dictionary
+        """Index of the point ``p``; :class:`KeyError` if the net lacks it."""
+        if self.model == "z":
+            # z nets hold increasing integers: no point dictionary
             ns = self._codes
-            i = int(np.searchsorted(ns, p.n))
+            i = int(np.searchsorted(ns, p.n)) if isinstance(p, ZPoint) else self.n
             if i < self.n and ns[i] == p.n:
                 return i
-            raise KeyError(key)
+            raise KeyError(p)
         if not self._index:
-            self._index = {point_key(q): i for i, q in enumerate(self.points)}
-        return self._index[key]
+            # the frozen point classes hash and compare by their fields
+            self._index = {q: i for i, q in enumerate(self.points)}
+        return self._index[p]
 
     @cached_property
     def model_distance(self) -> Callable[[int, int], float]:
         """Model distance of points i and j, bit-identical to
-        :func:`point_distance`: bound once per net, so a t3 call goes
-        straight to the packed-word kernel (see :func:`_pack_words`)."""
+        :meth:`distances`: a t3 call goes straight to the packed-word
+        kernel (see :func:`_pack_words`), any other is one pair of it."""
         if self.model == "t3":
             return _tree_distance(self._tree_codes, self._codes[1])
-        return self._point_distance
-
-    def _point_distance(self, i: int, j: int) -> float:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"point index out of range: {i}, {j}")
-        if self._dist_matrix is not None:
-            return float(self._dist_matrix[i, j])
-        return point_distance(self.points[i], self.points[j])
+        return lambda i, j: float(self.distances([i], [j])[0])
 
     @cached_property
     def _tree_codes(self) -> np.ndarray:
@@ -946,7 +878,7 @@ class SpaceGraph:
             ns = self._codes
             return lambda a, b: np.abs(ns[a] - ns[b]).astype(float)
         if self.model == "product":
-            # summed left to right from 0, as point_distance sums the parts
+            # the factor distances summed left to right from 0
             codes, fs = self._codes, self.window["factors"]
             return lambda a, b: sum(f.distances(codes[a, k], codes[b, k])
                                     for k, f in enumerate(fs))
@@ -1054,12 +986,28 @@ class SpaceGraph:
         pick = np.full(len(qy), -1, dtype=np.int64)
         alone = near & (ties[row] == 1)
         pick[row[alone]] = cand[alone]
-        for i in np.nonzero(ties > 1)[0]:
-            lo, hi = indptr[i], indptr[i + 1]
-            coords, y = tuple(qx[i].tolist()), float(qy[i])
-            pick[i] = min(cand[lo:hi][near[lo:hi]].tolist(), key=lambda c: (
-                round(self._coord_dist(c, coords, y), 12), c))
+        tied = near & (ties[row] > 1)
+        if not tied.any():
+            return pick
+        # a tied row takes the least (round(d, 12), index), with the exact
+        # distances and Python's round (numpy's rounds differently)
+        row, cand = row[tied], cand[tied]
+        d = self._distances_from(qx[row], qy[row], cand).tolist()
+        key = np.fromiter(map(round, d, repeat(12)), float, len(d))
+        order = np.lexsort((cand, key, row))
+        row, cand = row[order], cand[order]
+        first = np.r_[True, row[1:] != row[:-1]]
+        pick[row[first]] = cand[first]
         return pick
+
+    def _distances_from(self, qx: np.ndarray, qy: np.ndarray,
+                        idx: np.ndarray) -> np.ndarray:
+        """Model distances from the query rows ``(qx[k]; qy[k])`` to the
+        net points ``idx[k]``, in the arithmetic of :meth:`distances`, the
+        query first."""
+        xs, ys = self._coords()
+        return _acosh1p_array(_t_exact(self.model == "hd", qx, qy, xs[idx],
+                                       ys[idx]))
 
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
         # (xs, y) arrays of half-plane/half-space nets
@@ -1070,8 +1018,8 @@ class SpaceGraph:
         boundary; ``inf`` where the window has none.
 
         Ball and product windows read it from :meth:`distances`; birad
-        windows repeat the scalar arithmetic of :func:`point_distance` on
-        arrays, so every value equals the one-point formula bit for bit.
+        windows sum ``acosh(1 + (x * x + (y - 1) ** 2) / (2 * y))`` over
+        the x-coordinates, left to right, the ``** 2`` through libm pow.
         """
         if self._margins is None:
             self._margins = self._window_margins()
@@ -1100,7 +1048,7 @@ class SpaceGraph:
             codes, fs = self._codes, w["factors"]
             out = np.full(n, math.inf)
             if kind == "l1_ball":
-                # summed left to right from 0, as point_distance sums the parts
+                # the centre distances summed left to right from 0
                 out = w["radius"] - sum(
                     dv[codes[:, k]] for k, dv in
                     enumerate(_centre_distances(fs, w["centers"])))
@@ -1115,12 +1063,6 @@ class SpaceGraph:
         if kind == "comb_extent":
             return (w["extent"] - np.abs(self._codes[0]).max(axis=1)).astype(float)
         return np.full(n, math.inf)
-
-    def _coord_dist(self, c: int, coords: tuple[float, ...], y: float) -> float:
-        xs, ys = self._coords()
-        py = float(ys[c])
-        dx2 = sum((a - b) ** 2 for a, b in zip(xs[c].tolist(), coords))
-        return _acosh1p((dx2 + (py - y) ** 2) / (2.0 * py * y))
 
     def set_distance(self, a: Iterable[int], b: Iterable[int]) -> float:
         """Min model distance between two point sets: the least value of
@@ -1154,7 +1096,7 @@ class SpaceGraph:
             a = ia[lo:lo + step]
             if hyperbolic:
                 # the distance rises with t, and numpy's t is within a few
-                # ulp of the scalar one: only pairs whose numpy t lies
+                # ulp of the exact one: only pairs whose numpy t lies
                 # within a relative 1e-9 of the extreme can attain it
                 t = _t_values(xs[a][:, None], ys[a][:, None], xb, yb)
                 e = best(t)
@@ -1546,7 +1488,7 @@ def build_product(spaces: Sequence[SpaceGraph], window: Optional[dict] = None,
         centers = list(window["centers"])
         dists = _centre_distances(spaces, centers)
         # one factor at a time: a prefix keeps its running sum ``used``,
-        # summed left to right from 0, as point_distance sums the parts
+        # summed left to right from 0, as the product kernel sums the parts
         codes, used = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
         for dv in dists:
             row, col = _masked_pairs(

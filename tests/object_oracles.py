@@ -1,5 +1,9 @@
 """Object-based reference builders, kept as oracles for the array code.
 
+``point_distance`` computes a model distance from two point objects, with
+Python floats and integers; every distance kernel of ``SpaceGraph``, and
+the one-pair ``model_distance``, must equal it bit for bit.  A metric
+graph's distances come from one deque BFS (``graph_distance_oracle``).
 The t3 ball and comb loops build the model point objects one by one and
 look parents up in dictionaries; the greedy decomposition holds every
 piece as a Python set and compares pieces pairwise with ``set_distance``;
@@ -28,10 +32,94 @@ from coarselab.covers import (ColoredDecomposition, Cover, PieceView,
                               r_multiplicity)
 from coarselab.errors import DomainError, PreconditionError
 from coarselab.spaces import (CombNode, GrowthReport, HalfPlane, HalfSpace,
-                              SpaceGraph, TreeAddress, TuplePoint, ZPoint,
-                              _csr_from_edges, _csr_take, _radix_strides,
-                              _sorted_lookup, build_product, generate_net,
-                              point_distance)
+                              ModelPoint, SpaceGraph, TreeAddress, TuplePoint,
+                              ZPoint, _csr_from_edges, _csr_take,
+                              _radix_strides, _sorted_lookup, build_product,
+                              generate_net)
+
+
+def _acosh1p(t: float) -> float:
+    # acosh(1 + t) with clamping for tiny negative rounding noise
+    if t <= 0.0:
+        return 0.0
+    return math.acosh(1.0 + t)
+
+
+def _word_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    m = min(len(u), len(v))
+    k = 0
+    while k < m and u[k] == v[k]:
+        k += 1
+    return len(u) + len(v) - 2 * k
+
+
+def _comb_distance(p: CombNode, q: CombNode) -> int:
+    if p.base != q.base:
+        return sum(p.offsets) + abs(p.base - q.base) + sum(q.offsets)
+    u, v = p.offsets, q.offsets
+    m = min(len(u), len(v))
+    k = 0
+    while k < m and u[k] == v[k]:
+        k += 1
+    if k < len(u) and k < len(v):
+        # diverge along a shared hair at generation k+1
+        return sum(u[k + 1 :]) + abs(u[k] - v[k]) + sum(v[k + 1 :])
+    return sum(u[k:]) + sum(v[k:])
+
+
+def point_distance(p: ModelPoint, q: ModelPoint) -> float:
+    """Continuous-model distance between two points of the same variant."""
+    if isinstance(p, HalfPlane) and isinstance(q, HalfPlane):
+        dx = p.x - q.x
+        dy = p.y - q.y
+        return _acosh1p((dx * dx + dy * dy) / (2.0 * p.y * q.y))
+    if isinstance(p, HalfSpace) and isinstance(q, HalfSpace):
+        dx2 = sum((a - b) ** 2 for a, b in zip(p.xs, q.xs))
+        dy = p.y - q.y
+        return _acosh1p((dx2 + dy * dy) / (2.0 * p.y * q.y))
+    if isinstance(p, TreeAddress) and isinstance(q, TreeAddress):
+        return float(_word_distance(p.word, q.word))
+    if isinstance(p, ZPoint) and isinstance(q, ZPoint):
+        return float(abs(p.n - q.n))
+    if isinstance(p, CombNode) and isinstance(q, CombNode):
+        return float(_comb_distance(p, q))
+    if isinstance(p, TuplePoint) and isinstance(q, TuplePoint):
+        if len(p.parts) != len(q.parts):
+            raise ValueError("product points of different arity")
+        return sum(point_distance(a, b) for a, b in zip(p.parts, q.parts))
+    raise TypeError(f"incomparable points: {type(p).__name__} vs {type(q).__name__}")
+
+
+def query_point(model: str, xs, y: float) -> ModelPoint:
+    """The half-plane (``model`` "h2") or half-space point with the
+    x-coordinates ``xs`` and height ``y``."""
+    xs = tuple(float(x) for x in xs)
+    return HalfPlane(xs[0], float(y)) if model == "h2" else HalfSpace(xs, float(y))
+
+
+def graph_distance_oracle(space: SpaceGraph, i: int, j: int) -> float:
+    """Path distance of points i and j, by one deque BFS over
+    ``space.adj`` from i; ``inf`` where j is not reached."""
+    dist = {i: 0}
+    dq = deque([i])
+    while dq and j not in dist:
+        v = dq.popleft()
+        for w in space.adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                dq.append(w)
+    return float(dist.get(j, math.inf))
+
+
+def distance_oracle(space: SpaceGraph, i: int, j: int, pts=None) -> float:
+    """Model distance of points i and j of any net: the BFS path distance
+    on an explicit metric graph, ``point_distance`` on every other model.
+    ``pts``, the net's points as a list, spares callers that read many
+    pairs a point view's rebuilding of each point."""
+    if space.model == "metric_graph":
+        return graph_distance_oracle(space, i, j)
+    pts = space.points if pts is None else pts
+    return point_distance(pts[i], pts[j])
 
 
 def intrinsic_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = None,

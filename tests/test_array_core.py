@@ -28,10 +28,10 @@ from coarselab.covers import (ColoredDecomposition, Cover,
                               greedy_decomposition, mesh_ball_cover,
                               r_multiplicity)
 from coarselab.errors import PreconditionError, UnsupportedError
-from coarselab.spaces import (build_product, generate_net, metric_graph,
-                              point_distance)
+from coarselab.spaces import build_product, generate_net, metric_graph
 from object_oracles import (greedy_decomposition_oracle, net_comb_oracle,
-                            net_t3_oracle, verify_greedy_oracle, words_oracle)
+                            net_t3_oracle, point_distance,
+                            verify_greedy_oracle, words_oracle)
 from test_acceptance import _random_graph
 
 

@@ -14,7 +14,8 @@ from coarselab.constructions import (GeodesicComb, MapRecord, assign_tile,
                                      nerve_map, tree_walk, walk_value)
 from coarselab.covers import Cover, check_disjointness
 from coarselab.errors import ArityError, DomainError
-from coarselab.spaces import CombNode, ZPoint, generate_net, point_distance
+from coarselab.spaces import CombNode, ZPoint, generate_net
+from object_oracles import point_distance
 from test_walk_arrays import _binary_walk, _spine_word
 
 SINH_1 = 1.1752011936438014

@@ -1,9 +1,10 @@
 """Oracles for the quantities built on ``SpaceGraph.distances``: window
 margins, set distances/diameters and the neighbourhoods of non-grid nets.
 
-``distances`` is bit-identical to ``point_distance``; the margins of every
-window kind must equal the scalar formula, and set distances the
-brute-force extremes of ``point_distance``, with exact equality.
+``distances`` is bit-identical to the object oracle ``point_distance`` (a
+deque BFS on metric graphs); the margins of every window kind must equal
+the scalar formula, and set distances the brute-force extremes of the
+oracle, with exact equality.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from hypothesis import strategies as st
 
 from coarselab import spaces
 from coarselab.constructions import tree_walk
-from coarselab.spaces import build_product, generate_net, metric_graph, point_distance
-
-
-def _acosh1p(t: float) -> float:
-    return math.acosh(1.0 + t) if t > 0 else 0.0
+from coarselab.spaces import build_product, generate_net, metric_graph
+from object_oracles import _acosh1p, distance_oracle, point_distance
 
 
 def scalar_margin(space, i: int) -> float:
@@ -130,15 +128,6 @@ class TestMargins:
             assert np.isinf(net(name).margins()).all()
 
 
-def _oracle(space, i: int, j: int, pts=None) -> float:
-    # pts: the space's points as a list, for callers reading every pair
-    # (a point view builds each point on every read)
-    if space.model == "metric_graph":
-        return space.model_distance(i, j)
-    pts = space.points if pts is None else pts
-    return point_distance(pts[i], pts[j])
-
-
 SET_NAMES = ["h2-ball", "hd-birad", "z-range", "t3-ball", "comb",
              "product-l1", "product-full", "metric-graph"]
 
@@ -161,12 +150,12 @@ class TestSetDistances:
         @settings(max_examples=150, deadline=None)
         def check(sets):
             space, a, b = sets
-            lowest = min(_oracle(space, i, j) for i in a for j in b)
+            lowest = min(distance_oracle(space, i, j) for i in a for j in b)
             assert space.set_distance(a, b) == lowest
-            widest = max(_oracle(space, i, j) for i in a for j in a)
+            widest = max(distance_oracle(space, i, j) for i in a for j in a)
             assert space.set_diameter(a) == widest
             assert space.set_diameter(frozenset(b)) == \
-                max(_oracle(space, i, j) for i in b for j in b)
+                max(distance_oracle(space, i, j) for i in b for j in b)
 
         check()
 
@@ -175,7 +164,7 @@ class TestSetDistances:
         # numpy's arccosh misses math.acosh in the last bit on some of these
         space = net(name)
         b = space.window["basepoint"]
-        expect = [_oracle(space, b, j) for j in range(space.n)]
+        expect = [distance_oracle(space, b, j) for j in range(space.n)]
         assert [space.set_distance([b], [j]) for j in range(space.n)] == expect
         assert [space.set_diameter([b, j]) for j in range(space.n)] == expect
 
@@ -201,5 +190,5 @@ class TestNonGridNeighbourhoods:
                for a, b in zip(indptr[:-1], indptr[1:])]
         pts = list(space.points)
         assert got == [[j for j in range(space.n)
-                        if _oracle(space, i, j, pts) <= radius]
+                        if distance_oracle(space, i, j, pts) <= radius]
                        for i in range(space.n)]

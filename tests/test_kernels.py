@@ -1,10 +1,11 @@
 """Oracles for the array kernels of the tree-walk pipeline.
 
-``SpaceGraph.distances`` is compared, bit for bit, with the scalar
-``point_distance``; graph-metric ``r_multiplicity`` with the per-piece
-breadth-first search it replaced; the shared pullback helper with a
-set-based preimage oracle; the csgraph distances with a plain BFS; and
-``MapRecord.remeasure`` and ``distortion_profile`` with per-pair loops.
+``SpaceGraph.distances`` is compared, bit for bit, with the object oracle
+``point_distance`` (a deque BFS on metric graphs); graph-metric
+``r_multiplicity`` with the per-piece breadth-first search it replaced;
+the shared pullback helper with a set-based preimage oracle; the csgraph
+distances with a plain BFS; and ``MapRecord.remeasure`` and
+``distortion_profile`` with per-pair loops.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from coarselab import analysis, covers, spaces
 from coarselab.constructions import MapRecord, tree_walk
 from coarselab.covers import (ColoredDecomposition, Cover, pullback_cover,
                               pullback_decomposition, r_multiplicity)
-from coarselab.spaces import (build_product, generate_net, metric_graph,
-                              point_distance)
+from coarselab.spaces import build_product, generate_net, metric_graph
+from object_oracles import graph_distance_oracle, point_distance
 
 SPACES = {
     "z": lambda: generate_net("z", {"lo": -12, "hi": 12}),
@@ -111,7 +112,7 @@ def test_distances_blocks_and_edge_cases(monkeypatch):
 def test_distances_on_explicit_graph():
     g = metric_graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
     i, j = np.divmod(np.arange(36), 6)
-    assert g.distances(i, j).tolist() == [g.model_distance(a, b)
+    assert g.distances(i, j).tolist() == [graph_distance_oracle(g, a, b)
                                           for a, b in zip(i, j)]
 
 
@@ -308,13 +309,14 @@ def test_graph_distances_match_bfs(seed, limit):
 
 
 def loop_lipschitz(f):
+    src, tgt = list(f.source.points), list(f.target.points)
     lip = 0.0
     for i, nbrs in enumerate(f.source.adj):
         for j in nbrs:
             if j < i:
                 continue
-            ds = f.source.model_distance(i, j)
-            dt = f.target.model_distance(f.assignment[i], f.assignment[j])
+            ds = point_distance(src[i], src[j])
+            dt = point_distance(tgt[f.assignment[i]], tgt[f.assignment[j]])
             if ds > 0:
                 lip = max(lip, dt / ds)
     return lip
@@ -342,8 +344,9 @@ def test_distortion_samples_match_pair_loop():
         prof = analysis.distortion_profile(walk, pair_cap=cap, seed=4,
                                            anchored=anchored)
         a, b = analysis._sample_pairs(walk.source.n, cap, 4, anchored)
-        ds = [walk.source.model_distance(x, y) for x, y in zip(a, b)]
-        dt = [walk.target.model_distance(walk.assignment[x], walk.assignment[y])
+        src, tgt = walk.source.points, list(walk.target.points)
+        ds = [point_distance(src[x], src[y]) for x, y in zip(a, b)]
+        dt = [point_distance(tgt[walk.assignment[x]], tgt[walk.assignment[y]])
               for x, y in zip(a, b)]
         keep = [k for k, d in enumerate(ds) if d > 0]
         assert prof.samples[0].tolist() == [ds[k] for k in keep]

@@ -29,9 +29,8 @@ from coarselab.constructions import (_distinct_rows, brady_farb, hd_cover_pipeli
                                      walk_target)
 from coarselab.covers import Cover, r_multiplicity
 from coarselab.errors import DomainError, UnsupportedError
-from coarselab.spaces import (HalfPlane, build_product, generate_net,
-                              metric_graph, point_distance)
-from object_oracles import points_csv_oracle
+from coarselab.spaces import HalfPlane, build_product, generate_net, metric_graph
+from object_oracles import point_distance, points_csv_oracle, query_point
 
 
 def csr_rows(indptr, indices):
@@ -74,9 +73,16 @@ def query_rows(net, rng, m=24):
     return qx, qy
 
 
+def query_distance(net, x, y, c, pts=None) -> float:
+    """Distance from the query (x; y) to net point c, the query first."""
+    p = net.points[c] if pts is None else pts[c]
+    return point_distance(query_point(net.model, x, y), p)
+
+
 def brute_coords(net, qx, qy, radius):
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(qy),))
-    return [[c for c in range(net.n) if net._coord_dist(c, tuple(x), y) <= r]
+    pts = list(net.points)
+    return [[c for c in range(net.n) if query_distance(net, x, y, c, pts) <= r]
             for x, y, r in zip(qx.tolist(), qy.tolist(), radius.tolist())]
 
 
@@ -99,7 +105,7 @@ def choose_radius(kind, net, qx, qy, rng, u):
         return 2.0 * net.sep + {"2sep": 0.0, "2sep+": 1e-12, "2sep-": -1e-12}[kind]
     if kind.startswith("pair"):
         k, c = int(rng.integers(len(qy))), int(rng.integers(net.n))
-        d = net._coord_dist(c, tuple(qx[k].tolist()), float(qy[k]))
+        d = query_distance(net, qx[k].tolist(), qy[k], c)
         return {"pair": d, "pair+": math.nextafter(d, math.inf),
                 "pair-": math.nextafter(d, 0.0)}[kind]
     return u
@@ -127,7 +133,7 @@ class TestExactColumns:
         rng = np.random.default_rng(seed)
         qx, qy = query_rows(net, rng)
         target = rng.integers(0, net.n, len(qy))
-        radius = np.array([net._coord_dist(int(c), tuple(x), y) for c, x, y in
+        radius = np.array([query_distance(net, x, y, c) for c, x, y in
                            zip(target.tolist(), qx.tolist(), qy.tolist())])
         got = csr_rows(*net.coords_within(qx, qy, radius))
         assert all(int(c) in row for c, row in zip(target, got))

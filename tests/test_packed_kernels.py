@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from coarselab import spaces
 from coarselab.constructions import MapRecord
-from coarselab.spaces import TreeAddress, generate_net, point_distance
+from coarselab.spaces import TreeAddress, generate_net
+from object_oracles import point_distance
 
 
 def word_matrix(words: list[tuple[int, ...]], width: int = 0):

@@ -1,8 +1,8 @@
 """Oracles for the array-native l1-product.
 
 ``build_product`` is compared with the tuple loop it replaced, point for
-point and edge for edge; the product ``distances`` kernel with the scalar
-``point_distance``; the size cap with its allocation; and the
+point and edge for edge; the product ``distances`` kernel with the object
+oracle ``point_distance``; the size cap with its allocation; and the
 ``brady_farb`` window test and image rows with a tuple set.
 """
 
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from coarselab import spaces
 from coarselab.constructions import brady_farb
 from coarselab.errors import ArityError, DomainError, SizeCapError
-from coarselab.spaces import (TuplePoint, build_product, generate_net,
-                              point_distance)
+from coarselab.spaces import TuplePoint, build_product, generate_net
+from object_oracles import point_distance
 
 
 def loop_build_product(factors, window=None):
@@ -37,7 +37,7 @@ def loop_build_product(factors, window=None):
     else:
         radius = float(window["radius"])
         centers = list(window["centers"])
-        dists = [np.array([s.model_distance(i, c) for i in range(s.n)])
+        dists = [np.array([point_distance(p, s.points[c]) for p in s.points])
                  for s, c in zip(factors, centers)]
         # the factor distances summed left to right from 0, as
         # point_distance sums the parts

@@ -2,10 +2,11 @@
 
 Every engine result is compared with brute force over all net points: CSR
 neighbourhoods with the dense matrix of exact ``distances`` (bit-identical
-to ``point_distance``), net edges with ``_edges_brute``, and nearest points
-with an argmin under the engine's ``(round(d, 12), index)`` key.  The
-exact test ``_within`` decides its tie band once per distinct (t, radius)
-value; it is compared with the scalar test entry by entry.
+to the object oracle ``point_distance``), net edges with ``edges_brute``,
+and nearest points with an argmin under the engine's ``(round(d, 12),
+index)`` key, the query first in each distance.  The exact test
+``_within`` decides its tie band once per distinct (t, radius) value; it
+is compared with the scalar ``_acosh1p`` entry by entry.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 
 from coarselab import spaces
 from coarselab.errors import CoarselabError, UnsupportedError
-from coarselab.spaces import generate_net, point_distance
-from object_oracles import edges_brute
+from coarselab.spaces import generate_net
+from object_oracles import _acosh1p, edges_brute, point_distance, query_point
 
 NETS = {
     "h2-ball": ("h2", {"kind": "ball", "radius": 4.5}, 0.8, 1.6),
@@ -49,9 +50,14 @@ def csr_rows(indptr, indices):
     return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
 
 
-def brute_nearest(net, coords, y):
+def brute_nearest(net, coords, y, pts=None):
+    """Nearest net point to the query (coords; y) under the key
+    ``(round(d, 12), index)``, the query first in each distance; ``pts``
+    is the net's points as a list."""
+    q = query_point(net.model, coords, y)
+    pts = list(net.points) if pts is None else pts
     return min(range(net.n),
-               key=lambda c: (round(net._coord_dist(c, coords, y), 12), c))
+               key=lambda c: (round(point_distance(q, pts[c]), 12), c))
 
 
 radius_choice = st.one_of(
@@ -94,9 +100,11 @@ class TestNeighbourhoodOracle:
         qx = rng.uniform(-3.0, 3.0, size=(20, dim))
         qy = np.exp(rng.uniform(-3.0, 3.0, size=20))
         got = csr_rows(*net.coords_within(qx, qy, radius))
+        pts = list(net.points)
         for row, coords, y in zip(got, qx.tolist(), qy.tolist()):
+            q = query_point(net.model, coords, y)
             assert row == [c for c in range(net.n)
-                           if net._coord_dist(c, tuple(coords), y) <= radius]
+                           if point_distance(q, pts[c]) <= radius]
 
     def test_empty_queries(self):
         net, _ = net_and_distances("hd-ball")
@@ -128,7 +136,7 @@ class TestNeighbourhoodOracle:
         t_np = spaces._t_values(xs[i], ys[i], xs[j], ys[j])
         t_exact = spaces._t_exact(True, xs[i], ys[i], xs[j], ys[j])
         flips = [k for k in np.flatnonzero(t_np > t_exact).tolist()
-                 if spaces._acosh1p(t_np[k]) > spaces._acosh1p(t_exact[k])]
+                 if _acosh1p(t_np[k]) > _acosh1p(t_exact[k])]
         assert flips
         for k in flips:
             a, b = int(i[k]), int(j[k])
@@ -171,7 +179,8 @@ class TestNearestOracle:
         qx = np.array([q[:-1] for q in queries])
         qy = np.array([q[-1] for q in queries])
         got = net.nearest_points(qx, qy).tolist()
-        expect = [brute_nearest(net, q[:-1], q[-1]) for q in queries]
+        pts = list(net.points)
+        expect = [brute_nearest(net, q[:-1], q[-1], pts) for q in queries]
         assert got == expect
 
     def test_midway_ties_go_to_the_lower_index(self):
@@ -192,7 +201,8 @@ class TestNearestOracle:
         qx = rng.uniform(-4.0, 4.0, size=(15, 2))
         qy = np.exp(rng.uniform(-4.0, 4.0, size=15))
         got = net.nearest_points(qx, qy).tolist()
-        assert got == [brute_nearest(net, tuple(c), y)
+        pts = list(net.points)
+        assert got == [brute_nearest(net, tuple(c), y, pts)
                        for c, y in zip(qx.tolist(), qy.tolist())]
 
 
@@ -220,6 +230,6 @@ def test_within_matches_the_scalar_test(entries, exact):
             t[k] = np.nextafter(t[k], math.copysign(math.inf, ulps))
     t += np.array([(0.0, 1e-3, -1e-12)[j] for _, _, j in entries]) * base
     scalar = t * (1 + 1e-15) if exact else t
-    want = [spaces._acosh1p(v) <= rad for v, rad in zip(scalar.tolist(), r.tolist())]
+    want = [_acosh1p(v) <= rad for v, rad in zip(scalar.tolist(), r.tolist())]
     got = spaces._within(t, r, (lambda b: scalar[b]) if exact else None)
     assert got.tolist() == want

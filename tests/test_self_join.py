@@ -24,8 +24,8 @@ from coarselab import covers, spaces
 from coarselab.covers import (ColoredDecomposition, Cover, check_disjointness,
                               r_multiplicity)
 from coarselab.errors import UnsupportedError
-from coarselab.spaces import generate_net, point_distance
-from object_oracles import edges_brute
+from coarselab.spaces import generate_net
+from object_oracles import edges_brute, point_distance
 
 
 def upper_pairs(indptr, indices):

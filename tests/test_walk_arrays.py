@@ -22,7 +22,8 @@ from coarselab.constructions import tree_walk, walk_target
 from coarselab.errors import SizeCapError
 from coarselab.spaces import (HalfPlane, HalfSpace, PointView, TreeAddress,
                               TuplePoint, ZPoint, build_product, generate_net,
-                              metric_graph, point_distance)
+                              metric_graph)
+from object_oracles import point_distance
 
 
 # -- the tuple walk -----------------------------------------------------------
@@ -251,8 +252,8 @@ def test_halfspace_view_and_csr_match_object_loop(model, window, sep, thr):
     pts = loop_halfspace_points(window, sep, dim)
     assert isinstance(net.points, PointView)
     assert net.points == pts
-    assert [spaces.point_key(p) for p in net.points] == \
-        [spaces.point_key(p) for p in pts]
+    # equal points, down to the sign of zero and the float type
+    assert list(map(repr, net.points)) == list(map(repr, pts))
     adj = loop_self_join(pts, sep, net.edge_threshold)
     assert net.adj == adj
     assert np.diff(net.indptr).tolist() == list(map(len, adj))
