@@ -147,6 +147,11 @@ _GROWTH_BLOCK = 1 << 16
 # pieces per ambient growth search: one bit of a uint64 mask each
 _AMBIENT_BLOCK = 64
 
+# an ambient search level pulls once its frontier holds more than this
+# share of the CSR's adjacency entries, and pushes below it: on the hd3
+# source a pull costs about as much as a push over a tenth of the entries
+_AMBIENT_PULL = 0.1
+
 
 @dataclass(frozen=True)
 class GrowthTable:
@@ -184,7 +189,8 @@ class AmbientGrowth:
     like a :class:`GrowthTable`.  The pieces are searched in blocks of
     ``_AMBIENT_BLOCK``, a block on the first read of one of its pieces,
     so a loop over the pieces makes one search per block and a single
-    read makes one search."""
+    read makes one search.  Each level of a search pushes from a narrow
+    frontier or pulls over the whole CSR (see :func:`_ambient_growth`)."""
 
     def __init__(self, space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
                  centres: np.ndarray):
@@ -267,9 +273,15 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
 
     One level-synchronous search serves every centre (multi-source BFS
     with one bit per source): each point holds a uint64 mask of the
-    centres that have reached it, and a level expands only the points
-    that some centre reached at the level before, so its work is
-    proportional to the frontier.
+    centres that have reached it.  Each level picks a direction
+    (direction-optimizing BFS; Beamer, Asanovic & Patterson, SC 2012).
+    While the frontier's adjacency entries are at most a share
+    ``_AMBIENT_PULL`` of the CSR's, the level pushes: it expands only the
+    points that some centre reached at the level before.  Otherwise it
+    pulls: every point ORs the masks of all its neighbours, in one gather
+    and one reduction over the CSR.  The two give the same level sets: a
+    bit that a neighbour held before the last level has reached the
+    point already.
     """
     k = len(centres)
     full = centres >= 0
@@ -286,6 +298,10 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
     edge = space.margins() <= space.edge_threshold
     front = np.unique(centres[full])
     mask = seen[front]
+    # a pull reduces the rows of nonzero degree only: reduceat misreads
+    # empty rows
+    nonempty = np.flatnonzero(np.diff(indptr))
+    limit = _AMBIENT_PULL * len(indices)
     # per level: the centres still reaching new points, those reaching
     # the window edge, and the piece points reached
     alive, touched, hits = [], [], []
@@ -297,7 +313,19 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
         start = indptr[front]
         size = indptr[front + 1] - start
         end = np.cumsum(size)
-        nbr = indices[np.arange(end[-1]) + np.repeat(start - end + size, size)]
+        total = int(end[-1])
+        if limit < total:
+            # pull: every point ORs the masks of its neighbours
+            new = np.zeros_like(seen)
+            new[nonempty] = np.bitwise_or.reduceat(seen[indices],
+                                                   indptr[nonempty])
+            new &= ~seen
+            seen |= new
+            front = np.flatnonzero(new)
+            mask = new[front]
+            continue
+        # push: the frontier's masks to its neighbours
+        nbr = indices[np.arange(total) + np.repeat(start - end + size, size)]
         before = seen[nbr]
         new = np.repeat(mask, size) & ~before
         keep = np.flatnonzero(new)

@@ -563,10 +563,9 @@ class _StratifiedGrid:
                                * (math.cosh(r) - 1.0)) / self.w + 1.0
         return int(min(layers * cols ** (len(self.lo) - 1), len(self.ys))) + 1
 
-    def distances(self, qx: np.ndarray, qy: np.ndarray, indptr: np.ndarray,
-                  cand: np.ndarray) -> np.ndarray:
-        """Model distances of a query result, entry by entry."""
-        row = np.repeat(np.arange(len(qy)), np.diff(indptr))
+    def distances(self, qx, qy, row, cand) -> np.ndarray:
+        """Model distances of query row ``row[k]`` to net point ``cand[k]``,
+        entry by entry."""
         t = _t_values(qx[row], qy[row], self.xs[cand], self.ys[cand])
         return np.arccosh(np.maximum(1.0, 1.0 + t))
 
@@ -947,8 +946,10 @@ class SpaceGraph:
 
         Distances within 1e-12 tie and go to the lower index: the key is
         ``(round(d, 12), index)``.  The search radius starts at ``sep`` and
-        doubles, for the rows that found nothing, up to 40 times.  Rows
-        are refused as in :meth:`coords_within`.
+        doubles, for the rows that found nothing, up to 40 times.  A row
+        is decided from the candidates of the query that found it, unless
+        its best + 1e-9 passes that query's radius: then it is queried
+        again at best + 1e-9.  Rows are refused as in :meth:`coords_within`.
         """
         grid = self._grid
         qx, qy = _query_rows(xs, ys, grid.xs.shape[1])
@@ -959,36 +960,47 @@ class SpaceGraph:
             if not len(todo):
                 return out
             indptr, cand = grid.query(qx[todo], qy[todo], radius)
-            hit = indptr[1:] > indptr[:-1]
+            size = np.diff(indptr)
+            hit = size > 0
             if hit.any():
-                d = grid.distances(qx[todo], qy[todo], indptr, cand)
-                best = np.minimum.reduceat(d, indptr[:-1][hit])
-                rows = todo[hit]
-                # re-query at best + 1e-9: points just beyond the first
-                # radius can still tie with the best under the rounded key
-                out[rows] = self._pick_nearest(qx[rows], qy[rows], best + 1e-9)
+                found = todo[hit]
+                row = np.repeat(found, size[hit])
+                d = grid.distances(qx, qy, row, cand)
+                reach = np.minimum.reduceat(d, indptr[:-1][hit]) + 1e-9
+                # only points within best + 1e-11 can tie with the best
+                # under the rounded key.  The first ball holds them all
+                # where best + 1e-9 <= radius; other rows are queried
+                # again at best + 1e-9
+                far = reach > radius
+                if far.any():
+                    keep = np.repeat(~far, size[hit])
+                    again = found[far]
+                    indptr, more = grid.query(qx[again], qy[again], reach[far])
+                    more_row = np.repeat(again, np.diff(indptr))
+                    row, cand = np.r_[row[keep], more_row], np.r_[cand[keep], more]
+                    d = np.r_[d[keep], grid.distances(qx, qy, more_row, more)]
+                self._pick_nearest(qx, qy, row, cand, d, out)
             todo = todo[~hit]
             radius *= 2.0
         if len(todo):
             raise EmptySpaceError("nearest-point query found nothing")
         return out
 
-    def _pick_nearest(self, qx: np.ndarray, qy: np.ndarray,
-                      radius: np.ndarray) -> np.ndarray:
-        # every row's ball holds its nearest point; a candidate more than
-        # 1e-11 above the row minimum cannot win under the rounded key
-        grid = self._grid
-        indptr, cand = grid.query(qx, qy, radius)
-        d = grid.distances(qx, qy, indptr, cand)
-        row = np.repeat(np.arange(len(qy)), np.diff(indptr))
-        near = d <= np.minimum.reduceat(d, indptr[:-1])[row] + 1e-11
-        ties = np.bincount(row[near], minlength=len(qy))
-        pick = np.full(len(qy), -1, dtype=np.int64)
-        alone = near & (ties[row] == 1)
-        pick[row[alone]] = cand[alone]
-        tied = near & (ties[row] > 1)
+    def _pick_nearest(self, qx: np.ndarray, qy: np.ndarray, row: np.ndarray,
+                      cand: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+        # the candidates of each query row at distances d, grouped by row
+        # and holding every point within best + 1e-11: write the row's
+        # nearest point to out[row].  A candidate more than 1e-11 above
+        # the row minimum cannot win under the rounded key
+        head = np.r_[True, row[1:] != row[:-1]]
+        group = np.cumsum(head) - 1
+        near = d <= np.minimum.reduceat(d, np.flatnonzero(head))[group] + 1e-11
+        ties = np.bincount(group[near])[group]
+        alone = near & (ties == 1)
+        out[row[alone]] = cand[alone]
+        tied = near & (ties > 1)
         if not tied.any():
-            return pick
+            return
         # a tied row takes the least (round(d, 12), index), with the exact
         # distances and Python's round (numpy's rounds differently)
         row, cand = row[tied], cand[tied]
@@ -997,8 +1009,7 @@ class SpaceGraph:
         order = np.lexsort((cand, key, row))
         row, cand = row[order], cand[order]
         first = np.r_[True, row[1:] != row[:-1]]
-        pick[row[first]] = cand[first]
-        return pick
+        out[row[first]] = cand[first]
 
     def _distances_from(self, qx: np.ndarray, qy: np.ndarray,
                         idx: np.ndarray) -> np.ndarray:

@@ -6,13 +6,15 @@ object oracle ``point_distance`` (a deque BFS on metric graphs) on every
 model, and must refuse indices outside ``range(n)``.  ``index_of`` keys its
 dictionary by the points themselves.  ``nearest_points`` decides tied rows
 with the exact distances of its candidates, and is compared with a
-row-by-row argmin on queries built to tie.  The last test scans the
+row-by-row argmin on queries built to tie, on rows it decides from its
+first query and on rows it queries again.  The last test scans the
 library so that no second distance path grows back.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -187,6 +189,55 @@ def test_tied_rows_in_any_batch(name, data):
                    for x, y in zip(qx.tolist(), qy.tolist())]
     assert got == [int(sp.nearest_points(qx[k:k + 1], qy[k:k + 1])[0])
                    for k in range(len(qy))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(GRID_NETS), data=st.data())
+def test_rows_decided_in_the_first_ball_or_queried_again(name, data):
+    # ties, and points lifted by exactly sep (their best lies within 1e-9
+    # of the first radius, so they are queried again) or by less (decided
+    # from the first query's candidates), in one batch: each row as if
+    # alone, and as the oracle decides
+    sp, pts = net(name)
+    tx, ty = tie_queries(sp)
+    xs, ys = sp._coords()
+    lift = {"sep": math.exp(sp.sep), "half": math.exp(sp.sep / 2),
+            "none": 1.0}
+    rows = data.draw(st.lists(st.tuples(
+        st.sampled_from(["tie", "sep", "half", "none"]), st.integers(0, 10 ** 6)),
+        min_size=1, max_size=12))
+    qx, qy = [], []
+    for kind, k in rows:
+        if kind == "tie":
+            qx.append(tx[k % len(ty)])
+            qy.append(ty[k % len(ty)])
+        else:
+            qx.append(xs[k % sp.n])
+            qy.append(ys[k % sp.n] * lift[kind])
+    qx, qy = np.array(qx), np.array(qy)
+    got = sp.nearest_points(qx, qy).tolist()
+    assert got == [int(sp.nearest_points(qx[k:k + 1], qy[k:k + 1])[0])
+                   for k in range(len(qy))]
+    assert got == [nearest_oracle(sp, pts, x, y)[0]
+                   for x, y in zip(qx.tolist(), qy.tolist())]
+
+
+@pytest.mark.parametrize("name", GRID_NETS)
+def test_rows_near_a_point_take_one_engine_query(name, monkeypatch):
+    # a best well inside the first ball needs no second query; on the
+    # half-space nets, a point lifted by exactly sep has its best at the
+    # first radius, so its row is queried again at best + 1e-9
+    sp, _ = net(name)
+    xs, ys = sp._coords()
+    grid = sp._grid
+    radii = []
+    query = grid.query
+    monkeypatch.setattr(grid, "query",
+                        lambda qx, qy, r: radii.append(np.ndim(r)) or query(qx, qy, r))
+    assert sp.nearest_points(xs, ys).tolist() == list(range(sp.n))
+    assert radii == [0]
+    sp.nearest_points(xs, ys * math.exp(sp.sep))
+    assert (1 in radii) == (sp.model == "hd")
 
 
 # -- the guard ---------------------------------------------------------------

@@ -4,7 +4,9 @@
 searches the entry graph of a family (one node per (piece, point) entry,
 edges between adjacent points of one piece) in blocks of whole pieces;
 the ambient table runs one bit-parallel search of the space per block of
-64 pieces, a block when one of its pieces is first read.  ``piece_growth``
+64 pieces, a block when one of its pieces is first read, each level
+pushed or pulled; the search is tested push-only, pull-only, alternating
+and at the default switch.  ``piece_growth``
 and intrinsic ``set_growth`` read them.  Both are compared with deque BFS
 oracles (``object_oracles.intrinsic_growth_oracle`` and
 ``ambient_growth_oracle``) on random and disconnected graphs, integer
@@ -191,13 +193,15 @@ class TestSetGrowthInputs:
 
 @st.composite
 def ambient_families(draw):
-    """A space (random graphs are often disconnected) and a family of
-    pieces that may overlap or be empty, sometimes of more than 64."""
+    """A space and a family of pieces that may overlap, repeat or be
+    empty, sometimes of more than 64.  Random graphs are often
+    disconnected and may end in isolated points (rows of degree 0)."""
     kind = draw(st.sampled_from(["graph", "graph", "z", "h2"]))
     if kind == "graph":
         n = draw(st.integers(1, 30))
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        space = metric_graph(n, draw(st.lists(pairs, max_size=2 * n)))
+        space = metric_graph(n + draw(st.integers(0, 3)),
+                             draw(st.lists(pairs, max_size=2 * n)))
     else:
         space = space_of(kind, draw(st.integers(1, 12)))
     k = draw(st.one_of(st.integers(1, 8), st.integers(60, 140)))
@@ -207,30 +211,93 @@ def ambient_families(draw):
     else:
         member = np.zeros((space.n, k), dtype=bool)
         member[np.arange(space.n), rng.integers(0, k, space.n)] = True
-    return space, [np.flatnonzero(member[:, j]).tolist() for j in range(k)], rng
+    pieces = [np.flatnonzero(member[:, j]).tolist() for j in range(k)]
+    if draw(st.booleans()):
+        # repeated pieces share their centre, and an empty one has none
+        pieces += [pieces[j] for j in rng.integers(0, k, 3)] + [[]]
+        rng.shuffle(pieces)
+    return space, pieces, rng
+
+
+class _Alternate:
+    """A stand-in for ``covers._AMBIENT_PULL`` that makes the levels of
+    each search pull and push in turn, from the given first level."""
+
+    def __init__(self, pull_first: bool):
+        self.level = int(pull_first)
+
+    def __mul__(self, entries):
+        return self
+
+    def __lt__(self, frontier):
+        self.level += 1
+        return self.level % 2 == 0
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ambient_families(), st.sampled_from([1, 5, 64]),
-       st.one_of(st.none(), st.integers(0, 6)))
-def test_ambient_tables_match_the_deque_bfs(case, block, r_max):
+       st.one_of(st.none(), st.integers(0, 6)), st.booleans())
+def test_ambient_tables_match_the_deque_bfs(case, block, r_max, pull_first):
     space, pieces, rng = case
-    view = _piece_view(pieces, space.n)
-    with mock.patch.object(covers, "_AMBIENT_BLOCK", block):
-        table = view.growth(space, "ambient")
-        # blocks are filled in the order their pieces are first read
-        for i in rng.permutation(len(pieces)).tolist():
-            if not pieces[i]:
-                with pytest.raises(DataError):
-                    table.report(i, r_max)
-                continue
-            want = ambient_growth_oracle(space, pieces[i], r_max=r_max)
-            assert as_tuple(table.report(i, r_max)) == as_tuple(want)
-            assert as_tuple(growth_report(space, want.center, r_max=r_max,
-                                          subset=pieces[i])) == as_tuple(want)
-            assert as_tuple(set_growth(space, pieces[i], r_max=r_max)) \
-                == as_tuple(want)
+    wants = {i: ambient_growth_oracle(space, p, r_max=r_max)
+             for i, p in enumerate(pieces) if p}
+    for i, want in wants.items():
+        assert as_tuple(growth_report(space, want.center, r_max=r_max,
+                                      subset=pieces[i])) == as_tuple(want)
+        assert as_tuple(set_growth(space, pieces[i], r_max=r_max)) \
+            == as_tuple(want)
+    # push-only, pull-only and alternating levels, and the default switch
+    for pull in [float("inf"), -1.0, _Alternate(pull_first), covers._AMBIENT_PULL]:
+        view = _piece_view(pieces, space.n)
+        with mock.patch.object(covers, "_AMBIENT_BLOCK", block), \
+                mock.patch.object(covers, "_AMBIENT_PULL", pull):
+            table = view.growth(space, "ambient")
+            # blocks are filled in the order their pieces are first read
+            for i in rng.permutation(len(pieces)).tolist():
+                if i not in wants:
+                    with pytest.raises(DataError):
+                        table.report(i, r_max)
+                    continue
+                assert as_tuple(table.report(i, r_max)) == as_tuple(wants[i])
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_directions_on_isolated_points_and_components(block):
+    # two paths, a triangle and two isolated points (rows of degree 0);
+    # pieces repeat, one is empty and one is an isolated point
+    space = metric_graph(12, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6),
+                              (7, 8), (8, 9), (9, 7)])
+    pieces = [[1, 2], [1, 2], [], [10], [4, 5, 6], [0, 3, 8], [11, 9], [2]]
+    for pull in [float("inf"), -1.0, _Alternate(False), _Alternate(True),
+                 covers._AMBIENT_PULL]:
+        view = _piece_view(pieces, space.n)
+        with mock.patch.object(covers, "_AMBIENT_BLOCK", block), \
+                mock.patch.object(covers, "_AMBIENT_PULL", pull):
+            table = view.growth(space, "ambient")
+            for i, piece in enumerate(pieces):
+                if not piece:
+                    with pytest.raises(DataError):
+                        table.report(i)
+                    continue
+                assert as_tuple(table.report(i)) == as_tuple(
+                    ambient_growth_oracle(space, piece))
+
+
+def test_both_directions_give_the_same_arrays(decomp8):
+    # the wide middle levels of a tiling's search pull by default; the
+    # arrays equal those of the push-only search, bit for bit
+    space, pieces = decomp8.space, decomp8.pieces
+    ptr, pts = pieces.ptr[:65], pieces.pts[:pieces.ptr[64]]
+    centres = covers._default_centres(space, ptr, pts)
+    tables = []
+    for pull in [covers._AMBIENT_PULL, float("inf"), -1.0, _Alternate(True)]:
+        with mock.patch.object(covers, "_AMBIENT_PULL", pull):
+            t = covers._ambient_growth(space, ptr, pts, centres)
+        tables.append([t.centres, t.rptr, t.counts, t.truncated])
+    for other in tables[1:]:
+        for a, b in zip(tables[0], other):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_ambient_rows_of_a_tiling_match_growth_report(decomp8):
