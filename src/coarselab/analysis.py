@@ -19,7 +19,7 @@ from .covers import (ColoredDecomposition, Cover, PieceView, _components,
                      iterated_neighborhood)
 from .errors import (DataError, DomainError, PreconditionError,
                      TruncationError, UnsupportedError)
-from .spaces import GrowthReport, SpaceGraph, growth_report
+from .spaces import GrowthReport, SpaceGraph, _unique, growth_report
 
 __all__ = [
     "fit_growth",
@@ -107,7 +107,7 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
     """
     if metric not in ("ambient", "intrinsic"):
         raise UnsupportedError(f"unknown metric {metric!r}")
-    pts = np.unique(np.fromiter(subset, dtype=np.int64))
+    pts = _unique(np.fromiter(subset, dtype=np.int64))
     if not len(pts):
         raise DataError("empty subset")
     for p in (pts[0], pts[-1], center):

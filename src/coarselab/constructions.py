@@ -104,6 +104,10 @@ class MapRecord:
             i = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
             j = nbr[indptr[lo]:indptr[hi]]
             i, j = i[j >= i], j[j >= i]
+            # an edge whose ends share an image point stretches by 0
+            moved = image[i] != image[j]
+            if not moved.all():
+                i, j = i[moved], j[moved]
             ds = self.source.distances(i, j)
             dt = self.target.distances(image[i], image[j])
             ratio = np.divide(dt, ds, out=np.zeros_like(dt), where=ds > 0)

@@ -24,7 +24,7 @@ from .errors import (ArityError, DataError, DomainError, PreconditionError,
                      UnsupportedError)
 from .spaces import (_VIEW_BLOCK, GrowthReport, SpaceGraph, _centre_distances,
                      _concat_csr, _csr_from_rows, _csr_take, _group,
-                     _path_lengths, _sorted_lookup, _sorted_rows)
+                     _path_lengths, _sorted_lookup, _sorted_rows, _unique)
 
 __all__ = [
     "PieceView",
@@ -296,7 +296,7 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
     slot = np.zeros(space.n, dtype=np.int64)
     indptr, indices = space.indptr, space.indices
     edge = space.margins() <= space.edge_threshold
-    front = np.unique(centres[full])
+    front = _unique(centres[full])
     mask = seen[front]
     # a pull reduces the rows of nonzero degree only: reduceat misreads
     # empty rows
@@ -609,7 +609,7 @@ def r_multiplicity(cover: PieceFamily, R: float,
     for rows, indptr, nbr in space.neighbor_blocks(np.arange(space.n), R):
         row = np.repeat(np.arange(len(rows)), np.diff(indptr))
         owner, pid = _csr_take(mptr, mpid, nbr)
-        distinct = np.unique(row[owner] * npieces + pid)
+        distinct = _unique(row[owner] * npieces + pid)
         met[rows] = np.bincount(distinct // npieces, minlength=len(rows))
     best = int(met.argmax())
     return int(met[best]), best
@@ -689,8 +689,8 @@ def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
     absorbed[piece] = True
     truncated = bool(margins[level].min() <= thr)
     for _ in range(m):
-        hood = np.unique(space.neighbors(np.flatnonzero(level), s)[1])
-        met = np.unique(_csr_take(mptr, mpid, hood)[1])
+        hood = _unique(space.neighbors(np.flatnonzero(level), s)[1])
+        met = _unique(_csr_take(mptr, mpid, hood)[1])
         new = met[~absorbed[met]]
         absorbed[new] = True
         level[_csr_take(view.ptr, view.pts, new)[1]] = True

@@ -380,6 +380,22 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - starts[owner]
 
 
+def _unique(a: np.ndarray, inverse: bool = False):
+    """``np.unique(a)`` of a 1-d integer array by sort and mask, with
+    ``a``'s position in it when ``inverse``; numpy's own hashes plain
+    integer calls, about 20x slower at 100k."""
+    order = np.argsort(a) if inverse else None
+    s = np.sort(a) if order is None else a[order]
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    if not inverse:
+        return s[first]
+    back = np.empty(len(a), dtype=np.int64)
+    back[order] = np.cumsum(first) - 1
+    return s[first], back
+
+
 def _csr_take(indptr: np.ndarray, indices: np.ndarray,
               sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of the CSR rows ``sel``, as (position in sel, value) arrays."""
@@ -877,10 +893,15 @@ class SpaceGraph:
             ns = self._codes
             return lambda a, b: np.abs(ns[a] - ns[b]).astype(float)
         if self.model == "product":
-            # the factor distances summed left to right from 0
+            # each factor evaluates each distinct index pair once; the
+            # factor distances are summed left to right from 0
             codes, fs = self._codes, self.window["factors"]
-            return lambda a, b: sum(f.distances(codes[a, k], codes[b, k])
-                                    for k, f in enumerate(fs))
+
+            def part(a, b, k, f):
+                keys, back = _unique(codes[a, k] * f.n + codes[b, k],
+                                     inverse=True)
+                return f.distances(keys // f.n, keys % f.n)[back]
+            return lambda a, b: sum(part(a, b, k, f) for k, f in enumerate(fs))
         if self.model == "t3":
             return _tree_kernel(self._tree_codes, self._codes[1])
         if self.model == "comb":
