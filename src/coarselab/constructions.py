@@ -16,15 +16,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .covers import (ColoredDecomposition, Cover, PieceView,
+from .covers import (ColoredDecomposition, Cover, PieceView, _entry_graph,
                      kolmogorov_amplify, product_decomposition,
                      pullback_decomposition)
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
-                     PreconditionError, SizeCapError, UnsupportedError)
+                     SizeCapError, UnsupportedError)
 from .spaces import (_HIGHER_CHILD, _LOWER_CHILD, PRODUCT_CAP, SpaceGraph,
-                     _centre_distances, _csr_from_edges, _product_space,
-                     _radix_strides, _t_values, _within, _word_view,
-                     generate_net)
+                     _centre_distances, _csr_from_edges, _group, _path_lengths,
+                     _product_space, _radix_strides, _t_values, _within,
+                     _word_view, generate_net)
 
 __all__ = [
     "MapRecord",
@@ -735,51 +735,46 @@ class NerveComplex:
 
 
 def nerve_map(space: SpaceGraph, cover: Cover) -> NerveComplex:
-    """Barycentric map of a cover: each point weighs pieces by its graph
-    distance to their complements, normalised to sum 1."""
-    n = space.n
-    numerators: list[dict[int, float]] = [dict() for _ in range(n)]
-    for pid in range(len(cover.pieces)):
-        piece = cover.pieces.row(pid)
-        outside = np.ones(n, dtype=bool)
-        outside[piece] = False
-        if not outside.any():
-            # piece is everything: distance to the empty complement is
-            # read as 1 + eccentricity so the weight stays finite
-            far = int(space.multi_source_distances(piece).max()) + 1
-            d = np.full(n, far)
-        else:
-            d = space.multi_source_distances(np.flatnonzero(outside))
-        for x, v in zip(piece.tolist(), d[piece].tolist()):
-            numerators[x][pid] = float(v)
-    coords: list[dict[int, float]] = []
-    simplices: set[frozenset[int]] = set()
-    for x in range(n):
-        total = sum(numerators[x].values())
-        if total <= 0:
-            raise PreconditionError(f"point {x} has all-zero nerve numerators",
-                                    witness=x)
-        coords.append({pid: v / total for pid, v in numerators[x].items()})
-        simplices.add(frozenset(numerators[x]))
-    dim = max(len(s) for s in simplices) - 1
-    return NerveComplex(vertices=list(range(len(cover.pieces))),
-                        simplices=simplices, coordinates=coords, dimension=dim)
+    """Barycentric map of a cover: each point weighs the pieces that hold
+    it by its graph distance to their complements, normalised to sum 1.
+
+    A shortest path from x in piece P to the nearest point outside P stays
+    in P until its last step: the numerator of the entry (P, x) is 1 + its
+    distance in the family's entry graph to P's boundary entries (those
+    with fewer neighbours in P than in the space), all found by one
+    search, or 1 where it reaches none (P holds x's whole component).
+    """
+    pieces = cover.pieces
+    graph = _entry_graph(pieces.ptr, pieces.pts, space.indptr, space.indices)
+    boundary = np.diff(graph.indptr) < np.diff(space.indptr)[pieces.pts]
+    d = _path_lengths(graph, np.flatnonzero(boundary), min_only=True)
+    num = np.where(d < 0, 1, d + 1)  # whole numbers: each point's sum is exact
+    weight = num / np.bincount(pieces.pts, weights=num)[pieces.pts]
+    # the entries by point, in increasing piece id
+    ptr, entry = _group(pieces.pts, np.arange(len(num)), space.n)
+    pid, weight = pieces.owners()[entry].tolist(), weight[entry].tolist()
+    rows = list(map(slice, ptr[:-1].tolist(), ptr[1:].tolist()))
+    return NerveComplex(vertices=list(range(len(pieces))),
+                        simplices=set(map(frozenset, map(pid.__getitem__, rows))),
+                        coordinates=[dict(zip(pid[r], weight[r])) for r in rows],
+                        dimension=int(np.diff(ptr).max()) - 1)
 
 
 def nerve_lipschitz(space: SpaceGraph, nerve: NerveComplex) -> float:
-    """Max l2 displacement of barycentric coordinates over graph edges."""
-    worst = 0.0
-    for i, nbrs in enumerate(space.adj):
-        ci = nerve.coordinates[i]
-        for j in nbrs:
-            if j < i:
-                continue
-            cj = nerve.coordinates[j]
-            keys = set(ci) | set(cj)
-            disp = math.sqrt(sum((ci.get(k, 0.0) - cj.get(k, 0.0)) ** 2
-                                 for k in keys))
-            worst = max(worst, disp)
-    return worst
+    """Max l2 displacement of barycentric coordinates over graph edges: one
+    pass over the CSR edges (i, j), j > i, with the coordinates read into a
+    sparse matrix once."""
+    from scipy.sparse import csr_array
+
+    coords = nerve.coordinates
+    ptr = np.cumsum([0] + list(map(len, coords)))
+    c = csr_array(([v for x in coords for v in x.values()],
+                   [k for x in coords for k in x], ptr),
+                  shape=(space.n, len(nerve.vertices)))
+    i = np.repeat(np.arange(space.n), np.diff(space.indptr))
+    up = space.indices > i
+    step = c[i[up]] - c[space.indices[up]]
+    return float(np.sqrt((step * step).sum(axis=1)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -360,23 +360,31 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
             unpack(np.array(touched, dtype=np.uint64)), axis=0).T[rows])
 
 
+def _entry_graph(ptr: np.ndarray, pts: np.ndarray, indptr: np.ndarray,
+                 indices: np.ndarray):
+    """Entry graph of the pieces ``pts[ptr[i]:ptr[i + 1]]`` (rows sorted),
+    as scipy CSR: a node per entry (piece, point), in the order of ``pts``,
+    and an edge between two entries of one piece whose points are adjacent
+    in the point-adjacency CSR ``(indptr, indices)``."""
+    from scipy.sparse import csr_matrix
+
+    m, n = len(pts), len(indptr) - 1
+    owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    key = owner * n + pts  # sorted
+    entry, nbr = _csr_take(indptr, indices, pts)
+    at = _sorted_lookup(key, owner[entry] * n + nbr)
+    gptr, gidx = _csr_from_rows(entry[at >= 0], at[at >= 0], m)
+    return csr_matrix((np.ones(len(gidx), dtype=np.int8), gidx.astype(np.int32),
+                       gptr.astype(np.int32)), shape=(m, m))
+
+
 def _entry_distances(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
                      centres: np.ndarray) -> np.ndarray:
     """Distance of every entry of the pieces ``(ptr, pts)`` from its
     piece's centre in the piece's induced subgraph; -1 if unreachable."""
-    m, n = len(pts), space.n
-    owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    key = owner * n + pts
-    entry, nbr = _csr_take(space.indptr, space.indices, pts)
-    at = _sorted_lookup(key, owner[entry] * n + nbr)
-    indptr, indices = _csr_from_rows(entry[at >= 0], at[at >= 0], m)
-    full = centres >= 0
-    sources = _sorted_lookup(key, np.flatnonzero(full) * n + centres[full])
-    from scipy.sparse import csr_matrix
-
-    graph = csr_matrix((np.ones(len(indices), dtype=np.int8),
-                        indices.astype(np.int32), indptr.astype(np.int32)),
-                       shape=(m, m))
+    graph = _entry_graph(ptr, pts, space.indptr, space.indices)
+    # rows hold no repeats: one entry per piece is its centre
+    sources = np.flatnonzero(pts == np.repeat(centres, np.diff(ptr)))
     return _path_lengths(graph, sources, min_only=True)
 
 
@@ -531,7 +539,7 @@ def _closed_adjacency(space: SpaceGraph):
     """A + I of the space graph, as CSR: one step of a graph ball."""
     from scipy.sparse import identity
 
-    return (space._as_csr() + identity(space.n, dtype=np.int8, format="csr")
+    return (space._csr + identity(space.n, dtype=np.int8, format="csr")
             ).astype(bool).tocsr()
 
 
@@ -1029,19 +1037,13 @@ def _components(space: SpaceGraph, pieces: PieceView,
         cut = (row[1:] != row[:-1]) | (np.diff(space._codes[pts]) > R)
         heads = np.r_[0, np.flatnonzero(cut) + 1]
         return row[heads], PieceView(np.r_[heads, len(pts)], pts, n)
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    # link each entry (piece, x) to the entries (piece, y), y near x
-    key = row * n + pts  # sorted
+    # link each entry (piece, x) to the entries (piece, y), y within R of x
     members = np.flatnonzero(np.bincount(pts, minlength=n))
-    entry, y = _csr_take(*space.neighbors(members, R),
-                         np.searchsorted(members, pts))
-    cand = row[entry] * n + y
-    hit = np.minimum(np.searchsorted(key, cand), len(key) - 1)
-    linked = key[hit] == cand
-    graph = csr_matrix((np.ones(int(linked.sum()), dtype=np.int8),
-                        (entry[linked], hit[linked])), shape=(len(key), len(key)))
+    near_ptr, near = space.neighbors(members, R)
+    graph = _entry_graph(pieces.ptr, pts, *_csr_from_rows(
+        np.repeat(members, np.diff(near_ptr)), near, n))
     ncomp, label = connected_components(graph, directed=False)
     first = np.unique(label, return_index=True)[1]
     rank = np.empty(ncomp, dtype=np.int64)

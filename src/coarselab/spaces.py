@@ -778,14 +778,11 @@ class SpaceGraph:
     window: dict
     n: int = field(init=False, default=0)
     degree_bound: int = field(init=False, default=0)
-    _index: dict = field(default_factory=dict, repr=False)
     _dist_matrix: Optional[np.ndarray] = field(default=None, repr=False)
-    _csr: object = field(default=None, repr=False)
     _grid: object = field(default=None, repr=False)
     # integer codes, set when the net is built: z values, product factor
     # indices, t3 (words, depth), comb (path, tail)
     _codes: object = field(default=None, repr=False)
-    _margins: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.n = len(self.points)
@@ -815,10 +812,12 @@ class SpaceGraph:
             if i < self.n and ns[i] == p.n:
                 return i
             raise KeyError(p)
-        if not self._index:
-            # the frozen point classes hash and compare by their fields
-            self._index = {q: i for i, q in enumerate(self.points)}
         return self._index[p]
+
+    @cached_property
+    def _index(self) -> dict:
+        # the frozen point classes hash and compare by their fields
+        return {q: i for i, q in enumerate(self.points)}
 
     @cached_property
     def model_distance(self) -> Callable[[int, int], float]:
@@ -835,29 +834,19 @@ class SpaceGraph:
 
     # -- graph metric -----------------------------------------------------
 
-    def _as_csr(self):
-        if self._csr is None:
-            from scipy.sparse import csr_matrix
+    @cached_property
+    def _csr(self):
+        from scipy.sparse import csr_matrix
 
-            data = np.ones(len(self.indices), dtype=np.int8)
-            self._csr = csr_matrix(
-                (data, self.indices.astype(np.int32), self.indptr),
-                shape=(self.n, self.n))
-        return self._csr
+        data = np.ones(len(self.indices), dtype=np.int8)
+        return csr_matrix((data, self.indices.astype(np.int32), self.indptr),
+                          shape=(self.n, self.n))
 
     def graph_distances(self, center: int, limit: Optional[int] = None) -> np.ndarray:
         """Shortest-path distances from center; -1 where unreachable/over limit."""
         if not 0 <= center < self.n:
             raise IndexError(f"point index out of range: {center}")
-        return _path_lengths(self._as_csr(), center, limit)
-
-    def multi_source_distances(self, sources: Sequence[int],
-                               limit: Optional[int] = None) -> np.ndarray:
-        """Distance from the nearest of ``sources``; -1 where unreachable."""
-        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        if not len(sources):
-            return np.full(self.n, -1, dtype=np.int64)
-        return _path_lengths(self._as_csr(), sources, limit, min_only=True)
+        return _path_lengths(self._csr, center, limit)
 
     # -- row-aligned model distances --------------------------------------
 
@@ -1053,11 +1042,10 @@ class SpaceGraph:
         windows sum ``acosh(1 + (x * x + (y - 1) ** 2) / (2 * y))`` over
         the x-coordinates, left to right, the ``** 2`` through libm pow.
         """
-        if self._margins is None:
-            self._margins = self._window_margins()
         return self._margins
 
-    def _window_margins(self) -> np.ndarray:
+    @cached_property
+    def _margins(self) -> np.ndarray:
         w, n = self.window, self.n
         kind = w.get("kind")
         if kind == "ball":
@@ -1636,5 +1624,5 @@ def metric_graph(n: int, edges: Iterable[tuple[int, int]]) -> SpaceGraph:
                    edge_threshold=1.0, window={"kind": "explicit"})
     from scipy.sparse.csgraph import dijkstra
 
-    g._dist_matrix = dijkstra(g._as_csr(), directed=False, unweighted=True)
+    g._dist_matrix = dijkstra(g._csr, directed=False, unweighted=True)
     return g

@@ -11,9 +11,12 @@ intrinsic and ambient growth run one deque BFS per set over the adjacency
 tuples; the tile enumeration multiplies one Möbius matrix pair at a time;
 the hd cover builds the whole l1 product window and looks the snapped
 tuples up in it; ``points.csv`` is written from the point objects one row
-at a time.  They are slow and simple, and the array code must reproduce
-them exactly (see ``test_array_core.py``, ``test_growth_table.py``,
-``test_image_product.py`` and ``test_output_sized.py``).
+at a time; the nerve map runs one deque BFS per piece from its complement
+list, and its Lipschitz constant walks the adjacency tuples edge by edge.
+They are slow and simple, and the array code must reproduce them exactly
+(see ``test_array_core.py``, ``test_growth_table.py``,
+``test_image_product.py``, ``test_output_sized.py`` and
+``test_piece_csr.py``).
 """
 
 from __future__ import annotations
@@ -171,6 +174,54 @@ def _deque_growth(space: SpaceGraph, subset, center: Optional[int],
         trunc.append(hit)
     return GrowthReport(center=center, radii=radii, counts=counts,
                         truncated=trunc)
+
+
+def _nearest_source_distances(space: SpaceGraph, sources) -> list[int]:
+    """Distance of every point from the nearest of ``sources``, by one
+    deque BFS over ``space.adj``; -1 where none is reached."""
+    dist = [-1] * space.n
+    dq = deque(sources)
+    for s in sources:
+        dist[s] = 0
+    while dq:
+        v = dq.popleft()
+        for w in space.adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                dq.append(w)
+    return dist
+
+
+def nerve_oracle(space: SpaceGraph, cover: Cover) -> list[dict[int, float]]:
+    """Barycentric coordinates of a cover, piece by piece: the numerator of
+    point x in piece P is its graph distance to the complement of P, by a
+    deque BFS from the complement list, or 1 where x reaches no point
+    outside P (P holds x's whole component, or is the whole space)."""
+    n = space.n
+    numerators: list[dict[int, float]] = [dict() for _ in range(n)]
+    for pid, piece in enumerate(cover.pieces):
+        d = _nearest_source_distances(space, [i for i in range(n) if i not in piece])
+        for x in piece:
+            numerators[x][pid] = float(d[x]) if d[x] >= 0 else 1.0
+    return [{pid: v / sum(num.values()) for pid, v in num.items()}
+            for num in numerators]
+
+
+def nerve_lipschitz_oracle(space: SpaceGraph, coordinates) -> float:
+    """Max l2 displacement of the barycentric ``coordinates`` over the
+    graph edges, one edge at a time over ``space.adj``."""
+    worst = 0.0
+    for i, nbrs in enumerate(space.adj):
+        ci = coordinates[i]
+        for j in nbrs:
+            if j < i:
+                continue
+            cj = coordinates[j]
+            keys = set(ci) | set(cj)
+            disp = math.sqrt(sum((ci.get(k, 0.0) - cj.get(k, 0.0)) ** 2
+                                 for k in keys))
+            worst = max(worst, disp)
+    return worst
 
 
 def _mobius_mul(m1: tuple, m2: tuple) -> tuple:

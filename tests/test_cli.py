@@ -235,6 +235,23 @@ class TestBuildCommand:
         assert nerve["dimension"] == 0  # a partition has singleton supports
         assert nerve["lipschitz"] >= 0.0
 
+    def test_nerve_of_an_edgeless_window(self, tmp_path, capsys):
+        # every singleton holds a whole component of the edgeless net
+        from coarselab import artifacts, covers
+
+        manifest = artifacts.space_manifest("t3", {"radius": 2},
+                                            edge_threshold=0.5)
+        space = artifacts.space_from_manifest(manifest)
+        cover = covers.Cover(space, [[i] for i in range(space.n)])
+        (tmp_path / "cover.json").write_text(artifacts.canonical_json(
+            artifacts.cover_to_dict(cover, {"manifest": manifest})))
+        rc = main(["build", "nerve", "--cover", str(tmp_path / "cover.json"),
+                   "--out", str(tmp_path / "n")])
+        assert rc == 0
+        assert "check barycentric-sums-1: pass" in capsys.readouterr().out
+        nerve = json.loads(read(tmp_path / "n" / "nerve.json"))
+        assert nerve["dimension"] == 0 and nerve["lipschitz"] == 0.0
+
     def test_cover_point_outside_the_space_exit_2(self, tmp_path, capsys):
         main(["build", "tiling", "--ball", "4", "--out", str(tmp_path)])
         dec = json.loads(read(tmp_path / "decomposition.json"))

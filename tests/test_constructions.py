@@ -14,7 +14,7 @@ from coarselab.constructions import (GeodesicComb, MapRecord, assign_tile,
                                      nerve_map, tree_walk, walk_value)
 from coarselab.covers import Cover, check_disjointness
 from coarselab.errors import ArityError, DomainError
-from coarselab.spaces import CombNode, ZPoint, generate_net
+from coarselab.spaces import CombNode, ZPoint, generate_net, metric_graph
 from object_oracles import point_distance
 from test_walk_arrays import _binary_walk, _spine_word
 
@@ -310,6 +310,29 @@ class TestNerve:
         z, cov = self._two_piece_cover()
         nerve = nerve_map(z, cov)
         assert 0.0 < nerve_lipschitz(z, nerve) < 2.0
+
+    def test_piece_holding_a_whole_component_weighs_one(self):
+        # pieces 0 and 1 are the two components: no point outside them is
+        # reachable, so their numerators are 1, as on a whole-space piece
+        g = metric_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        nerve = nerve_map(g, Cover(g, [[0, 1, 2], [3, 4, 5], [2, 3]]))
+        assert nerve.coordinates == [{0: 1.0}, {0: 1.0}, {0: 0.5, 2: 0.5},
+                                     {1: 0.5, 2: 0.5}, {1: 1.0}, {1: 1.0}]
+        assert nerve.dimension == 1
+
+    def test_singletons_of_an_edgeless_net(self):
+        t3 = generate_net("t3", {"radius": 2}, edge_threshold=0.5)
+        nerve = nerve_map(t3, Cover(t3, [[i] for i in range(t3.n)]))
+        assert nerve.coordinates == [{i: 1.0} for i in range(t3.n)]
+        assert nerve_lipschitz(t3, nerve) == 0.0
+
+    def test_whole_space_piece_weighs_one(self):
+        # the whole space has no boundary entries: its numerators are 1
+        z = generate_net("z", {"lo": -5, "hi": 5})
+        nerve = nerve_map(z, Cover(z, [list(range(z.n)), [0, 1]]))
+        assert nerve.coordinates[:3] == [{0: 1 / 3, 1: 2 / 3},
+                                         {0: 0.5, 1: 0.5}, {0: 1.0}]
+        assert nerve.coordinates[z.index_of(ZPoint(5))] == {0: 1.0}
 
 
 class TestGeodesicComb:

@@ -7,8 +7,9 @@ model, and must refuse indices outside ``range(n)``.  ``index_of`` keys its
 dictionary by the points themselves.  ``nearest_points`` decides tied rows
 with the exact distances of its candidates, and is compared with a
 row-by-row argmin on queries built to tie, on rows it decides from its
-first query and on rows it queries again.  The last test scans the
-library so that no second distance path grows back.
+first query and on rows it queries again.  The last tests scan the
+library so that no second distance path grows back, and no graph search
+reads the adjacency tuples.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def test_index_of_round_trips_and_misses_with_key_error(name):
             sp.index_of(p)
     if name == "z":
         # integer windows search their integers: no point dictionary
-        assert not sp._index
+        assert "_index" not in vars(sp)
 
 
 # -- tied nearest points -----------------------------------------------------
@@ -279,4 +280,18 @@ def test_library_keeps_one_distance_path():
             found += [f"{path.name}:{node.lineno} .points"
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr == "points"]
+    assert not found, found
+
+
+def test_library_searches_the_csr_alone():
+    # graph searches run on the CSR arrays through ``_path_lengths``: no
+    # module reads the adjacency tuples (``spaces.py`` defines them, for
+    # the tests and the benchmark), and the multi-source method is gone
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for name, line in _names(tree)
+                  if name == "multi_source_distances"]
+        found += [f"{path.name}:{node.lineno} .adj" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "adj"]
     assert not found, found

@@ -148,7 +148,8 @@ def birad_with(xs: np.ndarray, ys: np.ndarray):
                                             "d": 3}, sep=0.5, edge_threshold=1.0)
     space = copy.copy(_BIRAD["net"])
     space._grid = types.SimpleNamespace(xs=xs, ys=ys)
-    space.n, space._margins = len(ys), None
+    space.n = len(ys)
+    vars(space).pop("_margins", None)
     return space
 
 

@@ -296,9 +296,6 @@ def test_graph_distances_match_bfs(seed, limit):
                          for _ in range(rng.randint(0, 2 * n))])
     c = rng.randrange(n)
     assert g.graph_distances(c, limit=limit).tolist() == bfs(g, [c], limit).tolist()
-    srcs = rng.sample(range(n), rng.randint(0, n))
-    assert g.multi_source_distances(srcs, limit=limit).tolist() == \
-        bfs(g, srcs, limit).tolist()
     full = [[float(d) if d >= 0 else np.inf for d in bfs(g, [s])]
             for s in range(n)]
     assert g._dist_matrix.tolist() == full

@@ -5,7 +5,8 @@ the chained point-to-piece inversion, the set-based validation, colour
 classes and coverage counts, the per-piece component split (and so
 ``refine_connected``), the preimage helper, the per-point colour
 amplification and the one-draw-at-a-time pair sampler.  ``PieceView``
-reads are checked against lists of frozensets.
+reads are checked against lists of frozensets, and the nerve map against
+the per-piece complement searches of ``object_oracles``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab import analysis, covers
-from coarselab.constructions import MapRecord, tree_walk
+from coarselab.constructions import (MapRecord, nerve_lipschitz, nerve_map,
+                                     tree_walk)
 from coarselab.covers import (ColoredDecomposition, Cover, PieceView,
                               kolmogorov_amplify, pullback_cover,
                               pullback_decomposition, refine_connected)
 from coarselab.errors import DomainError, PreconditionError, UnsupportedError
 from coarselab.spaces import generate_net, metric_graph
+from object_oracles import nerve_lipschitz_oracle, nerve_oracle
 
 SPACES = {
     "z": lambda: generate_net("z", {"lo": -30, "hi": 30}),
@@ -189,24 +192,6 @@ def amplify_oracle(decomp):
         colors.append(k + 1)
         trace.append(("selected", pid))
     return pieces, colors, trace
-
-
-def nerve_oracle(space, cover):
-    """The per-piece barycentric numerators, over the complement lists."""
-    n = space.n
-    numerators = [dict() for _ in range(n)]
-    for pid, piece in enumerate(cover.pieces):
-        complement = [i for i in range(n) if i not in piece]
-        if not complement:
-            far = int(space.multi_source_distances(sorted(piece)).max()) + 1
-            for x in piece:
-                numerators[x][pid] = float(far)
-            continue
-        d = space.multi_source_distances(complement)
-        for x in piece:
-            numerators[x][pid] = float(d[x])
-    return [{pid: v / sum(num.values()) for pid, v in num.items()}
-            for num in numerators]
 
 
 def sample_pairs_oracle(n, cap, seed):
@@ -522,6 +507,40 @@ def test_nerve_matches_complement_loop(name):
     for raw in (random_pieces(rng, sp.n, 6), [list(range(sp.n)), [0, 1]]):
         cov = Cover(sp, raw)
         assert nerve_map(sp, cov).coordinates == nerve_oracle(sp, cov)
+
+
+NERVE_SPACES = SPACES | {
+    "comb": lambda: generate_net("comb", {"d": 2, "extent": 3}),
+    "t3-edgeless": lambda: generate_net("t3", {"radius": 2}, edge_threshold=0.5),
+    "two-paths": lambda: metric_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(NERVE_SPACES)), seed=st.integers(0, 10 ** 6),
+       whole=st.booleans(), components=st.integers(0, 3))
+def test_nerve_matches_the_object_oracles(name, seed, whole, components):
+    # overlapping random pieces, with the whole space and the whole
+    # components of a few points as further pieces
+    if name not in _cache:
+        _cache[name] = NERVE_SPACES[name]()
+    sp = _cache[name]
+    rng = random.Random(seed)
+    raw = random_pieces(rng, sp.n, rng.randint(1, 6))
+    if whole:
+        raw.append(list(range(sp.n)))
+    for _ in range(components):
+        raw.append(np.flatnonzero(sp.graph_distances(rng.randrange(sp.n)) >= 0))
+    rng.shuffle(raw)
+    cov = Cover(sp, raw)
+    nerve = nerve_map(sp, cov)
+    want = nerve_oracle(sp, cov)
+    assert nerve.coordinates == want
+    assert nerve.simplices == set(map(frozenset, want))
+    assert nerve.dimension == max(map(len, want)) - 1
+    assert nerve.vertices == list(range(len(raw)))
+    assert nerve_lipschitz(sp, nerve) == pytest.approx(
+        nerve_lipschitz_oracle(sp, want), rel=1e-12, abs=0.0)
 
 
 # -- pair sampling -----------------------------------------------------------
