@@ -498,12 +498,21 @@ class _StratifiedGrid:
     disk |x' - x|^2 <= bound2 = 2*y*y_k*(cosh r - 1) - (y_k - y)^2, and the
     engine tests exactly the columns inside it: ``ceil`` of its low end to
     ``floor`` of its high end (for two x-coordinates, the x_1 columns, then
-    in each the x_2 columns of the chord it leaves).  Each contiguous run
-    of keys is located with one ``searchsorted``, and a candidate is kept
+    in each the x_2 columns of the chord it leaves).  A key row is every
+    key column but the last: a layer in h2, a (layer, x_1 column) pair in
+    hd.  Each window's run of keys (one key row, a column range) is read in
+    O(1) from the row table (:meth:`_runs`).  An occupied row whose
+    columns run from c to c' has the slots t = 0 .. c' - c + 1, and slot t
+    holds the sorted position of the row's first key at a column >= c + t,
+    counted from the points, so a cell may hold several.  The table has
+    (sum of the row spans) + (occupied rows) + 1 entries: n + rows + 1
+    when each row's cells are contiguous, as on every net (128,877 on the
+    128,849-point radius-11 h2 net).  Three entries per key row clip a
+    window to its row's slots; an empty row's clip lands on the slot that
+    holds the position where its keys would start.  A candidate is kept
     only if it passes the exact test ``acosh(1 + t) <= r`` (see
-    :func:`_within`).  The self-join
-    (:meth:`pair_blocks`) queries each net point only for the points after
-    it in key order.
+    :func:`_within`).  The self-join (:meth:`pair_blocks`) queries each
+    net point only for the points after it in key order.
 
     The disks are drawn for cosh(r) * (1 + 1e-8), and only layers with
     bound2 >= 0 are kept.  This loses no point that passes the test:
@@ -534,6 +543,31 @@ class _StratifiedGrid:
         key = (keys - self.lo) @ self.strides
         self.order = np.argsort(key, kind="stable")
         self.keys = key[self.order]
+        # the height y_k = exp(k * h) of each layer k
+        self.heights = np.exp(np.arange(self.lo[0], self.hi[0] + 1) * self.h)
+        # the row table (see the class docstring): an occupied key row's
+        # slots start at ``at``, and slot s holds the number of sorted
+        # keys at slots below s
+        line, col = np.divmod(self.keys, span[-1])
+        starts = np.flatnonzero(np.r_[True, line[1:] != line[:-1]])
+        ends = np.r_[starts[1:], len(col)]
+        occupied, cmin = line[starts], col[starts]
+        size = col[ends - 1] - cmin + 2
+        at = np.cumsum(size) - size
+        slot = np.repeat(at - cmin, ends - starts) + col
+        self.table = np.zeros(at[-1] + size[-1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slot, minlength=len(self.table) - 1),
+                  out=self.table[1:])
+        # an empty row clips to the first slot of the next occupied row,
+        # or to the last slot, which holds n
+        nrows = int(np.prod(span[:-1]))
+        lo = np.full(nrows, len(self.table) - 1, dtype=np.int64)
+        lo[occupied] = at
+        self.row_lo = np.minimum.accumulate(lo[::-1])[::-1]
+        self.row_hi = self.row_lo.copy()
+        self.row_hi[occupied] = at + size - 1
+        self.row_shift = np.zeros(nrows, dtype=np.int64)
+        self.row_shift[occupied] = at - cmin
 
     def query(self, qx, qy, radius) -> tuple[np.ndarray, np.ndarray]:
         return _concat_csr(b[2:] for b in self.query_blocks(qx, qy, radius))
@@ -594,6 +628,15 @@ class _StratifiedGrid:
         last = np.clip(np.floor((centre + half) / step), lo - 1, hi)
         return first.astype(np.int64), last.astype(np.int64)
 
+    def _runs(self, line, first, last):
+        """Sorted positions [a, b) of the keys in key row ``line`` at
+        columns ``first`` to ``last`` (inclusive, relative to the lowest
+        column; empty when first > last), read from the row table."""
+        lo, hi, shift = self.row_lo[line], self.row_hi[line], self.row_shift[line]
+        a = self.table[np.minimum(np.maximum(first + shift, lo), hi)]
+        b = self.table[np.minimum(np.maximum(last + 1 + shift, lo), hi)]
+        return a, b
+
     def _query(self, qx, qy, r, pos):
         m, dim = qx.shape
         with np.errstate(over="ignore", invalid="ignore"):
@@ -608,17 +651,17 @@ class _StratifiedGrid:
                 k_first = np.maximum(k_first, self.keys[pos] // self.strides[0]
                                      + self.lo[0])
             row, off = _expand(np.maximum(k_last - k_first + 1, 0).astype(np.int64))
-            k = k_first[row].astype(np.int64) + off
-            y, yk = qy[row], np.exp(k * self.h)
+            # the window's key row: its layer, then (hd) its x_1 column
+            line = (k_first[row] - self.lo[0]).astype(np.int64) + off
+            y, yk = qy[row], self.heights[line]
             bound2 = 2.0 * y * yk * (cosh_r[row] - 1.0) - (yk - y) ** 2
             live = bound2 >= 0
-            row, k, bound2 = row[live], k[live], bound2[live]
-            step = self.w * np.exp(k * self.h)
-            base = (k - self.lo[0]) * self.strides[0]
+            row, line, yk, bound2 = row[live], line[live], yk[live], bound2[live]
+            step = self.w * yk
             first, last = self._columns(0, qx[row, 0], np.sqrt(bound2), step)
             if dim == 2:
                 sub, off = _expand(np.maximum(last - first + 1, 0))
-                row, step, base = row[sub], step[sub], base[sub]
+                row, step, line = row[sub], step[sub], line[sub]
                 j = first[sub] + off
                 # what the x_1 offset leaves of the disk, the offset
                 # shrunk by the same guard
@@ -626,12 +669,9 @@ class _StratifiedGrid:
                 dx = np.maximum(np.abs(x1 - c1)
                                 - _GUARD * (np.abs(x1) + np.abs(c1)), 0.0)
                 rem = np.maximum(bound2[sub] - dx * dx, 0.0)
-                base = base + (j - self.lo[1]) * self.strides[1]
+                line = line * (self.hi[1] - self.lo[1] + 1) + j - self.lo[1]
                 first, last = self._columns(1, qx[row, 1], np.sqrt(rem), step)
-            start = base + (first - self.lo[dim]) * self.strides[dim]
-            stop = base + (last - self.lo[dim]) * self.strides[dim]
-        a = np.searchsorted(self.keys, start, side="left")
-        b = np.searchsorted(self.keys, stop, side="right")
+        a, b = self._runs(line, first - self.lo[dim], last - self.lo[dim])
         if pos is not None:
             a = np.maximum(a, pos[row] + 1)
         sub, off = _expand(np.maximum(b - a, 0))

@@ -13,10 +13,12 @@ the hd cover builds the whole l1 product window and looks the snapped
 tuples up in it; ``points.csv`` is written from the point objects one row
 at a time; the nerve map runs one deque BFS per piece from its complement
 list, and its Lipschitz constant walks the adjacency tuples edge by edge.
-They are slow and simple, and the array code must reproduce them exactly
-(see ``test_array_core.py``, ``test_growth_table.py``,
-``test_image_product.py``, ``test_output_sized.py`` and
-``test_piece_csr.py``).
+The stratified grid's runs of keys are found by binary search, and tile
+assignment's per-exponent values through ``np.unique``.  They are slow
+and simple, and the array code must reproduce them exactly (see
+``test_array_core.py``, ``test_growth_table.py``,
+``test_image_product.py``, ``test_output_sized.py``,
+``test_piece_csr.py`` and ``test_row_table.py``).
 """
 
 from __future__ import annotations
@@ -548,3 +550,20 @@ def points_csv_oracle(space: SpaceGraph) -> str:
         row = _point_row_oracle(i, p)
         lines.append(",".join(row[:2]) + "," + ";".join(row[2:]))
     return "\n".join(lines) + "\n"
+
+
+def grid_runs_oracle(grid, line, first, last) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted positions [a, b) of a stratified grid's keys in key row
+    ``line`` at columns ``first`` to ``last`` (relative to the lowest
+    column), by two binary searches of the window's end keys in the sorted
+    keys: the lookup the grid's row table replaces."""
+    width = grid.hi[-1] - grid.lo[-1] + 1
+    return (np.searchsorted(grid.keys, line * width + first, side="left"),
+            np.searchsorted(grid.keys, line * width + last, side="right"))
+
+
+def per_exponent_oracle(table, n: np.ndarray) -> np.ndarray:
+    """Rows ``table(k)`` at every entry of ``n``, evaluated once per
+    distinct k through ``np.unique``."""
+    u, inv = np.unique(n, return_inverse=True)
+    return np.array([table(k) for k in u.tolist()], dtype=float)[inv]
