@@ -73,25 +73,70 @@ def manifest_hash(manifest: dict) -> str:
     return sha256_text(canonical_json(manifest))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(value, name: str, integral: bool = False):
+    """``value``, if it is a number (an int where ``integral``);
+    :class:`SchemaError` naming the field ``name`` otherwise."""
+    if not (_is_int if integral else _is_number)(value):
+        kind = "an integer" if integral else "a number"
+        raise SchemaError(f"bad space manifest: {name} must be {kind}, "
+                          f"got {value!r}")
+    return value
+
+
+# the window fields each model's builder reads: True for an integer field
+_WINDOW_FIELDS = {"z": {"lo": True, "hi": True}, "t3": {"radius": True},
+                  "h2": {"radius": False}, "hd": {"d": True, "radius": False},
+                  "comb": {"d": True, "extent": True},
+                  "walk_target": {"n_max": True}}
+
+
 def space_from_manifest(manifest: dict) -> SpaceGraph:
     try:
         model = manifest["model"]
-        window = dict(manifest["window"])
+        window = manifest["window"]
         sep = manifest.get("sep", 1.0)
         thr = manifest.get("edge_threshold")
     except (KeyError, TypeError) as e:
         raise SchemaError(f"bad space manifest: {e}") from e
+    if not isinstance(window, dict):
+        raise SchemaError(f"bad space manifest: 'window' must be an object, "
+                          f"got {window!r}")
+    window = dict(window)
+    for key, integral in _WINDOW_FIELDS.get(model, {}).items():
+        _checked(window.get(key), f"window {key!r}", integral)
+    if "cap" in window:
+        _checked(window["cap"], "window 'cap'", integral=True)
     if model == "product":
-        spaces = [space_from_manifest(f) for f in manifest["factors"]]
+        factors = manifest.get("factors")
+        if not isinstance(factors, list):
+            raise SchemaError("bad space manifest: a product needs a list of "
+                              "'factors'")
+        spaces = [space_from_manifest(f) for f in factors]
         pwin = None
         if window.get("kind") == "l1_ball":
-            pwin = {"kind": "l1_ball", "radius": window["radius"],
-                    "centers": window["centers"]}
+            centers = window.get("centers")
+            if not isinstance(centers, list) or not all(
+                    _is_int(c) and 0 <= c < s.n for c, s in zip(centers, spaces)):
+                raise SchemaError("bad space manifest: window 'centers' must "
+                                  f"be factor point indices, got {centers!r}")
+            pwin = {"kind": "l1_ball", "centers": centers,
+                    "radius": _checked(window.get("radius"), "window 'radius'")}
         return build_product(spaces, window=pwin)
     if model == "walk_target":
         from .constructions import walk_target
 
-        return walk_target(int(window["n_max"]))
+        return walk_target(window["n_max"])
+    _checked(sep, "'sep'")
+    if thr is not None:
+        _checked(thr, "'edge_threshold'")
     return generate_net(model, window, sep=sep, edge_threshold=thr)
 
 
@@ -120,7 +165,7 @@ def _point_lines(space: SpaceGraph, head: str, sep: str):
         return lambda idx: list(map(line, idx.tolist(), *xs[idx].T.tolist(),
                                     ys[idx].tolist()))
     if model in ("z", "metric_graph"):
-        ns = np.arange(space.n) if space._codes is None else space._codes
+        ns = space._codes
         line = fmt(1)
         return lambda idx: list(map(line, idx.tolist(), ns[idx].tolist()))
     if model == "t3":
@@ -219,9 +264,14 @@ def cover_from_dict(d: dict, space: SpaceGraph):
         pieces = [rec["points"] for rec in d["pieces"]]
         if any("colour" in rec for rec in d["pieces"]):
             colors = [rec["colour"] for rec in d["pieces"]]
+            if not all(map(_is_int, colors)):
+                raise SchemaError("bad cover file: colours must be integers")
+            r, top = d.get("r", 0.0), d.get("d", max(colors))
+            if not _is_number(r) or not _is_int(top):
+                raise SchemaError("bad cover file: 'r' must be a number and "
+                                  f"'d' an integer, got {r!r} and {top!r}")
             return ColoredDecomposition(
-                space=space, pieces=pieces, colors=colors,
-                r=d.get("r", 0.0), d=d.get("d", max(colors)),
+                space=space, pieces=pieces, colors=colors, r=r, d=top,
                 partition=d.get("partition", False))
         labels = [rec.get("label") for rec in d["pieces"]]
         if any(lab is None for lab in labels):
@@ -247,11 +297,23 @@ def map_from_dict(d: dict, source: SpaceGraph, target: SpaceGraph):
 
     try:
         pairs = d["pairs"]
-        assignment = [0] * len(pairs)
+        if not all(isinstance(p, list) and len(p) == 2 and _is_int(p[0])
+                   and _is_int(p[1]) for p in pairs):
+            raise SchemaError("bad map file: pairs must be [source, target] "
+                              "integer pairs")
+        # each source 0..n-1 once: n distinct sources in range are all of them
+        assignment = [None] * len(pairs)
         for i, j in pairs:
+            if not 0 <= i < len(pairs) or assignment[i] is not None:
+                raise SchemaError(f"bad map file: source {i} is out of range or "
+                                  f"repeated; each of 0..{len(pairs) - 1} "
+                                  "must appear once")
             assignment[i] = j
+        provenance = d.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise SchemaError("bad map file: 'provenance' must be an object")
         return MapRecord(source=source, target=target, assignment=assignment,
-                         provenance=d.get("provenance", {}))
+                         provenance=provenance)
     except (KeyError, TypeError, IndexError) as e:
         raise SchemaError(f"bad map file: {e}") from e
 

@@ -24,7 +24,7 @@ from .errors import (ArityError, AssignmentError, DomainError, NumericError,
 from .spaces import (_HIGHER_CHILD, _LOWER_CHILD, PRODUCT_CAP, SpaceGraph,
                      _centre_distances, _csr_from_edges, _group, _path_lengths,
                      _product_space, _radix_strides, _t_values, _within,
-                     _word_view, generate_net)
+                     generate_net)
 
 __all__ = [
     "MapRecord",
@@ -559,8 +559,8 @@ def _walk(n_max: int) -> tuple[SpaceGraph, np.ndarray, int]:
     at = rank[np.searchsorted(uniq, (ks + n_max) * span)].tolist()
     root_at = rank[np.searchsorted(uniq, (ks + n_max) * span + 1)].tolist()
     target = SpaceGraph(
-        model="t3", points=_word_view(words, depth), indptr=indptr,
-        indices=indices, sep=1.0, edge_threshold=1.0, _codes=(words, depth),
+        model="t3", indptr=indptr, indices=indices, sep=1.0,
+        edge_threshold=1.0, _codes=(words, depth),
         window={"kind": "walk_subtree", "n_max": n_max,
                 "spine": dict(zip(ks.tolist(), at)),
                 "roots": dict(zip(ks.tolist(), root_at))},

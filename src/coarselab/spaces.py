@@ -194,33 +194,12 @@ class PointView(collections.abc.Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-def _take_points(points: Sequence[ModelPoint], idx: np.ndarray) -> list:
-    """The points at the indices ``idx`` of a point list or view."""
-    if isinstance(points, PointView):
-        return points.take(idx)
-    return list(map(points.__getitem__, idx.tolist()))
-
-
 def _prefix_tuples(cells: np.ndarray, lengths: np.ndarray) -> list[tuple]:
     """The first ``lengths[i]`` entries of each row i of ``cells``, as
     tuples."""
     flat = cells[np.arange(cells.shape[1]) < lengths[:, None]].tolist()
     ends = np.cumsum(lengths).tolist()
     return [tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-
-
-def _word_view(words: np.ndarray, depth: np.ndarray) -> PointView:
-    """Tree addresses of the rows of a padded word matrix: int8 letters,
-    -1 beyond each word's ``depth``, with one all-padding column."""
-    return PointView(len(depth), lambda idx: list(
-        map(TreeAddress, _prefix_tuples(words[idx], depth[idx]))))
-
-
-def _comb_view(path: np.ndarray) -> PointView:
-    """Comb nodes of the rows of a comb path matrix (see :func:`_net_comb`)."""
-    return PointView(len(path), lambda idx: list(map(
-        CombNode, path[idx, 0].tolist(), _prefix_tuples(
-            path[idx, 1:], np.count_nonzero(path[idx, 1:], axis=1)))))
 
 
 def _acosh1p_array(t: np.ndarray) -> np.ndarray:
@@ -452,31 +431,11 @@ def _csr_from_edges(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _csr_from_pairs(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency CSR of the graph on n points whose edges are the pairs
-    ``a[k] < b[k]`` of the blocks ``(a, b)``, without repeats (a self-join).
-
-    Pairs in increasing (a, b) order are mirrored in linear time: row i is
-    its lower entries (the a of the pairs (a, i), by a stable argsort of
-    b) followed by its upper entries (the b of the pairs (i, b)).  Pairs in
-    any other order are sorted first.
-    """
-    key = np.concatenate([np.zeros(0, dtype=np.int64)]
-                         + [a * n + b for a, b in blocks])
-    if (key[1:] <= key[:-1]).any():
-        key = np.sort(key)
-    a, b = np.divmod(key, n)
-    lower = np.bincount(b, minlength=n)
-    upper = np.bincount(a, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lower + upper, out=indptr[1:])
-    indices = np.empty(2 * len(a), dtype=np.int64)
-    # the k-th pair of a group starts its row's lower run after the upper
-    # entries of the rows before, its upper run after the lower entries
-    # of the rows up to its own
-    step = np.arange(len(a))
-    by_b = np.argsort(b, kind="stable")
-    indices[step + (np.cumsum(upper) - upper)[b[by_b]]] = a[by_b]
-    indices[step + np.cumsum(lower)[a]] = b
-    return indptr, indices
+    ``(a[k], b[k])`` of the self-join blocks ``(a, b)``, of which there may
+    be none."""
+    pairs, empty = list(blocks), [np.zeros(0, dtype=np.int64)]
+    return _csr_from_edges(n, np.concatenate(empty + [a for a, _ in pairs]),
+                           np.concatenate(empty + [b for _, b in pairs]))
 
 
 def _concat_csr(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -692,7 +651,7 @@ class _StratifiedGrid:
 
 
 def _pack_words(words: np.ndarray) -> np.ndarray:
-    """uint64 codes of a padded int8 word matrix (see :func:`_word_view`),
+    """uint64 codes of a padded int8 word matrix (see :func:`_net_t3`),
     one row per 32 letter columns: two bits a letter, the first letter
     highest, and ``-1 & 3`` for padding (and the tail of the last row).
     Two words share their letters up to the first bit where their codes
@@ -799,18 +758,17 @@ def _kernel_pairs(distances, n: int, radius: float):
 
 @dataclass
 class SpaceGraph:
-    """Immutable net graph with model-coordinate payloads.
+    """Immutable net graph, built whole from its arrays.
 
     The adjacency is CSR: the neighbours of point i, sorted, are
     ``indices[indptr[i]:indptr[i + 1]]``; edges join points at model
-    distance <= ``edge_threshold``.  ``points`` is a list, or for nets
-    built from arrays (every net but integer windows and explicit metric
-    graphs) a :class:`PointView` that builds each point when it is read.
-    All queries are read-only.
+    distance <= ``edge_threshold``.  The points are held as integer codes
+    (``_codes``) or, on half-plane/half-space nets, as the coordinate
+    arrays of the range-query grid (``_grid``); :attr:`points` derives the
+    point objects from them.  All queries are read-only.
     """
 
     model: str
-    points: Sequence[ModelPoint]
     indptr: np.ndarray
     indices: np.ndarray
     sep: float
@@ -818,14 +776,13 @@ class SpaceGraph:
     window: dict
     n: int = field(init=False, default=0)
     degree_bound: int = field(init=False, default=0)
-    _dist_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _grid: object = field(default=None, repr=False)
-    # integer codes, set when the net is built: z values, product factor
-    # indices, t3 (words, depth), comb (path, tail)
+    # integer codes, set when the net is built: z values and metric graph
+    # vertices, product factor indices, t3 (words, depth), comb (path, tail)
     _codes: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.n = len(self.points)
+        self.n = len(self.indptr) - 1
         if not self.n:
             # a product window holds its factor graphs: name it without them
             shown = {k: v for k, v in self.window.items() if k != "factors"}
@@ -843,10 +800,43 @@ class SpaceGraph:
         ends = self.indptr.tolist()
         return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
+    @cached_property
+    def points(self) -> Sequence[ModelPoint]:
+        """The point objects, derived from the arrays: a list on integer
+        windows and metric graphs, elsewhere a :class:`PointView` that
+        builds each point when it is read."""
+        if self.model in ("z", "metric_graph"):
+            return self._take(np.arange(self.n))
+        return PointView(self.n, self._take)
+
+    def _take(self, idx: np.ndarray) -> list:
+        """The points at the indices ``idx``, built from the arrays."""
+        if self.model in ("z", "metric_graph"):
+            # ZPoint(n) for each code, with no Python __init__ call
+            pts = list(map(object.__new__, repeat(ZPoint, len(idx))))
+            collections.deque(map(ZPoint.n.__set__, pts,
+                                  self._codes[idx].tolist()), maxlen=0)
+            return pts
+        if self.model == "t3":
+            words, depth = self._codes
+            return list(map(TreeAddress, _prefix_tuples(words[idx], depth[idx])))
+        if self.model == "comb":
+            path = self._codes[0][idx]
+            return list(map(CombNode, path[:, 0].tolist(), _prefix_tuples(
+                path[:, 1:], np.count_nonzero(path[:, 1:], axis=1))))
+        if self.model == "product":
+            parts = [f._take(self._codes[idx, k])
+                     for k, f in enumerate(self.window["factors"])]
+            return list(map(TuplePoint, zip(*parts)))
+        xs, ys = self._coords()
+        if xs.shape[1] == 1:
+            return list(map(HalfPlane, xs[idx, 0].tolist(), ys[idx].tolist()))
+        return list(map(HalfSpace, map(tuple, xs[idx].tolist()), ys[idx].tolist()))
+
     def index_of(self, p: ModelPoint) -> int:
         """Index of the point ``p``; :class:`KeyError` if the net lacks it."""
-        if self.model == "z":
-            # z nets hold increasing integers: no point dictionary
+        if self.model in ("z", "metric_graph"):
+            # integer nets hold increasing integers: no point dictionary
             ns = self._codes
             i = int(np.searchsorted(ns, p.n)) if isinstance(p, ZPoint) else self.n
             if i < self.n and ns[i] == p.n:
@@ -911,8 +901,15 @@ class SpaceGraph:
             out[lo:hi] = kernel(i[lo:hi], j[lo:hi])
         return out
 
+    @cached_property
+    def _dist_matrix(self) -> np.ndarray:
+        # the path metric of a metric graph, its model metric
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra(self._csr, directed=False, unweighted=True)
+
     def _distance_kernel(self):
-        if self._dist_matrix is not None:
+        if self.model == "metric_graph":
             return lambda a, b: self._dist_matrix[a, b]
         if self.model in ("h2", "hd"):
             xs, ys, hd = *self._coords(), self.model == "hd"
@@ -1146,7 +1143,7 @@ class SpaceGraph:
     def _extreme_distance(self, ia: np.ndarray, ib: np.ndarray, best) -> float:
         """``best`` (``np.min`` or ``np.max``) of :meth:`distances` over
         ia x ib, in blocks of about _DISTANCE_BLOCK pairs."""
-        hyperbolic = self.model in ("h2", "hd") and self._dist_matrix is None
+        hyperbolic = self.model in ("h2", "hd")
         if hyperbolic:
             xs, ys = self._coords()
             xb, yb = xs[ib][None], ys[ib][None]
@@ -1290,17 +1287,17 @@ def _net_z(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGr
     keep = nbr != row
     indptr, indices = _csr_from_rows(row[keep], nbr[keep], len(ns))
     base = int(np.argmin(np.abs(ns - (lo + hi) // 2)))
-    # the points ZPoint(n) builds, with no Python __init__ call per point
-    points = list(map(object.__new__, repeat(ZPoint, len(ns))))
-    collections.deque(map(ZPoint.n.__set__, points, ns.tolist()), maxlen=0)
-    return SpaceGraph(model="z", points=points,
-                      indptr=indptr, indices=indices, sep=sep,
-                      edge_threshold=thr, _codes=ns,
-                      window={"kind": "range", "lo": lo, "hi": hi,
-                              "basepoint": base})
+    space = SpaceGraph(model="z", indptr=indptr, indices=indices, sep=sep,
+                       edge_threshold=thr, _codes=ns,
+                       window={"kind": "range", "lo": lo, "hi": hi,
+                               "basepoint": base})
+    space.points  # built here: on first read it slowed tree-walk's point scan
+    return space
 
 
 def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGraph:
+    """Word i is row i of a padded int8 word matrix: its letters, then -1
+    past its ``depth``, with one all-padding column."""
     radius = int(window["radius"])
     if radius < 0:
         raise EmptySpaceError("negative tree radius")
@@ -1339,10 +1336,10 @@ def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceG
     else:
         indptr, indices = _csr_from_pairs(
             n, _kernel_pairs(_tree_kernel(_pack_words(words), depth), n, thr))
-    return SpaceGraph(model="t3", points=_word_view(words, depth), indptr=indptr,
-                      indices=indices, sep=sep, edge_threshold=thr,
+    return SpaceGraph(model="t3", indptr=indptr, indices=indices, sep=sep,
+                      edge_threshold=thr, _codes=(words, depth),
                       window={"kind": "tree_ball", "radius": radius,
-                              "basepoint": 0}, _codes=(words, depth))
+                              "basepoint": 0})
 
 
 def _net_comb(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGraph:
@@ -1387,10 +1384,10 @@ def _net_comb(window: dict, sep: float, edge_threshold: Optional[float]) -> Spac
     tail = np.zeros_like(path)
     for k in range(d - 1, -1, -1):
         tail[:, k] = tail[:, k + 1] + path[:, k + 1]
-    return SpaceGraph(model="comb", points=_comb_view(path), indptr=indptr,
-                      indices=indices, sep=sep, edge_threshold=thr,
+    return SpaceGraph(model="comb", indptr=indptr, indices=indices, sep=sep,
+                      edge_threshold=thr, _codes=(path, tail),
                       window={"kind": "comb_extent", "d": d, "extent": extent,
-                              "basepoint": extent}, _codes=(path, tail))
+                              "basepoint": extent})
 
 
 def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
@@ -1410,6 +1407,9 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
         raise PreconditionError(
             f"edge_threshold {thr} < 2*sep {2 * sep}: net may disconnect")
     kind = window.get("kind", "ball")
+    if kind not in ("ball", "birad"):
+        raise UnsupportedError(f"half-space windows are of kind 'ball' or "
+                               f"'birad', got {kind!r}")
     radius = float(window["radius"])
     if radius <= 0:
         raise EmptySpaceError("window radius must be positive")
@@ -1425,13 +1425,14 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
             xs = np.column_stack([xs[owner], (off - m[owner]) * step])
         cols.append(xs.reshape(len(xs), dim - 1))
         heights.append(np.full(len(xs), y))
-    grid = _StratifiedGrid(np.concatenate(cols), np.concatenate(heights), sep,
-                           model == "hd")
-    indptr, indices = _csr_from_pairs(len(grid.ys), grid.pair_blocks(thr + 1e-12))
-    space = SpaceGraph(model=model, points=_halfspace_view(grid.xs, grid.ys),
-                       indptr=indptr, indices=indices, sep=sep,
+    xs, ys = np.concatenate(cols), np.concatenate(heights)
+    # basepoint: the net point (0,..,0;1), which every window contains
+    base = int(np.flatnonzero((ys == 1.0) & (xs == 0.0).all(axis=1))[0])
+    grid = _StratifiedGrid(xs, ys, sep, model == "hd")
+    indptr, indices = _csr_from_pairs(len(ys), grid.pair_blocks(thr + 1e-12))
+    space = SpaceGraph(model=model, indptr=indptr, indices=indices, sep=sep,
                        edge_threshold=thr, _grid=grid,
-                       window={"kind": kind, "radius": radius, "basepoint": 0,
+                       window={"kind": kind, "radius": radius, "basepoint": base,
                                "d": dim})
     if window.get("greedy_check"):
         # the stream is sep-separated by construction; this guard proves it
@@ -1442,23 +1443,7 @@ def _net_halfspace(window: dict, sep: float, edge_threshold: Optional[float],
             raise PreconditionError(
                 f"net point {i} ({space.points[i]}) lies within sep {sep} of an "
                 "earlier point; the window cannot be built as a sep-net", witness=i)
-    # basepoint: the net point (0,..,0;1), which every window contains
-    origin = np.zeros((1, dim - 1))
-    space.window["basepoint"] = int(space.nearest_points(origin, np.ones(1))[0])
     return space
-
-
-def _halfspace_view(xs: np.ndarray, ys: np.ndarray) -> PointView:
-    """Half-plane points (one x column) or half-space points of the
-    coordinate arrays ``xs``, ``ys``."""
-    if xs.shape[1] == 1:
-        def take(idx):
-            return list(map(HalfPlane, xs[idx, 0].tolist(), ys[idx].tolist()))
-    else:
-        def take(idx):
-            return list(map(HalfSpace, map(tuple, xs[idx].tolist()),
-                            ys[idx].tolist()))
-    return PointView(len(ys), take)
 
 
 def _halfspace_layers(window: dict, radius: float, sep: float, dim: int):
@@ -1569,13 +1554,8 @@ def _product_space(spaces: Sequence[SpaceGraph], codes: np.ndarray,
     key order): two tuples are adjacent when they differ in one factor, by
     an edge of that factor, so a subset of a product gets the induced
     adjacency."""
-    def take(idx):
-        parts = [_take_points(s.points, codes[idx, f]) for f, s in enumerate(spaces)]
-        return list(map(TuplePoint, zip(*parts)))
-
     indptr, indices = _product_adjacency(spaces, codes)
-    return SpaceGraph(model="product", points=PointView(len(codes), take),
-                      indptr=indptr, indices=indices,
+    return SpaceGraph(model="product", indptr=indptr, indices=indices,
                       sep=min(s.sep for s in spaces),
                       edge_threshold=max(s.edge_threshold for s in spaces),
                       window=window, _codes=codes)
@@ -1647,8 +1627,8 @@ def _product_adjacency(spaces: Sequence[SpaceGraph],
             at = _sorted_lookup(key, key[lo + row] + (nb - block[row, f]) * strides[f])
             rows.append(row[at >= 0])
             cols.append(at[at >= 0])
-        flat = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
-        blocks.append(_csr_from_rows(flat // n, flat % n, len(block)))
+        blocks.append(_sorted_rows(np.concatenate(rows), np.concatenate(cols),
+                                   len(block), n))
     return _concat_csr(blocks)
 
 
@@ -1659,10 +1639,6 @@ def metric_graph(n: int, edges: Iterable[tuple[int, int]]) -> SpaceGraph:
     """Small explicit graph whose model metric is its own path metric."""
     pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
     indptr, indices = _csr_from_edges(n, pairs[:, 0], pairs[:, 1])
-    g = SpaceGraph(model="metric_graph", points=list(map(ZPoint, range(n))),
-                   indptr=indptr, indices=indices, sep=1.0,
-                   edge_threshold=1.0, window={"kind": "explicit"})
-    from scipy.sparse.csgraph import dijkstra
-
-    g._dist_matrix = dijkstra(g._csr, directed=False, unweighted=True)
-    return g
+    return SpaceGraph(model="metric_graph", indptr=indptr, indices=indices,
+                      sep=1.0, edge_threshold=1.0, window={"kind": "explicit"},
+                      _codes=np.arange(n))

@@ -331,6 +331,117 @@ class TestBuildCommand:
         assert not (tmp_path / "v").exists()
 
 
+# manifests the space builders cannot read, each with the field it names
+_BASE = {"version": 1, "sep": 1.0, "edge_threshold": None}
+_Z = {**_BASE, "model": "z", "window": {"lo": -3, "hi": 3}}
+BAD_MANIFESTS = {
+    "window-not-object": ({**_Z, "window": "ab"}, "'window'"),
+    "product-no-factors": ({**_BASE, "model": "product",
+                            "window": {"kind": "full"}}, "'factors'"),
+    "l1-no-radius": ({**_BASE, "model": "product", "factors": [_Z, _Z],
+                      "window": {"kind": "l1_ball", "centers": [0, 0]}},
+                     "'radius'"),
+    "walk-no-n-max": ({**_BASE, "model": "walk_target", "window": {}}, "'n_max'"),
+    "comb-no-extent": ({**_BASE, "model": "comb", "window": {"d": 2}},
+                       "'extent'"),
+    "hd-no-d": ({**_BASE, "model": "hd",
+                 "window": {"kind": "ball", "radius": 2.0}}, "'d'"),
+    # a kind other than ball or birad built a birad window, whose margins
+    # were then all infinite, so no growth radius was flagged truncated
+    "hd-kind": ({**_BASE, "model": "hd",
+                 "window": {"kind": "bal", "radius": 2.0, "d": 3}}, "'bal'"),
+    "h2-radius": ({**_BASE, "model": "h2",
+                   "window": {"kind": "ball", "radius": "x"}}, "'radius'"),
+    "t3-radius": ({**_BASE, "model": "t3", "window": {"radius": "x"}},
+                  "'radius'"),
+    "z-lo": ({**_Z, "window": {"lo": "a", "hi": 3}}, "'lo'"),
+    "sep-string": ({**_Z, "sep": "x"}, "'sep'"),
+    "sep-null": ({**_Z, "sep": None}, "'sep'"),
+    "z-threshold": ({**_Z, "edge_threshold": "a"}, "'edge_threshold'"),
+}
+
+
+def _error_exit(err: str) -> bool:
+    """An ``error:`` line on stderr, and no traceback."""
+    return "Traceback" not in err and any(
+        line.startswith("error:") for line in err.splitlines())
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name", list(BAD_MANIFESTS))
+    def test_space_manifest_exit_2(self, name, tmp_path, capsys):
+        manifest, field = BAD_MANIFESTS[name]
+        (tmp_path / "space.json").write_text(json.dumps(manifest))
+        rc = main(["analyze", "growth", "--space", str(tmp_path / "space.json"),
+                   "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 2 and _error_exit(err) and field in err
+
+    @pytest.mark.parametrize("change", [
+        {"r": "x"}, {"r": None}, {"d": "x"}, {"d": 2.5}, {"colour": 1.5},
+        {"colour": "1"}, {"colour": True},
+    ], ids=str)
+    def test_decomposition_exit_2(self, change, tmp_path, capsys):
+        main(["build", "tiling", "--ball", "4", "--out", str(tmp_path)])
+        dec = json.loads(read(tmp_path / "decomposition.json"))
+        if "colour" in change:
+            dec["pieces"][0]["colour"] = change["colour"]
+        else:
+            dec.update(change)
+        (tmp_path / "bad.json").write_text(json.dumps(dec))
+        capsys.readouterr()
+        rc = main(["verify", str(tmp_path / "bad.json"),
+                   "--checks", "disjointness", "--out", str(tmp_path / "v")])
+        assert rc == 2 and _error_exit(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", [
+        "three-entries", "skip-and-repeat", "negative-source", "string-target",
+        "float-target", "float-source", "not-a-list", "provenance",
+    ])
+    def test_map_exit_2(self, case, tmp_path, capsys):
+        main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])
+        walk = json.loads(read(tmp_path / "walk.json"))
+        pairs = walk["pairs"]
+        if case == "three-entries":
+            pairs[1] = [1, 2, 2]
+        elif case == "skip-and-repeat":
+            # source 5 missing and source 0 twice: once, 5 mapped to 0
+            pairs[5] = [0, pairs[0][1]]
+        elif case == "negative-source":
+            # once, -1 overwrote the last point's target
+            pairs[4] = [-1, 4]
+        elif case == "string-target":
+            pairs[3] = [3, "3"]
+        elif case == "float-target":
+            pairs[3] = [3, 3.0]
+        elif case == "float-source":
+            pairs[3] = [3.0, pairs[3][1]]
+        elif case == "provenance":
+            # once, analyze distortion ended in a TypeError on this
+            walk["provenance"] = 5
+        else:
+            walk["pairs"] = 7
+        (tmp_path / "bad.json").write_text(json.dumps(walk))
+        capsys.readouterr()
+        rc = main(["verify", str(tmp_path / "bad.json"), "--checks", "fibers",
+                   "--out", str(tmp_path / "v")])
+        assert rc == 2 and _error_exit(capsys.readouterr().err)
+
+    def test_written_files_load_unchanged(self, tmp_path):
+        # pairs in any order still load, as long as each source is there once
+        main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])
+        walk = json.loads(read(tmp_path / "walk.json"))
+        walk["pairs"].reverse()
+        (tmp_path / "reversed.json").write_text(json.dumps(walk))
+        for name in ("walk.json", "reversed.json"):
+            assert main(["verify", str(tmp_path / name), "--checks",
+                         "fibers:max=3,adjacent", "--out", str(tmp_path / "v")]) == 0
+        main(["build", "tiling", "--ball", "4", "--out", str(tmp_path / "t")])
+        assert main(["verify", str(tmp_path / "t" / "decomposition.json"),
+                     "--checks", "disjointness,coverage",
+                     "--out", str(tmp_path / "vt")]) == 0
+
+
 class TestAnalyzeCommand:
     def test_growth_without_space_exit_2(self, tmp_path, capsys):
         rc = main(["analyze", "growth", "--out", str(tmp_path)])

@@ -5,8 +5,8 @@ each unordered pair tested once: the grid engine of h2/hd nets queries each
 row for the points after it in key order, the kernel engine of the other
 models tests each row against the later points.  Both are compared with the
 upper triangle of ``object_oracles.edges_brute`` (every pair through
-``point_distance``).  The linear CSR mirror is compared with
-``_csr_from_edges``, ``_squares`` with Python's ``**`` element by element,
+``point_distance``).  ``_csr_from_pairs`` is compared with adjacency lists
+built from the pair set, ``_squares`` with Python's ``**`` element by element,
 and ``check_disjointness`` with a pairwise oracle on pieces that share
 points.
 """
@@ -79,8 +79,7 @@ class TestSelfJoinOracle:
         else:
             radius = choice
         pairs = joined(net.pair_blocks(radius))
-        # rows come in index order and each row's pairs sorted: the linear
-        # mirror's fast path
+        # rows come in index order and each row's pairs sorted
         assert pairs == sorted(set(pairs))
         assert pairs == upper_pairs(*edges_brute(list(net.points), radius))
 
@@ -119,7 +118,7 @@ class TestSelfJoinOracle:
         blocks = list(net.pair_blocks(net.edge_threshold + 1e-12))
         assert len(blocks) > 1
         assert joined(blocks) == whole
-        # the net's edges are the mirrored self-join at its threshold
+        # the net's edges are the self-join at its threshold
         assert upper_pairs(net.indptr, net.indices) == whole
 
 
@@ -128,7 +127,7 @@ class TestSelfJoinOracle:
     ("hd", {"kind": "birad", "radius": 6.0, "d": 3}, 0.35, 0.7),
 ])
 def test_net_edges_equal_the_two_sided_query(model, window, sep, thr):
-    # the mirrored self-join against every point's whole ball, diagonal
+    # the self-join against every point's whole ball, diagonal
     # dropped: the same CSR arrays entry for entry
     net = generate_net(model, window, sep=sep, edge_threshold=thr)
     indptr, indices = net.neighbors(range(net.n), thr + 1e-12)
@@ -139,25 +138,32 @@ def test_net_edges_equal_the_two_sided_query(model, window, sep, thr):
                                                                 minlength=net.n)))
 
 
-class TestMirror:
-    @given(data=st.data(), n=st.integers(1, 40), shuffle=st.booleans())
+class TestCsrFromPairs:
+    @given(data=st.data(), n=st.integers(1, 40), shuffle=st.booleans(),
+           single=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_matches_csr_from_edges(self, data, n, shuffle):
+    def test_concatenates_blocks(self, data, n, shuffle, single):
+        # blocks cut anywhere (empty ones included) or one pair each, in
+        # any pair order: the adjacency lists of the pair set
         pairs = sorted(data.draw(st.sets(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
             .filter(lambda p: p[0] < p[1]), max_size=3 * n)))
         if shuffle:
             pairs = data.draw(st.permutations(pairs))
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
+        if single:
+            bounds = list(range(len(pairs) + 1))
+        else:
+            cuts = data.draw(st.lists(st.integers(0, len(pairs)), max_size=4))
+            bounds = [0] + sorted(cuts) + [len(pairs)]
         a = np.array([p[0] for p in pairs], dtype=np.int64)
         b = np.array([p[1] for p in pairs], dtype=np.int64)
-        bounds = [0] + cuts + [len(pairs)]
         blocks = [(a[lo:hi], b[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        got = spaces._csr_from_pairs(n, blocks)
-        want = spaces._csr_from_edges(n, a, b)
-        assert got[0].tolist() == want[0].tolist()
-        assert got[1].tolist() == want[1].tolist()
-        assert got[1].dtype == want[1].dtype == np.int64
+        indptr, indices = spaces._csr_from_pairs(n, blocks)
+        want = [sorted({q for p, q in pairs if p == i}
+                       | {p for p, q in pairs if q == i}) for i in range(n)]
+        assert indptr.tolist() == np.cumsum([0] + list(map(len, want))).tolist()
+        assert indices.tolist() == [j for row in want for j in row]
+        assert indices.dtype == np.int64
 
     def test_no_pairs(self):
         indptr, indices = spaces._csr_from_pairs(3, [])

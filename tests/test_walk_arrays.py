@@ -11,10 +11,11 @@ lists and adjacency tuples the builders used to make, on every net kind.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarselab import artifacts, constructions, spaces
@@ -23,7 +24,7 @@ from coarselab.errors import SizeCapError
 from coarselab.spaces import (HalfPlane, HalfSpace, PointView, TreeAddress,
                               TuplePoint, ZPoint, build_product, generate_net,
                               metric_graph)
-from object_oracles import point_distance
+from object_oracles import net_comb_oracle, net_t3_oracle, point_distance
 
 
 # -- the tuple walk -----------------------------------------------------------
@@ -291,6 +292,106 @@ def test_product_of_views_nests():
     assert pf.points == inner
     assert pp.points == [TuplePoint((inner[a], ZPoint(n - 2)))
                          for a, n in pp._codes.tolist()]
+
+
+# one small net of each model, with the point list the builders used to
+# make: (model, window, sep) drawn, then the net and its oracle points
+nets = st.one_of(
+    st.tuples(st.just("z"), st.tuples(st.integers(-6, 3), st.integers(0, 6)),
+              st.sampled_from([1.0, 2.0, 2.5])),
+    st.tuples(st.just("t3"), st.integers(0, 3), st.sampled_from([1.0, 2.0])),
+    st.tuples(st.just("comb"), st.tuples(st.integers(1, 2), st.integers(1, 3)),
+              st.just(1.0)),
+    st.tuples(st.just("h2"), st.floats(1.0, 2.0), st.sampled_from([0.8, 1.0])),
+    st.tuples(st.just("hd"), st.tuples(st.sampled_from(["ball", "birad"]),
+                                       st.floats(1.0, 1.6), st.sampled_from([2, 3])),
+              st.just(1.0)),
+    st.tuples(st.just("metric_graph"), st.integers(1, 6), st.just(1.0)),
+)
+
+
+def net_and_oracle(spec):
+    model, window, sep = spec
+    if model == "z":
+        lo, hi = window[0], window[0] + window[1]
+        net = generate_net("z", {"lo": lo, "hi": hi}, sep=sep)
+        return net, [ZPoint(n) for n in range(lo, hi + 1, int(-(-sep // 1)))]
+    if model == "t3":
+        return generate_net("t3", {"radius": window}, sep=sep), \
+            net_t3_oracle(window, sep)[0]
+    if model == "comb":
+        d, extent = window
+        return generate_net("comb", {"d": d, "extent": extent}), \
+            net_comb_oracle(d, extent)[0]
+    if model == "h2":
+        w = {"kind": "ball", "radius": window}
+        return generate_net("h2", w, sep=sep), loop_halfspace_points(w, sep, 2)
+    if model == "hd":
+        kind, radius, d = window
+        w = {"kind": kind, "radius": radius, "d": d}
+        return generate_net("hd", w, sep=sep), loop_halfspace_points(w, sep, d)
+    return (metric_graph(window, [(i, i + 1) for i in range(window - 1)]),
+            [ZPoint(i) for i in range(window)])
+
+
+def assert_points(net, want):
+    # equal points, down to the sign of zero and the float type, read
+    # whole, one by one and as a shuffled take
+    assert net.points == want
+    assert list(map(repr, net.points)) == list(map(repr, want))
+    assert [net.points[i] for i in range(net.n)] == want
+    idx = np.random.default_rng(net.n).permutation(net.n)
+    got = net.points.take(idx) if isinstance(net.points, PointView) else \
+        [net.points[i] for i in idx]
+    assert got == [want[i] for i in idx]
+
+
+@given(spec=nets)
+@settings(max_examples=80, deadline=None)
+def test_points_equal_the_object_construction(spec):
+    net, want = net_and_oracle(spec)
+    assert_points(net, want)
+    assert all(net.index_of(p) == i for i, p in enumerate(want))
+
+
+@given(specs=st.lists(nets, min_size=1, max_size=3), l1=st.booleans(),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_points_equal_the_object_construction(specs, l1, data):
+    # products mixing every model: each factor's points are built by its
+    # own arrays, not read from a list
+    built = [net_and_oracle(spec) for spec in specs]
+    factors, lists = [f for f, _ in built], [pts for _, pts in built]
+    assume(np.prod([f.n for f in factors]) <= 3000)
+    tuples = list(product(*lists))
+    window = None
+    if l1 and len(factors) > 1:
+        centers = [data.draw(st.integers(0, f.n - 1)) for f in factors]
+        radius = data.draw(st.floats(0.0, 4.0))
+        window = {"kind": "l1_ball", "radius": radius, "centers": centers}
+        tuples = [t for t in tuples if sum(
+            point_distance(p, pts[c]) for p, pts, c in zip(t, lists, centers))
+            <= radius]
+    net = build_product(factors, window)
+    assert_points(net, [TuplePoint(t) for t in tuples])
+
+
+def test_integer_points_are_built_with_the_net(monkeypatch):
+    # the list is made by generate_net, not on first read: building it on
+    # first read moved its cost into the tree-walk benchmark's diameter
+    # scan, which then ran slower (1.525 -> 1.705 reference seconds)
+    net = generate_net("z", {"lo": -5, "hi": 5})
+    assert "points" in vars(net)
+    assert net.points == [ZPoint(n) for n in range(-5, 6)]
+    assert "points" not in vars(generate_net("t3", {"radius": 3}))
+
+
+def test_index_of_on_metric_graphs():
+    g = metric_graph(5, [(0, 1), (3, 4)])
+    assert [g.index_of(ZPoint(i)) for i in range(5)] == list(range(5))
+    for missing in (ZPoint(5), ZPoint(-1), TreeAddress(()), 2):
+        with pytest.raises(KeyError):
+            g.index_of(missing)
 
 
 def loop_z_adjacency(ns, thr):
