@@ -9,6 +9,7 @@ reference spaces by manifest + hash instead of shipping point lists.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from typing import Optional
@@ -23,6 +24,7 @@ __all__ = [
     "canonical_json",
     "sha256_text",
     "space_manifest",
+    "space_ref",
     "space_from_manifest",
     "points_csv",
     "cover_to_dict",
@@ -71,6 +73,25 @@ def space_manifest(model: str, window: dict, sep: float = 1.0,
 
 def manifest_hash(manifest: dict) -> str:
     return sha256_text(canonical_json(manifest))
+
+
+def space_ref(manifest: dict) -> dict:
+    """How an artifact names the space ``manifest`` builds: the manifest
+    and its hash."""
+    return {"manifest": manifest, "hash": manifest_hash(manifest)}
+
+
+def _space_at(d: dict, key: str) -> SpaceGraph:
+    """The space the artifact ``d`` names under ``key``; a ref without a
+    hash is taken as it is."""
+    if key not in d:
+        raise SchemaError(f"artifact lacks {key!r}")
+    ref = d[key]
+    if not isinstance(ref, dict) or "manifest" not in ref:
+        raise SchemaError(f"{key} lacks a manifest")
+    if "hash" in ref and ref["hash"] != manifest_hash(ref["manifest"]):
+        raise SchemaError(f"{key} hash does not match its manifest")
+    return space_from_manifest(ref["manifest"])
 
 
 def _is_int(value) -> bool:
@@ -259,9 +280,16 @@ def _plain(obj):
     return repr(obj)
 
 
-def cover_from_dict(d: dict, space: SpaceGraph):
+def cover_from_dict(d: dict):
+    """The cover or decomposition of a file :func:`cover_to_dict` wrote, on
+    the space its ``space_ref`` names."""
+    space = _space_at(d, "space_ref")
     try:
         pieces = [rec["points"] for rec in d["pieces"]]
+        # JSON gives int, float, str, bool, null, list or object; only int
+        # is a point (a bool would read as 0 or 1)
+        if not set(map(type, itertools.chain.from_iterable(pieces))) <= {int}:
+            raise SchemaError("bad cover file: piece points must be integers")
         if any("colour" in rec for rec in d["pieces"]):
             colors = [rec["colour"] for rec in d["pieces"]]
             if not all(map(_is_int, colors)):
@@ -270,9 +298,13 @@ def cover_from_dict(d: dict, space: SpaceGraph):
             if not _is_number(r) or not _is_int(top):
                 raise SchemaError("bad cover file: 'r' must be a number and "
                                   f"'d' an integer, got {r!r} and {top!r}")
+            partition = d.get("partition", False)
+            if not isinstance(partition, bool):
+                raise SchemaError("bad cover file: 'partition' must be true or "
+                                  f"false, got {partition!r}")
             return ColoredDecomposition(
                 space=space, pieces=pieces, colors=colors, r=r, d=top,
-                partition=d.get("partition", False))
+                partition=partition)
         labels = [rec.get("label") for rec in d["pieces"]]
         if any(lab is None for lab in labels):
             labels = None
@@ -292,9 +324,12 @@ def map_to_dict(m, source_ref: dict, target_ref: dict) -> dict:
             "provenance": _plain(m.provenance)}
 
 
-def map_from_dict(d: dict, source: SpaceGraph, target: SpaceGraph):
+def map_from_dict(d: dict):
+    """The map of a file :func:`map_to_dict` wrote, between the spaces its
+    ``source_ref`` and ``target_ref`` name."""
     from .constructions import MapRecord
 
+    source, target = _space_at(d, "source_ref"), _space_at(d, "target_ref")
     try:
         pairs = d["pairs"]
         if not all(isinstance(p, list) and len(p) == 2 and _is_int(p[0])

@@ -9,15 +9,19 @@ missing input, 3 size cap, 4 failed invariant, 5 truncation-dominated data.
 
 ``COARSELAB_CACHE`` names a directory where output artifacts are also
 stored content-addressed, so later commands can reference them by hash.
+
+A command only records, on its :class:`Run`, what it read, wrote and
+checked; :func:`main` writes the files, ``verification.json`` and the run
+manifest, prints the check lines and picks the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
-import shutil
 import sys
 
 import numpy as np
@@ -26,20 +30,10 @@ from . import analysis, artifacts, constructions, covers, spaces
 from .errors import (CoarselabError, DataError, PreconditionError,
                      SchemaError, SizeCapError, TruncationError)
 
-EXIT_SCHEMA = 2
-EXIT_SIZE = 3
 EXIT_INVARIANT = 4
-EXIT_TRUNCATION = 5
-
-
-def _cache_store(path: str) -> None:
-    cache = os.environ.get("COARSELAB_CACHE")
-    if not cache:
-        return
-    os.makedirs(cache, exist_ok=True)
-    with open(path, "r", encoding="utf-8") as fh:
-        digest = artifacts.sha256_text(fh.read())
-    shutil.copyfile(path, os.path.join(cache, digest))
+# an error exits with the code of the nearest of its classes listed here
+EXIT_CODES = {SizeCapError: 3, PreconditionError: EXIT_INVARIANT,
+              TruncationError: 5, CoarselabError: 2}
 
 
 def _resolve(path: str) -> str:
@@ -54,26 +48,48 @@ def _resolve(path: str) -> str:
     raise SchemaError(f"no such artifact: {path}")
 
 
-def _write(path: str, text: str, outputs: dict) -> None:
-    outputs[os.path.basename(path)] = artifacts.write_text(path, text)
-    _cache_store(path)
+class Run:
+    """What one command read, wrote and checked.
 
+    ``inputs`` maps each path read to the sha256 of its text, ``outputs``
+    each file name to write to its text, and ``checks`` is the list of
+    check records of a command that checks (build, verify), else None.
+    ``failed`` is set by a failed check or a stale ``report`` output.
+    """
 
-def _finish(out_dir: str, command: str, parameters: dict, inputs: dict,
-            outputs: dict, seed: int = 0) -> None:
-    manifest = {"command": command, "inputs": inputs, "parameters": parameters,
-                "seed": seed, "outputs": outputs,
-                "tool_version": artifacts.TOOL_VERSION}
-    text = artifacts.canonical_json(manifest)
-    artifacts.write_text(os.path.join(out_dir, f"{command}.manifest.json"), text)
+    def __init__(self):
+        self.inputs: dict = {}
+        self.outputs: dict = {}
+        self.checks: list | None = None
+        self.failed = False
 
-
-def _load_json(path: str) -> dict:
-    with open(_resolve(path), "r", encoding="utf-8") as fh:
+    def read(self, path: str) -> dict:
+        """The JSON object in the file ``path`` (or a cached
+        ``sha256:<hash>``), recorded as an input."""
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
+            with open(_resolve(path), "r", encoding="utf-8") as fh:
+                text = fh.read()
+            obj = json.loads(text)
+        except ValueError as e:  # not UTF-8, or not JSON
             raise SchemaError(f"not JSON: {path}: {e}") from e
+        self.inputs[path] = artifacts.sha256_text(text)
+        if not isinstance(obj, dict):
+            raise SchemaError(f"not a JSON object: {path}")
+        return obj
+
+    def write(self, name: str, text: str) -> None:
+        self.outputs[name] = text
+
+    def json(self, name: str, obj) -> None:
+        self.write(name, artifacts.canonical_json(obj))
+
+    def table(self, name: str, header: str, rows) -> None:
+        self.write(name, "\n".join([header, *rows]) + "\n")
+
+    def check(self, name: str, ok: bool, **fields) -> None:
+        """Record a check and its other ``fields`` (a ``witness``)."""
+        self.checks.append({"name": name, "pass": ok, **fields})
+        self.failed = self.failed or not ok
 
 
 def _finite(text: str) -> float:
@@ -82,25 +98,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
-
-
-def _ref(manifest: dict) -> dict:
-    return {"manifest": manifest, "hash": artifacts.manifest_hash(manifest)}
-
-
-def _space_of(d: dict, key: str) -> spaces.SpaceGraph:
-    """The space an artifact file names under ``key``."""
-    if not isinstance(d, dict) or key not in d:
-        raise SchemaError(f"artifact lacks {key!r}")
-    return _space_from_ref(d[key])
-
-
-def _space_from_ref(ref: dict) -> spaces.SpaceGraph:
-    if not isinstance(ref, dict) or "manifest" not in ref:
-        raise SchemaError("space_ref lacks a manifest")
-    if "hash" in ref and ref["hash"] != artifacts.manifest_hash(ref["manifest"]):
-        raise SchemaError("space_ref hash does not match its manifest")
-    return artifacts.space_from_manifest(ref["manifest"])
 
 
 # ---------------------------------------------------------------------------
@@ -116,61 +113,41 @@ def _space_manifest_from_args(args) -> dict:
         window = {"kind": "ball", "radius": args.ball}
     elif args.model == "hd":
         window = {"kind": args.window_kind, "radius": args.ball, "d": args.d}
-    elif args.model == "comb":
+    else:  # comb
         window = {"d": args.d, "extent": args.extent}
-    else:
-        raise SchemaError(f"unknown model {args.model}")
     return artifacts.space_manifest(args.model, window, sep=args.sep,
                                     edge_threshold=args.threshold)
 
 
-def cmd_space(args) -> int:
+def cmd_space(args, run: Run) -> None:
     manifest = _space_manifest_from_args(args)
     space = artifacts.space_from_manifest(manifest)
-    outputs: dict = {}
-    _write(os.path.join(args.out, "space.json"),
-           artifacts.canonical_json(manifest), outputs)
-    _write(os.path.join(args.out, "points.csv"),
-           artifacts.points_csv(space), outputs)
-    _write(os.path.join(args.out, "edges.csv"),
-           artifacts.edges_csv(space), outputs)
-    _finish(args.out, "space", vars_of(args), {}, outputs)
+    run.json("space.json", manifest)
+    run.write("points.csv", artifacts.points_csv(space))
+    run.write("edges.csv", artifacts.edges_csv(space))
     hist = np.bincount(np.diff(space.indptr)).tolist()
     print(f"points: {space.n}")
     print(f"degree_bound: {space.degree_bound}")
     print("degree_histogram:", {d: c for d, c in enumerate(hist) if c})
-    return 0
-
-
-def vars_of(args) -> dict:
-    skip = {"func", "out"}
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and not callable(v)}
 
 
 # ---------------------------------------------------------------------------
 # build
 
 
-def cmd_build(args) -> int:
-    outputs: dict = {}
-    checks: list[dict] = []
+def cmd_build(args, run: Run) -> None:
+    run.checks = []
     if args.kind == "walk":
         walk = constructions.tree_walk(args.n_max)
-        src_ref = _ref(artifacts.space_manifest(
+        src_ref = artifacts.space_ref(artifacts.space_manifest(
             "z", {"lo": walk.source.window["lo"],
                   "hi": walk.source.window["hi"]}))
-        tgt_ref = _ref({"version": artifacts.SCHEMA_VERSION,
-                        "model": "walk_target",
-                        "window": {"n_max": args.n_max},
-                        "sep": 1.0, "edge_threshold": 1.0})
-        checks.append({"name": "fibers<=3",
-                       "pass": walk.measured_max_fiber <= 3,
-                       "witness": walk.measured_max_fiber})
-        checks.append({"name": "consecutive-adjacent",
-                       "pass": walk.adjacent_steps()})
-        _write(os.path.join(args.out, "walk.json"), artifacts.canonical_json(
-            artifacts.map_to_dict(walk, src_ref, tgt_ref)), outputs)
+        tgt_ref = artifacts.space_ref(artifacts.space_manifest(
+            "walk_target", {"n_max": args.n_max}, edge_threshold=1.0))
+        run.check("fibers<=3", walk.measured_max_fiber <= 3,
+                  witness=walk.measured_max_fiber)
+        run.check("consecutive-adjacent", walk.adjacent_steps())
+        run.json("walk.json", artifacts.map_to_dict(walk, src_ref, tgt_ref))
     elif args.kind == "tiling":
         manifest = artifacts.space_manifest(
             "h2", {"kind": "ball", "radius": args.ball}, sep=args.sep,
@@ -179,136 +156,112 @@ def cmd_build(args) -> int:
         tiling = constructions.build_h2_tiling(args.r, {"radius": args.ball})
         decomp = constructions.tiling_to_decomposition(tiling, net)
         bad = covers.check_disjointness(decomp)
-        checks.append({"name": "same-colour-disjoint", "pass": not bad,
-                       "witness": None if not bad else vars(bad[0])})
+        run.check("same-colour-disjoint", not bad,
+                  witness=None if not bad else vars(bad[0]))
         tiles = [{"kind": t.kind, "matrix": t.matrix, "depth": t.depth,
                   "mirrored": t.mirrored} for t in tiling.tiles]
-        _write(os.path.join(args.out, "tiling.json"), artifacts.canonical_json(
-            {"version": artifacts.SCHEMA_VERSION, "r": tiling.r,
-             "lambdas": tiling.lambdas, "dilation": tiling.dilation,
-             "tiles": tiles}), outputs)
-        _write(os.path.join(args.out, "decomposition.json"),
-               artifacts.canonical_json(artifacts.cover_to_dict(
-                   decomp, _ref(manifest))), outputs)
+        run.json("tiling.json", {
+            "version": artifacts.SCHEMA_VERSION, "r": tiling.r,
+            "lambdas": tiling.lambdas, "dilation": tiling.dilation,
+            "tiles": tiles})
+        run.json("decomposition.json", artifacts.cover_to_dict(
+            decomp, artifacts.space_ref(manifest)))
     elif args.kind == "comb":
         space = constructions.build_comb(args.d, args.extent)
-        manifest = artifacts.space_manifest(
-            "comb", {"d": args.d, "extent": args.extent})
-        _write(os.path.join(args.out, "space.json"),
-               artifacts.canonical_json(manifest), outputs)
-        _write(os.path.join(args.out, "points.csv"),
-               artifacts.points_csv(space), outputs)
+        run.json("space.json", artifacts.space_manifest(
+            "comb", {"d": args.d, "extent": args.extent}))
+        run.write("points.csv", artifacts.points_csv(space))
     elif args.kind == "bradyfarb":
         art = constructions.hd_cover_pipeline(args.d, args.ball, args.r)
-        decomp = art["decomposition"]
-        bad = covers.check_disjointness(decomp)
-        checks.append({"name": "same-colour-disjoint", "pass": not bad})
-        checks.append({"name": "colour-count<=d",
-                       "pass": decomp.d + 1 <= max(args.d, 2),
-                       "witness": decomp.d + 1})
-        cov = decomp.coverage_counts()
-        checks.append({"name": "covers-source", "pass": int(cov.min()) >= 1})
-        _write(os.path.join(args.out, "hd_cover.json"),
-               artifacts.canonical_json(artifacts.cover_to_dict(
-                   decomp, _ref(artifacts.space_manifest(
-                       "hd", dict(art["net"].window) | {"d": args.d},
-                       sep=art["net"].sep,
-                       edge_threshold=art["net"].edge_threshold)))),
-               outputs)
+        decomp, net = art["decomposition"], art["net"]
+        run.check("same-colour-disjoint", not covers.check_disjointness(decomp))
+        run.check("colour-count<=d", decomp.d + 1 <= max(args.d, 2),
+                  witness=decomp.d + 1)
+        run.check("covers-source", int(decomp.coverage_counts().min()) >= 1)
+        run.json("hd_cover.json", artifacts.cover_to_dict(
+            decomp, artifacts.space_ref(artifacts.space_manifest(
+                "hd", dict(net.window) | {"d": args.d}, sep=net.sep,
+                edge_threshold=net.edge_threshold))))
     elif args.kind == "nerve":
         if args.cover is None:
             raise SchemaError("build nerve needs --cover")
-        d = _load_json(args.cover)
-        space = _space_of(d, "space_ref")
-        cover = artifacts.cover_from_dict(d, space)
+        cover = artifacts.cover_from_dict(run.read(args.cover))
         if isinstance(cover, covers.ColoredDecomposition):
             cover = cover.as_cover()
-        nerve = constructions.nerve_map(space, cover)
-        sums_ok = all(abs(sum(c.values()) - 1.0) < 1e-9
-                      for c in nerve.coordinates)
-        checks.append({"name": "barycentric-sums-1", "pass": sums_ok})
-        _write(os.path.join(args.out, "nerve.json"), artifacts.canonical_json(
-            {"version": artifacts.SCHEMA_VERSION,
-             "dimension": nerve.dimension,
-             "simplices": sorted(sorted(s) for s in nerve.simplices),
-             "lipschitz": constructions.nerve_lipschitz(space, nerve)}),
-            outputs)
-    elif args.kind == "product":
+        nerve = constructions.nerve_map(cover.space, cover)
+        run.check("barycentric-sums-1",
+                  all(abs(sum(c.values()) - 1.0) < 1e-9
+                      for c in nerve.coordinates))
+        run.json("nerve.json", {
+            "version": artifacts.SCHEMA_VERSION, "dimension": nerve.dimension,
+            "simplices": sorted(sorted(s) for s in nerve.simplices),
+            "lipschitz": constructions.nerve_lipschitz(cover.space, nerve)})
+    else:  # product
         if not args.factor:
             raise SchemaError("build product needs --factor")
-        manifests = [_load_json(p) for p in args.factor]
+        manifests = [run.read(p) for p in args.factor]
         factors = [artifacts.space_from_manifest(m) for m in manifests]
         window = None
         if args.l1_radius is not None:
             window = {"kind": "l1_ball", "radius": args.l1_radius,
                       "centers": [s.window.get("basepoint", 0) for s in factors]}
         prod = spaces.build_product(factors, window=window)
-        pm = artifacts.space_manifest(
-            "product",
-            {"kind": "l1_ball", "radius": args.l1_radius,
-             "centers": window["centers"]} if window else {"kind": "full"},
-            factors=manifests)
-        _write(os.path.join(args.out, "space.json"),
-               artifacts.canonical_json(pm), outputs)
+        run.json("space.json", artifacts.space_manifest(
+            "product", window or {"kind": "full"}, factors=manifests))
         print(f"product points: {prod.n}")
-    else:
-        raise SchemaError(f"unknown build kind {args.kind}")
-    report = artifacts.verification_report(checks)
-    _write(os.path.join(args.out, "verification.json"),
-           artifacts.canonical_json(report), outputs)
-    _finish(args.out, f"build-{args.kind}", vars_of(args),
-            {}, outputs)
-    for c in checks:
-        print(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}")
-    if not report["all_pass"]:
-        return EXIT_INVARIANT
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-# the artifact kind each check reads
+# the artifact kind each check applies to, and the parameters it reads
 _COVERS = (covers.Cover, covers.ColoredDecomposition)
-_CHECKS = {"disjointness": covers.ColoredDecomposition, "multiplicity": _COVERS,
-           "coverage": _COVERS, "fibers": constructions.MapRecord,
-           "adjacent": constructions.MapRecord}
+_CHECKS = {"disjointness": (covers.ColoredDecomposition, ()),
+           "multiplicity": (_COVERS, ("R", "max", "model")),
+           "coverage": (_COVERS, ("min",)),
+           "fibers": (constructions.MapRecord, ("max",)),
+           "adjacent": (constructions.MapRecord, ())}
 
 
 def _parse_check(spec: str) -> tuple[str, dict]:
-    parts = spec.split(":")
-    name = parts[0]
+    """``name[:key=value]...``: the check's name and its parameters, each
+    one the check reads and a finite number."""
+    name, *parts = spec.split(":")
+    if name not in _CHECKS:
+        raise SchemaError(f"unknown check {name}")
+    keys = _CHECKS[name][1]
     params = {}
-    for p in parts[1:]:
+    for p in parts:
         k, _, v = p.partition("=")
-        try:
-            params[k] = float(v) if "." in v else int(v)
-        except ValueError:
+        if k not in keys:
+            raise SchemaError(f"check {spec!r}: {name} reads no parameter "
+                              f"{k!r}; it reads {', '.join(keys) or 'none'}")
+        for number in (int, float):
+            try:
+                value = number(v)
+                break
+            except ValueError:
+                value = math.nan
+        if not math.isfinite(value):
             raise SchemaError(
-                f"check {spec!r}: parameter {k!r} needs a number, got {v!r}"
-            ) from None
+                f"check {spec!r}: parameter {k!r} needs a number, got {v!r}")
+        params[k] = value
     return name, params
 
 
-def cmd_verify(args) -> int:
-    d = _load_json(args.target)
-    checks = []
-    if "pairs" in d:
-        obj = artifacts.map_from_dict(d, _space_of(d, "source_ref"),
-                                      _space_of(d, "target_ref"))
-    else:
-        obj = artifacts.cover_from_dict(d, _space_of(d, "space_ref"))
-    for spec in args.checks.split(","):
-        name, params = _parse_check(spec)
-        if name not in _CHECKS:
-            raise SchemaError(f"unknown check {name}")
-        if not isinstance(obj, _CHECKS[name]):
+def cmd_verify(args, run: Run) -> None:
+    specs = [(spec, *_parse_check(spec)) for spec in args.checks.split(",")]
+    d = run.read(args.target)
+    obj = (artifacts.map_from_dict(d) if "pairs" in d
+           else artifacts.cover_from_dict(d))
+    run.checks = []
+    for spec, name, params in specs:
+        if not isinstance(obj, _CHECKS[name][0]):
             raise SchemaError(f"check {name} does not apply to this artifact")
         if name == "disjointness":
             bad = covers.check_disjointness(obj)
-            checks.append({"name": spec, "pass": not bad,
-                           "witness": None if not bad else vars(bad[0])})
+            run.check(spec, not bad, witness=None if not bad else vars(bad[0]))
         elif name == "multiplicity":
             R = params.get("R", 0)
             if R < 0:
@@ -317,53 +270,31 @@ def cmd_verify(args) -> int:
                                obj.d + 1 if hasattr(obj, "d") else None)
             mult, witness = covers.r_multiplicity(
                 obj, R, metric="model" if params.get("model") else "graph")
-            ok = bound is None or mult <= bound
-            checks.append({"name": spec, "pass": ok,
-                           "witness": {"multiplicity": mult, "center": witness}})
+            run.check(spec, bound is None or mult <= bound,
+                      witness={"multiplicity": mult, "center": witness})
         elif name == "coverage":
             counts = np.bincount(obj.pieces.pts, minlength=obj.space.n)
             missing = np.flatnonzero(counts == 0).tolist()
-            need = params.get("min", 1)
-            low = np.flatnonzero(counts < need).tolist()
-            checks.append({"name": spec, "pass": not low,
-                           "witness": (low[:3] or missing[:3]) or None})
+            low = np.flatnonzero(counts < params.get("min", 1)).tolist()
+            run.check(spec, not low, witness=(low[:3] or missing[:3]) or None)
         elif name == "fibers":
-            ok = obj.measured_max_fiber <= params.get("max", 3)
-            checks.append({"name": spec, "pass": ok,
-                           "witness": obj.measured_max_fiber})
+            run.check(spec, obj.measured_max_fiber <= params.get("max", 3),
+                      witness=obj.measured_max_fiber)
         else:  # adjacent
-            checks.append({"name": spec, "pass": obj.adjacent_steps()})
-    report = artifacts.verification_report(checks)
-    outputs: dict = {}
-    _write(os.path.join(args.out, "verification.json"),
-           artifacts.canonical_json(report), outputs)
-    _finish(args.out, "verify", vars_of(args),
-            {os.path.basename(args.target): _hash_file(args.target)}, outputs)
-    for c in checks:
-        print(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}")
-    return 0 if report["all_pass"] else EXIT_INVARIANT
-
-
-def _hash_file(path: str) -> str:
-    with open(_resolve(path), "r", encoding="utf-8") as fh:
-        return artifacts.sha256_text(fh.read())
+            run.check(spec, obj.adjacent_steps())
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def cmd_analyze(args) -> int:
-    outputs: dict = {}
-    inputs: dict = {}
+def cmd_analyze(args, run: Run) -> None:
     option = {"growth": "space", "defect": "space",
               "distortion": "map"}.get(args.analysis, "cover")
     if getattr(args, option) is None:
         raise SchemaError(f"analyze {args.analysis} needs --{option}")
     if args.analysis == "growth":
-        manifest = _load_json(args.space)
-        inputs[os.path.basename(args.space)] = _hash_file(args.space)
-        space = artifacts.space_from_manifest(manifest)
+        space = artifacts.space_from_manifest(run.read(args.space))
         center = space.window.get("basepoint", 0)
         if args.center != "origin":
             try:
@@ -378,24 +309,17 @@ def cmd_analyze(args) -> int:
         try:
             exp, resid = analysis.fit_growth(rep, r_min=args.r_min)
         except DataError as e:
-            print(f"error: {e}; enlarge the window", file=sys.stderr)
-            return EXIT_TRUNCATION
+            raise TruncationError(f"{e}; enlarge the window") from e
         stat = analysis.subexp_stat(rep)
-        csv = ["r,count,truncated"]
-        csv += [f"{r},{c},{int(t)}" for r, c, t in
-                zip(rep.radii, rep.counts, rep.truncated)]
-        _write(os.path.join(args.out, "growth.csv"), "\n".join(csv) + "\n",
-               outputs)
-        _write(os.path.join(args.out, "growth.json"), artifacts.canonical_json(
-            {"version": artifacts.SCHEMA_VERSION, "center": center,
-             "fitted_exponent": exp, "fit_residual": resid,
-             "subexp_stat": stat}), outputs)
+        run.table("growth.csv", "r,count,truncated", (
+            f"{r},{c},{int(t)}"
+            for r, c, t in zip(rep.radii, rep.counts, rep.truncated)))
+        run.json("growth.json", {
+            "version": artifacts.SCHEMA_VERSION, "center": center,
+            "fitted_exponent": exp, "fit_residual": resid, "subexp_stat": stat})
         print(f"fitted_exponent: {exp:.4f} (residual {resid:.4f})")
     elif args.analysis == "distortion":
-        d = _load_json(args.map)
-        inputs[os.path.basename(args.map)] = _hash_file(args.map)
-        record = artifacts.map_from_dict(
-            d, _space_of(d, "source_ref"), _space_of(d, "target_ref"))
+        record = artifacts.map_from_dict(run.read(args.map))
         anchored = None
         if args.anchored is not None:
             anchored = args.anchored
@@ -409,10 +333,8 @@ def cmd_analyze(args) -> int:
                     f"--anchored {args.anchored} is not a point of the map's source")
         prof = analysis.distortion_profile(record, anchored=anchored,
                                            seed=args.seed)
-        csv = ["src_lo,src_hi,tgt_min,tgt_mean,tgt_max"]
-        csv += [",".join(repr(v) for v in b) for b in prof.buckets]
-        _write(os.path.join(args.out, "distortion.csv"), "\n".join(csv) + "\n",
-               outputs)
+        run.table("distortion.csv", "src_lo,src_hi,tgt_min,tgt_mean,tgt_max",
+                  (",".join(repr(v) for v in b) for b in prof.buckets))
         payload = {"version": artifacts.SCHEMA_VERSION,
                    "fitted_log_C": prof.fitted_log_C,
                    "envelope_log_C": prof.envelope_log_C,
@@ -430,55 +352,36 @@ def cmd_analyze(args) -> int:
                 "envelope_log_C": aprof.envelope_log_C,
                 "fitted_affine": list(aprof.fitted_affine),
                 "log_fit_ok": aprof.log_fit_ok}
-        _write(os.path.join(args.out, "distortion.json"),
-               artifacts.canonical_json(payload), outputs)
+        run.json("distortion.json", payload)
         print(f"fitted_log_C: {prof.fitted_log_C:.4f} "
               f"(envelope {prof.envelope_log_C:.4f})")
-    elif args.analysis in ("sublinearity", "escalation"):
-        d = _load_json(args.cover)
-        inputs[os.path.basename(args.cover)] = _hash_file(args.cover)
-        space = _space_of(d, "space_ref")
-        fam = artifacts.cover_from_dict(d, space)
-        if args.analysis == "sublinearity":
-            base = space.window.get("basepoint", 0)
-            try:
-                grid = [int(x) for x in args.m_grid.split(",")]
-            except ValueError:
-                raise SchemaError(f"--m-grid {args.m_grid!r} needs integers "
-                                  "separated by commas") from None
-            rep = analysis.radial_sublinearity(fam, base, grid)
-            csv = ["m,max_diam,ratio"]
-            csv += [f"{m},{repr(dm)},{repr(rt)}" for m, dm, rt in
-                    zip(rep.m_grid, rep.max_diam, rep.ratios)]
-            _write(os.path.join(args.out, "sublinearity.csv"),
-                   "\n".join(csv) + "\n", outputs)
-            _write(os.path.join(args.out, "sublinearity.json"),
-                   artifacts.canonical_json(
-                       {"version": artifacts.SCHEMA_VERSION,
-                        "trend": rep.trend, "consistent": rep.consistent,
-                        "ratios": rep.ratios}), outputs)
-            print(f"consistent_with_radially_sublinear: {rep.consistent}")
-        else:
-            try:
-                rows = analysis.escalation(fam, s=args.s, m_max=args.m)
-            except TruncationError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return EXIT_TRUNCATION
-            csv = ["m,exponent,residual,level_size"]
-            csv += [f"{r['m']},{repr(r['exponent'])},{repr(r['residual'])},"
-                    f"{r['level_size']}" for r in rows]
-            _write(os.path.join(args.out, "escalation.csv"),
-                   "\n".join(csv) + "\n", outputs)
-            _write(os.path.join(args.out, "escalation.json"),
-                   artifacts.canonical_json(
-                       {"version": artifacts.SCHEMA_VERSION,
-                        "rows": [{k: v for k, v in r.items()} for r in rows]}),
-                   outputs)
-            print("exponents:", [round(r["exponent"], 3) for r in rows])
-    elif args.analysis == "defect":
-        manifest = _load_json(args.space)
-        inputs[os.path.basename(args.space)] = _hash_file(args.space)
-        space = artifacts.space_from_manifest(manifest)
+    elif args.analysis == "sublinearity":
+        fam = artifacts.cover_from_dict(run.read(args.cover))
+        try:
+            grid = [int(x) for x in args.m_grid.split(",")]
+        except ValueError:
+            raise SchemaError(f"--m-grid {args.m_grid!r} needs integers "
+                              "separated by commas") from None
+        rep = analysis.radial_sublinearity(
+            fam, fam.space.window.get("basepoint", 0), grid)
+        run.table("sublinearity.csv", "m,max_diam,ratio", (
+            f"{m},{repr(dm)},{repr(rt)}"
+            for m, dm, rt in zip(rep.m_grid, rep.max_diam, rep.ratios)))
+        run.json("sublinearity.json", {
+            "version": artifacts.SCHEMA_VERSION, "trend": rep.trend,
+            "consistent": rep.consistent, "ratios": rep.ratios})
+        print(f"consistent_with_radially_sublinear: {rep.consistent}")
+    elif args.analysis == "escalation":
+        fam = artifacts.cover_from_dict(run.read(args.cover))
+        rows = analysis.escalation(fam, s=args.s, m_max=args.m)
+        run.table("escalation.csv", "m,exponent,residual,level_size", (
+            f"{r['m']},{repr(r['exponent'])},{repr(r['residual'])},"
+            f"{r['level_size']}" for r in rows))
+        run.json("escalation.json", {"version": artifacts.SCHEMA_VERSION,
+                                     "rows": rows})
+        print("exponents:", [round(r["exponent"], 3) for r in rows])
+    else:  # defect
+        space = artifacts.space_from_manifest(run.read(args.space))
         if space.model != "h2":
             raise SchemaError(f"analyze defect needs a half-plane space, "
                               f"got {space.model}")
@@ -489,28 +392,22 @@ def cmd_analyze(args) -> int:
         val = analysis.quasi_convexity_defect(space, subset, r=args.r,
                                               pair_cap=args.pair_cap,
                                               seed=args.seed)
-        _write(os.path.join(args.out, "defect.json"),
-               artifacts.canonical_json(
-                   {"version": artifacts.SCHEMA_VERSION, "defect": val,
-                    "band": band, "subset_size": len(subset)}), outputs)
+        run.json("defect.json", {
+            "version": artifacts.SCHEMA_VERSION, "defect": val, "band": band,
+            "subset_size": len(subset)})
         print(f"defect: {val:.4f}")
-    else:
-        raise SchemaError(f"unknown analysis {args.analysis}")
-    _finish(args.out, f"analyze-{args.analysis}", vars_of(args), inputs,
-            outputs, seed=getattr(args, "seed", 0))
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # report
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, run: Run) -> None:
     """Print a run manifest and audit its recorded output hashes."""
-    manifest = _load_json(args.manifest)
+    manifest = run.read(args.manifest)
     for key in ("command", "inputs", "parameters", "seed", "outputs",
                 "tool_version"):
-        if not isinstance(manifest, dict) or key not in manifest:
+        if key not in manifest:
             raise SchemaError(f"run manifest lacks {key!r}")
     if not all(isinstance(manifest[k], dict) for k in ("parameters", "outputs")):
         raise SchemaError("run manifest parameters and outputs must be objects")
@@ -526,19 +423,18 @@ def cmd_report(args) -> int:
     for k, v in sorted(manifest["parameters"].items()):
         print(f"param {k}: {v}")
     base = os.path.dirname(os.path.abspath(_resolve(args.manifest)))
-    stale = 0
     for name, digest in sorted(manifest["outputs"].items()):
         path = os.path.join(base, name)
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                actual = artifacts.sha256_text(fh.read())
+            # the bytes: a text read would fail on bad UTF-8 and read a
+            # "\r\n" written over "\n" as unchanged
+            with open(path, "rb") as fh:
+                actual = hashlib.sha256(fh.read()).hexdigest()
             status = "ok" if actual == digest else "MODIFIED"
-            stale += status != "ok"
         else:
             status = "missing"
-            stale += 1
+        run.failed = run.failed or status != "ok"
         print(f"output {name}: {digest[:12]} [{status}]")
-    return 0 if stale == 0 else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -615,23 +511,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = Run()
     try:
-        return args.func(args)
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except SizeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SIZE
-    except PreconditionError as e:
-        print(f"error: {e} (witness: {e.witness})", file=sys.stderr)
-        return EXIT_INVARIANT
-    except TruncationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TRUNCATION
+        args.func(args, run)
     except CoarselabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
+        code = next(EXIT_CODES[c] for c in type(e).__mro__ if c in EXIT_CODES)
+        witness = (f" (witness: {e.witness})"
+                   if isinstance(e, PreconditionError) else "")
+        print(f"error: {e}{witness}", file=sys.stderr)
+        return code
+    if "out" in args:  # every command but report
+        if run.checks is not None:
+            run.json("verification.json",
+                     artifacts.verification_report(run.checks))
+        cache = os.environ.get("COARSELAB_CACHE")
+        outputs = {}
+        for name, text in run.outputs.items():
+            digest = artifacts.write_text(os.path.join(args.out, name), text)
+            if cache:
+                artifacts.write_text(os.path.join(cache, digest), text)
+            outputs[name] = digest
+        command = "-".join([args.command, *(getattr(args, k) for k in
+                                            ("kind", "analysis") if k in args)])
+        parameters = {k: v for k, v in vars(args).items()
+                      if k not in ("func", "out")}
+        artifacts.write_text(
+            os.path.join(args.out, f"{command}.manifest.json"),
+            artifacts.canonical_json({
+                "command": command, "inputs": run.inputs,
+                "parameters": parameters, "seed": getattr(args, "seed", 0),
+                "outputs": outputs, "tool_version": artifacts.TOOL_VERSION}))
+    for c in run.checks or ():
+        print(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}")
+    return EXIT_INVARIANT if run.failed else 0
 
 
 if __name__ == "__main__":

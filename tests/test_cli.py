@@ -292,6 +292,37 @@ class TestBuildCommand:
         assert "max" in err and "abc" in err
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("spec", [
+        # keys a check does not read: each once passed, checked at defaults
+        "disjointness:r=5", "coverage:mni=2", "adjacent:max=0",
+        "multiplicity:min=2", "fibers:R=1",
+        # values that are no finite number
+        "multiplicity:R=nan", "coverage:min=inf", "fibers:max=",
+    ])
+    def test_check_parameter_refused_exit_2(self, spec, tmp_path, capsys):
+        kind = "walk" if spec.startswith(("adjacent", "fibers")) else "tiling"
+        main(["build", kind, "--n-max", "3", "--r", "1", "--ball", "3",
+              "--out", str(tmp_path)])
+        target = "walk.json" if kind == "walk" else "decomposition.json"
+        capsys.readouterr()
+        rc = main(["verify", str(tmp_path / target), "--checks", spec,
+                   "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert rc == 2 and _error_exit(err) and spec in err
+        assert not (tmp_path / "v").exists()
+
+    def test_check_parameter_in_exponent_form(self, tmp_path):
+        # once refused as "needs a number"
+        main(["build", "tiling", "--r", "1", "--ball", "3", "--out", str(tmp_path)])
+        reports = []
+        for checks in ("multiplicity:R=1:max=3,coverage:min=1",
+                       "multiplicity:R=1e0:max=3e0,coverage:min=1.0"):
+            assert main(["verify", str(tmp_path / "decomposition.json"),
+                         "--checks", checks, "--out", str(tmp_path / "v")]) == 0
+            reports.append([{k: v for k, v in c.items() if k != "name"} for c in
+                            json.loads(read(tmp_path / "v" / "verification.json"))["checks"]])
+        assert reports[0] == reports[1]
+
     def test_check_on_wrong_artifact_kind_exit_2(self, tmp_path):
         main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])
         rc = main(["verify", str(tmp_path / "walk.json"),
@@ -380,19 +411,27 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("change", [
         {"r": "x"}, {"r": None}, {"d": "x"}, {"d": 2.5}, {"colour": 1.5},
         {"colour": "1"}, {"colour": True},
+        # once, point 1 written as true read as point 1, and any partition
+        # value passed
+        {"point": True}, {"partition": "yes"}, {"partition": 1},
     ], ids=str)
     def test_decomposition_exit_2(self, change, tmp_path, capsys):
         main(["build", "tiling", "--ball", "4", "--out", str(tmp_path)])
         dec = json.loads(read(tmp_path / "decomposition.json"))
         if "colour" in change:
             dec["pieces"][0]["colour"] = change["colour"]
+        elif "point" in change:
+            points = next(rec["points"] for rec in dec["pieces"]
+                          if 1 in rec["points"])
+            points[points.index(1)] = change["point"]
         else:
             dec.update(change)
         (tmp_path / "bad.json").write_text(json.dumps(dec))
         capsys.readouterr()
-        rc = main(["verify", str(tmp_path / "bad.json"),
-                   "--checks", "disjointness", "--out", str(tmp_path / "v")])
-        assert rc == 2 and _error_exit(capsys.readouterr().err)
+        for checks in ("disjointness", "coverage"):
+            rc = main(["verify", str(tmp_path / "bad.json"),
+                       "--checks", checks, "--out", str(tmp_path / "v")])
+            assert rc == 2 and _error_exit(capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", [
         "three-entries", "skip-and-repeat", "negative-source", "string-target",
@@ -426,6 +465,21 @@ class TestMalformedInputs:
         rc = main(["verify", str(tmp_path / "bad.json"), "--checks", "fibers",
                    "--out", str(tmp_path / "v")])
         assert rc == 2 and _error_exit(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("data", [b"5", b"[1]", b"null", b"\xff{}"])
+    def test_input_that_is_no_json_object_exit_2(self, data, tmp_path, capsys):
+        # once, verify ended in a TypeError on a JSON number, and every
+        # command in a UnicodeDecodeError on a file that is not UTF-8
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        for argv in (["verify", str(path), "--checks", "coverage"],
+                     ["analyze", "growth", "--space", str(path)],
+                     ["build", "nerve", "--cover", str(path)],
+                     ["report", str(path)]):
+            out = [] if argv[0] == "report" else ["--out", str(tmp_path / "o")]
+            rc = main(argv + out)
+            err = capsys.readouterr().err
+            assert rc == 2 and _error_exit(err) and "JSON" in err
 
     def test_written_files_load_unchanged(self, tmp_path):
         # pairs in any order still load, as long as each source is there once
@@ -515,6 +569,18 @@ class TestReportCommand:
         assert rc == 4
         assert "MODIFIED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tamper", [
+        lambda b: b + b"\xff",  # once, a UnicodeDecodeError
+        lambda b: b.replace(b"\n", b"\r\n", 1),  # once, read as [ok]
+    ], ids=["bad-utf8", "crlf"])
+    def test_report_flags_modified_bytes(self, tamper, tmp_path, capsys):
+        main(["space", "--model", "z", "--range", "10", "--out", str(tmp_path)])
+        path = tmp_path / "points.csv"
+        path.write_bytes(tamper(path.read_bytes()))
+        capsys.readouterr()
+        rc = main(["report", str(tmp_path / "space.manifest.json")])
+        out = capsys.readouterr().out
+        assert rc == 4 and "output points.csv:" in out and "[MODIFIED]" in out
 
     @staticmethod
     def crafted_manifest(tmp_path, name):
@@ -598,3 +664,65 @@ def test_walk_commands_stay_off_scipy_sparse(tmp_path):
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True).stdout.split()
         assert out[-2:] == ["0", "False"], (argv, out)
+
+
+def _error_classes():
+    import coarselab.errors as errors
+
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.CoarselabError)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(cls, tmp_path, monkeypatch, capsys):
+    # an error raised inside a command, by a library call it makes
+    from coarselab import constructions, errors
+
+    codes = {errors.SizeCapError: 3, errors.PreconditionError: 4,
+             errors.TruncationError: 5}
+    want = next((code for base, code in codes.items() if issubclass(cls, base)), 2)
+    error = cls("boom")
+    if isinstance(error, errors.PreconditionError):
+        error.witness = {"point": 7}
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(constructions, "tree_walk", fail)
+    rc = main(["build", "walk", "--n-max", "3", "--out", str(tmp_path / "w")])
+    captured = capsys.readouterr()
+    assert rc == want
+    lines = captured.err.splitlines()
+    assert lines == ["error: boom" + (" (witness: {'point': 7})"
+                                      if want == 4 else "")]
+    assert captured.out == "" and not (tmp_path / "w").exists()
+
+
+def _cli_commands(d):
+    """The benchmark's CLI command sequence, every path under ``d``, and
+    its function naming each command's manifest."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "coarsebench", "checks.py")
+    spec = importlib.util.spec_from_file_location("coarsebench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.cli_commands(1, str(d)), checks.command_name
+
+
+def test_every_command_writes_through_one_writer(tmp_path, capsys):
+    commands, command_name = _cli_commands(tmp_path)
+    for argv in commands:
+        # the files the command reads are the existing paths it names
+        read_now = {a: hashlib.sha256(read(a).encode()).hexdigest()
+                    for a in argv[1:] if os.path.isfile(a)}
+        assert main(argv) == 0, argv
+        if argv[0] == "report":
+            continue
+        out = argv[argv.index("--out") + 1]
+        manifest = os.path.join(out, f"{command_name(argv)}.manifest.json")
+        assert json.loads(read(manifest))["inputs"] == read_now, argv
+        assert main(["report", manifest]) == 0, argv
+        assert os.path.exists(os.path.join(out, "verification.json")) \
+            == (argv[0] in ("build", "verify")), argv
+    capsys.readouterr()
