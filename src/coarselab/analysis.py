@@ -195,12 +195,44 @@ def _sample_pairs(n: int, cap: int, seed: int,
         half = len(draws) // 2
         a, b = draws[0:2 * half:2], draws[1:2 * half:2]
         key = (np.minimum(a, b) * np.uint64(n) + np.maximum(a, b))[a != b]
-        first = np.sort(np.unique(key, return_index=True)[1])
+        first = _first_occurrences(key)
         if len(first) >= cap:
             key = key[first[:cap]]
             return ((key // np.uint64(n)).astype(np.int64),
                     (key % np.uint64(n)).astype(np.int64))
         m *= 2
+
+
+def _first_occurrences(key: np.ndarray) -> np.ndarray:
+    """Increasing positions of the first occurrence of each value of
+    ``key``.  One sort finds the values that repeat; only the keys equal
+    to one of them are sorted again, stably, to find which comes first."""
+    s = np.sort(key)
+    rep = _unique(s[1:][s[1:] == s[:-1]])
+    first = np.ones(len(key), dtype=bool)
+    if len(rep):
+        at = np.minimum(np.searchsorted(rep, key), len(rep) - 1)
+        pos = np.flatnonzero(rep[at] == key)
+        pos = pos[np.argsort(key[pos], kind="stable")]
+        run = key[pos]
+        first[pos[1:][run[1:] == run[:-1]]] = False
+    return np.flatnonzero(first)
+
+
+def _buckets(edges: np.ndarray, ds: np.ndarray, dt: np.ndarray) -> list:
+    """(lo, hi, min, mean, max) of ``dt`` over the samples whose ``ds``
+    lies in [lo, hi), for each pair of consecutive ``edges`` that holds
+    any.  The samples are grouped once, stably, by bucket, so a bucket's
+    slice holds its samples in their original order."""
+    nb = len(edges) - 1
+    # key 0 lies below edges[0], key j + 1 in [edges[j], edges[j + 1]),
+    # key nb + 1 at or above edges[-1]
+    key = np.searchsorted(edges, ds, side="right").astype(np.uint16)
+    grouped = dt[np.argsort(key, kind="stable")]
+    ends = np.cumsum(np.bincount(key, minlength=nb + 2))
+    return [(float(edges[j]), float(edges[j + 1]), float(run.min()),
+             float(run.mean()), float(run.max()))
+            for j in range(nb) if len(run := grouped[ends[j]:ends[j + 1]])]
 
 
 def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
@@ -215,6 +247,7 @@ def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
     a, b = _sample_pairs(src.n, pair_cap, seed, anchored)
     ds = src.distances(a, b)
     dt = tgt.distances(f.image[a], f.image[b])
+    del a, b  # free the pair indices before the buckets and the fit
     pos = ds > 0
     ds, dt = ds[pos], dt[pos]
     if len(ds) == 0:
@@ -225,12 +258,7 @@ def distortion_profile(f, pair_cap: int = 200_000, seed: int = 0,
     hi = ds.max()
     edges = np.geomspace(max(lo, 1e-9), hi * (1 + 1e-9),
                          num=min(24, max(2, int(math.log2(hi / max(lo, 1e-9))) + 2)))
-    buckets = []
-    for a, b in zip(edges, edges[1:]):
-        m = (ds >= a) & (ds < b)
-        if m.any():
-            buckets.append((float(a), float(b), float(dt[m].min()),
-                            float(dt[m].mean()), float(dt[m].max())))
+    buckets = _buckets(edges, ds, dt)
 
     basis = np.log1p(ds) + 1.0
     fitted_log_C = float(np.dot(dt, basis) / np.dot(basis, basis))

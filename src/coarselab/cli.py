@@ -4,8 +4,9 @@ Subcommands: ``space`` (generate nets), ``build`` (constructions),
 ``verify`` (cover/map checks), ``analyze`` (growth, distortion,
 sublinearity, defect, escalation).  Every command writes a run manifest
 next to its outputs; re-running the same manifest reproduces the same
-bytes.  Exit codes: 2 schema, unknown name, unsupported parameter or
-missing input, 3 size cap, 4 failed invariant, 5 truncation-dominated data.
+bytes.  Exit codes: 2 schema, unknown name, unsupported parameter,
+missing input or an output that cannot be written, 3 size cap, 4 failed
+invariant, 5 truncation-dominated data.
 
 ``COARSELAB_CACHE`` names a directory where output artifacts are also
 stored content-addressed, so later commands can reference them by hash.
@@ -521,26 +522,31 @@ def main(argv=None) -> int:
         print(f"error: {e}{witness}", file=sys.stderr)
         return code
     if "out" in args:  # every command but report
-        if run.checks is not None:
-            run.json("verification.json",
-                     artifacts.verification_report(run.checks))
-        cache = os.environ.get("COARSELAB_CACHE")
-        outputs = {}
-        for name, text in run.outputs.items():
-            digest = artifacts.write_text(os.path.join(args.out, name), text)
-            if cache:
-                artifacts.write_text(os.path.join(cache, digest), text)
-            outputs[name] = digest
-        command = "-".join([args.command, *(getattr(args, k) for k in
-                                            ("kind", "analysis") if k in args)])
-        parameters = {k: v for k, v in vars(args).items()
-                      if k not in ("func", "out")}
-        artifacts.write_text(
-            os.path.join(args.out, f"{command}.manifest.json"),
-            artifacts.canonical_json({
-                "command": command, "inputs": run.inputs,
-                "parameters": parameters, "seed": getattr(args, "seed", 0),
-                "outputs": outputs, "tool_version": artifacts.TOOL_VERSION}))
+        try:
+            if run.checks is not None:
+                run.json("verification.json",
+                         artifacts.verification_report(run.checks))
+            cache = os.environ.get("COARSELAB_CACHE")
+            outputs = {}
+            for name, text in run.outputs.items():
+                digest = artifacts.write_text(os.path.join(args.out, name), text)
+                if cache:
+                    artifacts.write_text(os.path.join(cache, digest), text)
+                outputs[name] = digest
+            command = "-".join([args.command, *(getattr(args, k) for k in
+                                                ("kind", "analysis") if k in args)])
+            parameters = {k: v for k, v in vars(args).items()
+                          if k not in ("func", "out")}
+            artifacts.write_text(
+                os.path.join(args.out, f"{command}.manifest.json"),
+                artifacts.canonical_json({
+                    "command": command, "inputs": run.inputs,
+                    "parameters": parameters, "seed": getattr(args, "seed", 0),
+                    "outputs": outputs, "tool_version": artifacts.TOOL_VERSION}))
+        except OSError as e:
+            print(f"error: cannot write {e.filename or args.out}: "
+                  f"{e.strerror or e}", file=sys.stderr)
+            return 2
     for c in run.checks or ():
         print(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}")
     return EXIT_INVARIANT if run.failed else 0

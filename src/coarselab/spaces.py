@@ -11,6 +11,8 @@ that boundary effects (truncation) can be flagged.
 from __future__ import annotations
 
 import collections.abc
+import contextlib
+import gc
 import math
 import operator
 from dataclasses import dataclass, field
@@ -153,6 +155,28 @@ class TuplePoint:
 
 
 ModelPoint = Union[HalfPlane, HalfSpace, TreeAddress, ZPoint, CombNode, TuplePoint]
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for a bulk build of point
+    objects, and restore the setting it found on the way out, also on an
+    error.
+
+    Points hold only numbers and tuples of numbers, so they form no
+    cycles, yet building hundreds of thousands of them sets off full
+    collections that walk every tracked object.  Callers hold the pause
+    within one call, never across a generator's ``yield``.  It is not
+    thread-aware: a thread that toggles the collector meanwhile can have
+    its setting overridden.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class PointView(collections.abc.Sequence):
@@ -810,28 +834,33 @@ class SpaceGraph:
         return PointView(self.n, self._take)
 
     def _take(self, idx: np.ndarray) -> list:
-        """The points at the indices ``idx``, built from the arrays."""
-        if self.model in ("z", "metric_graph"):
-            # ZPoint(n) for each code, with no Python __init__ call
-            pts = list(map(object.__new__, repeat(ZPoint, len(idx))))
-            collections.deque(map(ZPoint.n.__set__, pts,
-                                  self._codes[idx].tolist()), maxlen=0)
-            return pts
-        if self.model == "t3":
-            words, depth = self._codes
-            return list(map(TreeAddress, _prefix_tuples(words[idx], depth[idx])))
-        if self.model == "comb":
-            path = self._codes[0][idx]
-            return list(map(CombNode, path[:, 0].tolist(), _prefix_tuples(
-                path[:, 1:], np.count_nonzero(path[:, 1:], axis=1))))
-        if self.model == "product":
-            parts = [f._take(self._codes[idx, k])
-                     for k, f in enumerate(self.window["factors"])]
-            return list(map(TuplePoint, zip(*parts)))
-        xs, ys = self._coords()
-        if xs.shape[1] == 1:
-            return list(map(HalfPlane, xs[idx, 0].tolist(), ys[idx].tolist()))
-        return list(map(HalfSpace, map(tuple, xs[idx].tolist()), ys[idx].tolist()))
+        """The points at the indices ``idx``, built from the arrays with
+        the cyclic collector paused (see :func:`_collector_paused`)."""
+        with _collector_paused():
+            if self.model in ("z", "metric_graph"):
+                # ZPoint(n) for each code, with no Python __init__ call
+                pts = list(map(object.__new__, repeat(ZPoint, len(idx))))
+                collections.deque(map(ZPoint.n.__set__, pts,
+                                      self._codes[idx].tolist()), maxlen=0)
+                return pts
+            if self.model == "t3":
+                words, depth = self._codes
+                return list(map(TreeAddress,
+                                _prefix_tuples(words[idx], depth[idx])))
+            if self.model == "comb":
+                path = self._codes[0][idx]
+                return list(map(CombNode, path[:, 0].tolist(), _prefix_tuples(
+                    path[:, 1:], np.count_nonzero(path[:, 1:], axis=1))))
+            if self.model == "product":
+                parts = [f._take(self._codes[idx, k])
+                         for k, f in enumerate(self.window["factors"])]
+                return list(map(TuplePoint, zip(*parts)))
+            xs, ys = self._coords()
+            if xs.shape[1] == 1:
+                return list(map(HalfPlane, xs[idx, 0].tolist(),
+                                ys[idx].tolist()))
+            return list(map(HalfSpace, map(tuple, xs[idx].tolist()),
+                            ys[idx].tolist()))
 
     def index_of(self, p: ModelPoint) -> int:
         """Index of the point ``p``; :class:`KeyError` if the net lacks it."""
@@ -1287,12 +1316,10 @@ def _net_z(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGr
     keep = nbr != row
     indptr, indices = _csr_from_rows(row[keep], nbr[keep], len(ns))
     base = int(np.argmin(np.abs(ns - (lo + hi) // 2)))
-    space = SpaceGraph(model="z", indptr=indptr, indices=indices, sep=sep,
-                       edge_threshold=thr, _codes=ns,
-                       window={"kind": "range", "lo": lo, "hi": hi,
-                               "basepoint": base})
-    space.points  # built here: on first read it slowed tree-walk's point scan
-    return space
+    return SpaceGraph(model="z", indptr=indptr, indices=indices, sep=sep,
+                      edge_threshold=thr, _codes=ns,
+                      window={"kind": "range", "lo": lo, "hi": hi,
+                              "basepoint": base})
 
 
 def _net_t3(window: dict, sep: float, edge_threshold: Optional[float]) -> SpaceGraph:

@@ -14,16 +14,20 @@ tuples up in it; ``points.csv`` is written from the point objects one row
 at a time; the nerve map runs one deque BFS per piece from its complement
 list, and its Lipschitz constant walks the adjacency tuples edge by edge.
 The stratified grid's runs of keys are found by binary search, and tile
-assignment's per-exponent values through ``np.unique``.  They are slow
-and simple, and the array code must reproduce them exactly (see
-``test_array_core.py``, ``test_growth_table.py``,
-``test_image_product.py``, ``test_output_sized.py``,
-``test_piece_csr.py`` and ``test_row_table.py``).
+assignment's per-exponent values through ``np.unique``.  Distortion pairs
+are drawn one ``randrange`` at a time, their first occurrences found
+through ``np.unique``, and the distortion buckets filled by one mask per
+bucket.  They are slow and simple, and the array code must reproduce them
+exactly (see ``test_array_core.py``, ``test_distortion_kernels.py``,
+``test_growth_table.py``, ``test_image_product.py``,
+``test_output_sized.py``, ``test_piece_csr.py`` and
+``test_row_table.py``).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from typing import Optional
 
@@ -567,3 +571,39 @@ def per_exponent_oracle(table, n: np.ndarray) -> np.ndarray:
     distinct k through ``np.unique``."""
     u, inv = np.unique(n, return_inverse=True)
     return np.array([table(k) for k in u.tolist()], dtype=float)[inv]
+
+
+def sample_pairs_oracle(n: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cap`` distinct pairs a < b of range(n), drawn two ``randrange(n)``
+    at a time from ``random.Random(seed)``, skipping a == b and repeats."""
+    rng = random.Random(seed)
+    seen, out = set(), []
+    while len(out) < cap:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            continue
+        key = a * n + b if a < b else b * n + a
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    keys = np.array(out, dtype=np.int64)
+    return keys // n, keys % n
+
+
+def first_occurrences_oracle(key: np.ndarray) -> np.ndarray:
+    """Increasing positions of the first occurrence of each value of
+    ``key``, from ``np.unique``'s first indices."""
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
+def buckets_oracle(edges: np.ndarray, ds: np.ndarray, dt: np.ndarray) -> list:
+    """(lo, hi, min, mean, max) of ``dt`` over the samples with
+    lo <= ds < hi, one mask per pair of consecutive ``edges``, for each
+    bucket that holds any."""
+    buckets = []
+    for a, b in zip(edges, edges[1:]):
+        m = (ds >= a) & (ds < b)
+        if m.any():
+            buckets.append((float(a), float(b), float(dt[m].min()),
+                            float(dt[m].mean()), float(dt[m].max())))
+    return buckets

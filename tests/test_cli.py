@@ -481,6 +481,22 @@ class TestMalformedInputs:
             err = capsys.readouterr().err
             assert rc == 2 and _error_exit(err) and "JSON" in err
 
+    @pytest.mark.parametrize("where", ["out", "cache"])
+    def test_unwritable_output_exit_2(self, where, tmp_path, capsys,
+                                      monkeypatch):
+        # once, an existing file as --out ended in a FileExistsError
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker if where == "out" else tmp_path / "o"
+        if where == "cache":
+            monkeypatch.setenv("COARSELAB_CACHE", str(blocker))
+        rc = main(["space", "--model", "z", "--range", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and _error_exit(err)
+        assert [line.startswith("error: cannot write")
+                for line in err.splitlines()] == [True]
+        assert blocker.read_text() == ""
+
     def test_written_files_load_unchanged(self, tmp_path):
         # pairs in any order still load, as long as each source is there once
         main(["build", "walk", "--n-max", "3", "--out", str(tmp_path)])

@@ -3,10 +3,11 @@
 The frozenset implementations the arrays replaced live here as oracles:
 the chained point-to-piece inversion, the set-based validation, colour
 classes and coverage counts, the per-piece component split (and so
-``refine_connected``), the preimage helper, the per-point colour
-amplification and the one-draw-at-a-time pair sampler.  ``PieceView``
-reads are checked against lists of frozensets, and the nerve map against
-the per-piece complement searches of ``object_oracles``.
+``refine_connected``), the preimage helper and the per-point colour
+amplification.  ``PieceView`` reads are checked against lists of
+frozensets, the nerve map against the per-piece complement searches of
+``object_oracles``, and the pair sampler against its one-draw-at-a-time
+loop there.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from coarselab.covers import (ColoredDecomposition, Cover, PieceView,
                               pullback_decomposition, refine_connected)
 from coarselab.errors import DomainError, PreconditionError, UnsupportedError
 from coarselab.spaces import generate_net, metric_graph
-from object_oracles import nerve_lipschitz_oracle, nerve_oracle
+from object_oracles import (nerve_lipschitz_oracle, nerve_oracle,
+                            sample_pairs_oracle)
 
 SPACES = {
     "z": lambda: generate_net("z", {"lo": -30, "hi": 30}),
@@ -192,21 +194,6 @@ def amplify_oracle(decomp):
         colors.append(k + 1)
         trace.append(("selected", pid))
     return pieces, colors, trace
-
-
-def sample_pairs_oracle(n, cap, seed):
-    rng = random.Random(seed)
-    seen, out = set(), []
-    while len(out) < cap:
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a == b:
-            continue
-        key = a * n + b if a < b else b * n + a
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    keys = np.array(out, dtype=np.int64)
-    return keys // n, keys % n
 
 
 # -- random families ------------------------------------------------------
