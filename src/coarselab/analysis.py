@@ -45,8 +45,7 @@ def fit_growth(report: GrowthReport, r_min: int = 1) -> tuple[float, float]:
     """Least-squares slope of log counts against log radii.
 
     Only untruncated radii >= r_min participate; at least four are
-    required.  Returns (exponent, rms residual) and stores both on the
-    report.
+    required.  Returns (exponent, rms residual).
     """
     rs, cs = report.untruncated(r_min=max(1, r_min))
     if len(rs) < 4:
@@ -56,8 +55,6 @@ def fit_growth(report: GrowthReport, r_min: int = 1) -> tuple[float, float]:
     ly = np.log(np.array(cs, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    report.fitted_exponent = float(slope)
-    report.fit_residual = resid
     return float(slope), resid
 
 
@@ -67,9 +64,7 @@ def subexp_stat(report: GrowthReport) -> float:
     rs, cs = report.untruncated(r_min=1)
     if not rs:
         raise DataError("no untruncated radii")
-    stat = math.log(cs[-1]) / rs[-1]
-    report.subexp_stat = stat
-    return stat
+    return math.log(cs[-1]) / rs[-1]
 
 
 def tail_slope(report: GrowthReport) -> float:
@@ -130,9 +125,8 @@ def piece_growth(decomp_or_cover: Union[Cover, ColoredDecomposition],
                  metric: str = "ambient") -> GrowthReport:
     """:func:`set_growth` of one piece around its default center, read from
     the growth table of the family's pieces (:meth:`PieceView.growth`).
-    Intrinsic tables are made for every piece on the first call; ambient
-    tables one block of 64 pieces at a time, on the first call for a
-    piece of the block.  Later calls read them."""
+    The table of a metric is made for every piece on the first call;
+    later calls read it."""
     return decomp_or_cover.pieces.growth(
         decomp_or_cover.space, metric).report(piece, r_max)
 

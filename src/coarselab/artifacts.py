@@ -280,18 +280,38 @@ def _plain(obj):
     return repr(obj)
 
 
+def _once(values: list, what: str) -> None:
+    """Refuse a list of integers that holds one twice, naming it after
+    ``what``."""
+    if len(set(values)) < len(values):
+        s = sorted(values)
+        twice = next(a for a, b in zip(s, s[1:]) if a == b)
+        raise SchemaError(f"bad cover file: {what} {twice} twice")
+
+
 def cover_from_dict(d: dict):
     """The cover or decomposition of a file :func:`cover_to_dict` wrote, on
     the space its ``space_ref`` names."""
     space = _space_at(d, "space_ref")
     try:
-        pieces = [rec["points"] for rec in d["pieces"]]
-        # JSON gives int, float, str, bool, null, list or object; only int
-        # is a point (a bool would read as 0 or 1)
-        if not set(map(type, itertools.chain.from_iterable(pieces))) <= {int}:
-            raise SchemaError("bad cover file: piece points must be integers")
-        if any("colour" in rec for rec in d["pieces"]):
-            colors = [rec["colour"] for rec in d["pieces"]]
+        recs = d["pieces"]
+        if type(recs) is not list or not set(map(type, recs)) <= {dict}:
+            raise SchemaError("bad cover file: 'pieces' must be a list of "
+                              "objects")
+        pieces = [rec["points"] for rec in recs]
+        ids = [rec["id"] for rec in recs]
+        # JSON gives int, float, str, bool, null, list or object; points
+        # come in a list, and only int is a point or an id (a bool would
+        # read as 0 or 1)
+        if not set(map(type, pieces)) <= {list} or not set(
+                map(type, itertools.chain(ids, *pieces))) <= {int}:
+            raise SchemaError("bad cover file: piece ids and points must be "
+                              "integers, the points of a piece in a list")
+        for pid, points in zip(ids, pieces):
+            _once(points, f"piece {pid} lists point")
+        _once(ids, "it lists piece id")
+        if any("colour" in rec for rec in recs):
+            colors = [rec["colour"] for rec in recs]
             if not all(map(_is_int, colors)):
                 raise SchemaError("bad cover file: colours must be integers")
             r, top = d.get("r", 0.0), d.get("d", max(colors))
@@ -305,7 +325,7 @@ def cover_from_dict(d: dict):
             return ColoredDecomposition(
                 space=space, pieces=pieces, colors=colors, r=r, d=top,
                 partition=partition)
-        labels = [rec.get("label") for rec in d["pieces"]]
+        labels = [rec.get("label") for rec in recs]
         if any(lab is None for lab in labels):
             labels = None
         return Cover(space=space, pieces=pieces, labels=labels)

@@ -20,11 +20,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ArityError, DataError, DomainError, PreconditionError,
+from .errors import (ArityError, DomainError, PreconditionError,
                      UnsupportedError)
-from .spaces import (_VIEW_BLOCK, GrowthReport, SpaceGraph, _centre_distances,
+from .spaces import (_VIEW_BLOCK, GrowthTable, SpaceGraph, _centre_distances,
                      _concat_csr, _csr_from_rows, _csr_take, _group,
-                     _path_lengths, _sorted_lookup, _sorted_rows, _unique)
+                     _growth_table, _path_lengths, _sorted_lookup,
+                     _sorted_rows, _unique)
 
 __all__ = [
     "PieceView",
@@ -121,28 +122,25 @@ class PieceView(collections.abc.Sequence):
         return self._inverse
 
     def growth(self, space: SpaceGraph,
-               metric: str = "intrinsic") -> Union[GrowthTable, AmbientGrowth]:
+               metric: str = "intrinsic") -> GrowthTable:
         """Growth of every piece in ``space`` around its default centre, in
         the piece's induced subgraph (``metric="intrinsic"``, see
         :func:`_intrinsic_growth`) or inside ambient graph balls
-        (``metric="ambient"``, see :class:`AmbientGrowth`).  One table per
-        metric is made on the first call for ``space`` and kept with it."""
+        (``metric="ambient"``, see :func:`_ambient_growth`).  The table of
+        a metric is made whole on the first call for ``space`` and kept
+        with it."""
         if metric not in ("ambient", "intrinsic"):
             raise UnsupportedError(f"unknown metric {metric!r}")
         if self._growth is None or self._growth[0] is not space:
             self._growth = (space, {})
         tables = self._growth[1]
         if metric not in tables:
-            centres = _default_centres(space, self.ptr, self.pts)
-            tables[metric] = (
-                _intrinsic_growth(space, self.ptr, self.pts, centres)
-                if metric == "intrinsic"
-                else AmbientGrowth(space, self.ptr, self.pts, centres))
+            make = (_intrinsic_growth if metric == "intrinsic"
+                    else _ambient_growth)
+            tables[metric] = make(space, self.ptr, self.pts,
+                                  _default_centres(space, self.ptr, self.pts))
         return tables[metric]
 
-
-# entries of the piece-major CSR per block of the intrinsic growth search
-_GROWTH_BLOCK = 1 << 16
 
 # pieces per ambient growth search: one bit of a uint64 mask each
 _AMBIENT_BLOCK = 64
@@ -151,62 +149,6 @@ _AMBIENT_BLOCK = 64
 # share of the CSR's adjacency entries, and pushes below it: on the hd3
 # source a pull costs about as much as a push over a tenth of the entries
 _AMBIENT_PULL = 0.1
-
-
-@dataclass(frozen=True)
-class GrowthTable:
-    """Ball counts of the pieces of a family, as ragged arrays: piece i
-    around ``centres[i]`` has radii 0..k-1, with cumulative counts
-    ``counts[rptr[i]:rptr[i + 1]]`` and cumulative truncation flags
-    ``truncated[rptr[i]:rptr[i + 1]]``; an empty piece has centre -1 and
-    no radii.  The balls are intrinsic (:func:`_intrinsic_growth`) or
-    ambient (:func:`_ambient_growth`) as the table was made."""
-
-    centres: np.ndarray
-    rptr: np.ndarray
-    counts: np.ndarray
-    truncated: np.ndarray
-
-    def report(self, i: int, r_max: Optional[int] = None) -> GrowthReport:
-        """The growth report of piece i, read up to radius ``r_max``; a
-        negative ``r_max`` raises :class:`UnsupportedError`."""
-        i = range(len(self.centres))[i]
-        if r_max is not None and r_max < 0:
-            raise UnsupportedError("radius must be >= 0")
-        lo, hi = int(self.rptr[i]), int(self.rptr[i + 1])
-        if lo == hi:
-            raise DataError("empty subset")
-        if r_max is not None:
-            hi = min(hi, lo + r_max + 1)
-        return GrowthReport(center=int(self.centres[i]),
-                            radii=list(range(hi - lo)),
-                            counts=self.counts[lo:hi].tolist(),
-                            truncated=self.truncated[lo:hi].tolist())
-
-
-class AmbientGrowth:
-    """Ambient growth of every piece of a family around ``centres``, read
-    like a :class:`GrowthTable`.  The pieces are searched in blocks of
-    ``_AMBIENT_BLOCK``, a block on the first read of one of its pieces,
-    so a loop over the pieces makes one search per block and a single
-    read makes one search.  Each level of a search pushes from a narrow
-    frontier or pulls over the whole CSR (see :func:`_ambient_growth`)."""
-
-    def __init__(self, space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
-                 centres: np.ndarray):
-        self.space, self.ptr, self.pts, self.centres = space, ptr, pts, centres
-        self._blocks: dict[int, GrowthTable] = {}
-
-    def report(self, i: int, r_max: Optional[int] = None) -> GrowthReport:
-        """The growth report of piece i, read up to radius ``r_max``."""
-        b, i = divmod(range(len(self.centres))[i], _AMBIENT_BLOCK)
-        if b not in self._blocks:
-            lo = b * _AMBIENT_BLOCK
-            ptr = self.ptr[lo:lo + _AMBIENT_BLOCK + 1]
-            self._blocks[b] = _ambient_growth(
-                self.space, ptr - ptr[0], self.pts[ptr[0]:ptr[-1]],
-                self.centres[lo:lo + _AMBIENT_BLOCK])
-        return self._blocks[b].report(i, r_max)
 
 
 def _default_centres(space: SpaceGraph, ptr: np.ndarray,
@@ -226,50 +168,56 @@ def _intrinsic_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
     """Ball counts of every piece ``pts[ptr[i]:ptr[i + 1]]`` (rows sorted)
     in its own induced subgraph, around ``centres[i]``, a point of piece i.
 
-    One unweighted graph search covers a block of whole pieces: its nodes
-    are the entries (piece, point) of the block, and an edge joins two
-    entries of one piece whose points are adjacent.  The graph is
+    One unweighted graph search covers the whole family: its nodes are
+    the entries (piece, point), and an edge joins two entries of one
+    piece whose points are adjacent (:func:`_entry_graph`).  The graph is
     block-diagonal, so the nearest centre of an entry is its own piece's.
     A radius is flagged truncated once a point at that distance comes
     within the edge threshold of the window boundary.
     """
-    dist = np.empty(len(pts), dtype=np.int64)
-    lo = 0
-    while lo < len(ptr) - 1:
-        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _GROWTH_BLOCK,
-                                             side="right")) - 1)
-        a, b = int(ptr[lo]), int(ptr[hi])
-        if a < b:
-            dist[a:b] = _entry_distances(space, ptr[lo:hi + 1] - a, pts[a:b],
-                                         centres[lo:hi])
-        lo = hi
+    owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    graph = _entry_graph(ptr, pts, space.indptr, space.indices)
+    # rows hold no repeats: one entry per piece is its centre
+    dist = _path_lengths(graph, np.flatnonzero(pts == centres[owner]),
+                         min_only=True)
     # eccentricity of each piece: its centre is at 0, so the row maximum
-    full = np.diff(ptr) > 0
     length = np.zeros(len(ptr) - 1, dtype=np.int64)
-    length[full] = np.maximum.reduceat(dist, ptr[:-1][full]) + 1
-    rptr = np.zeros(len(ptr), dtype=np.int64)
-    np.cumsum(length, out=rptr[1:])
-    reached = dist >= 0
-    at = (np.repeat(rptr[:-1], np.diff(ptr)) + dist)[reached]
-    edge = space.margins()[pts[reached]] <= space.edge_threshold
-
-    def within_rows(marks: np.ndarray) -> np.ndarray:
-        # cumulative sums of the marks at each radius, restarted per piece
-        total = np.cumsum(np.bincount(marks, minlength=rptr[-1]))
-        return total - np.repeat(np.r_[0, total][rptr[:-1]], length)
-
-    return GrowthTable(centres=centres, rptr=rptr, counts=within_rows(at),
-                       truncated=within_rows(at[edge]) > 0)
+    np.maximum.at(length, owner, dist + 1)
+    edge = space.margins()[pts] <= space.edge_threshold
+    return _growth_table(centres, length, (owner, dist),
+                         (owner[edge], dist[edge]))
 
 
 def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
                     centres: np.ndarray) -> GrowthTable:
-    """Ambient ball counts of at most 64 pieces ``pts[ptr[i]:ptr[i + 1]]``
+    """Ambient ball counts of every piece ``pts[ptr[i]:ptr[i + 1]]``
     around ``centres[i]``, equal to :func:`~coarselab.spaces.growth_report`
     with the piece as ``subset``: a row runs to its centre's eccentricity
     in its component, and a radius is flagged truncated once any point at
     that distance, in the piece or not, comes within the edge threshold
-    of the window boundary.
+    of the window boundary.  The pieces are searched ``_AMBIENT_BLOCK``
+    at a time (:func:`_ambient_search`)."""
+    length = np.zeros(len(centres), dtype=np.int64)
+    empty = np.zeros((2, 0), dtype=np.int64)
+    hit, edge = [empty], [empty]
+    for lo in range(0, len(centres), _AMBIENT_BLOCK):
+        hi = min(lo + _AMBIENT_BLOCK, len(centres))
+        if (centres[lo:hi] >= 0).any():
+            a, b = ptr[lo], ptr[hi]
+            length[lo:hi], h, e = _ambient_search(
+                space, ptr[lo:hi + 1] - a, pts[a:b], centres[lo:hi])
+            # (piece, level) rows, the block's pieces counted from lo
+            hit.append(h + [[lo], [0]])
+            edge.append(e + [[lo], [0]])
+    return _growth_table(centres, length, np.hstack(hit), np.hstack(edge))
+
+
+def _ambient_search(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
+                    centres: np.ndarray):
+    """One search for at most 64 pieces ``pts[ptr[i]:ptr[i + 1]]`` around
+    ``centres[i]``, not all empty: the number of levels of each row, and
+    (piece, level) rows of the piece points reached and of the points
+    reached within the edge threshold of the window boundary.
 
     One level-synchronous search serves every centre (multi-source BFS
     with one bit per source): each point holds a uint64 mask of the
@@ -285,9 +233,6 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
     """
     k = len(centres)
     full = centres >= 0
-    if not full.any():
-        return GrowthTable(centres, np.zeros(k + 1, dtype=np.int64),
-                           np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
     bit = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
     member = np.zeros(space.n, dtype=np.uint64)
     np.bitwise_or.at(member, pts, np.repeat(bit, np.diff(ptr)))
@@ -338,26 +283,18 @@ def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
         front = nbr[first]
         mask = seen[front] & ~before[first]
 
-    def unpack(words: np.ndarray) -> np.ndarray:
+    def unpack(words) -> np.ndarray:
         # (len(words), k) bits of each word, the lowest first
         octets = np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
         return np.unpackbits(octets, axis=1, bitorder="little")[:, :k] == 1
 
-    levels = len(alive)
-    # a row ends at the last level its centre reaches a new point
-    reach = unpack(np.array(alive, dtype=np.uint64))
-    length = np.where(full, levels - reach[::-1].argmax(axis=0), 0)
+    # a centre reaches new points at every level up to its last: the
+    # levels of its row
+    length = unpack(alive).sum(axis=0)
     entry, piece = np.nonzero(unpack(np.concatenate(hits)))
-    level = np.repeat(np.arange(levels), [len(h) for h in hits])[entry]
-    counts = np.bincount(level * k + piece, minlength=levels * k)
-    rows = np.arange(levels) < length[:, None]
-    rptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(length, out=rptr[1:])
-    return GrowthTable(
-        centres=centres, rptr=rptr,
-        counts=np.cumsum(counts.reshape(levels, k), axis=0).T[rows],
-        truncated=np.logical_or.accumulate(
-            unpack(np.array(touched, dtype=np.uint64)), axis=0).T[rows])
+    level = np.repeat(np.arange(len(hits)), [len(h) for h in hits])[entry]
+    return (length, np.stack([piece, level]),
+            np.array(np.nonzero(unpack(touched).T)))
 
 
 def _entry_graph(ptr: np.ndarray, pts: np.ndarray, indptr: np.ndarray,
@@ -376,16 +313,6 @@ def _entry_graph(ptr: np.ndarray, pts: np.ndarray, indptr: np.ndarray,
     gptr, gidx = _csr_from_rows(entry[at >= 0], at[at >= 0], m)
     return csr_matrix((np.ones(len(gidx), dtype=np.int8), gidx.astype(np.int32),
                        gptr.astype(np.int32)), shape=(m, m))
-
-
-def _entry_distances(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
-                     centres: np.ndarray) -> np.ndarray:
-    """Distance of every entry of the pieces ``(ptr, pts)`` from its
-    piece's centre in the piece's induced subgraph; -1 if unreachable."""
-    graph = _entry_graph(ptr, pts, space.indptr, space.indices)
-    # rows hold no repeats: one entry per piece is its centre
-    sources = np.flatnonzero(pts == np.repeat(centres, np.diff(ptr)))
-    return _path_lengths(graph, sources, min_only=True)
 
 
 def _piece_view(pieces, n: int) -> PieceView:

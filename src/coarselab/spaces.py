@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ArityError, EmptySpaceError, PreconditionError,
-                     SizeCapError, UnsupportedError)
+from .errors import (ArityError, DataError, EmptySpaceError,
+                     PreconditionError, SizeCapError, UnsupportedError)
 
 __all__ = [
     "HalfPlane",
@@ -272,9 +272,6 @@ class GrowthReport:
     radii: list[int]
     counts: list[int]
     truncated: list[bool]
-    fitted_exponent: Optional[float] = None
-    fit_residual: Optional[float] = None
-    subexp_stat: Optional[float] = None
 
     def untruncated(self, r_min: int = 0) -> tuple[list[int], list[int]]:
         rs, cs = [], []
@@ -283,6 +280,59 @@ class GrowthReport:
                 rs.append(r)
                 cs.append(c)
         return rs, cs
+
+
+@dataclass(frozen=True)
+class GrowthTable:
+    """Ball counts of a family of sets, as ragged arrays: set i around
+    ``centres[i]`` has radii 0..k-1, with cumulative counts
+    ``counts[rptr[i]:rptr[i + 1]]`` and cumulative truncation flags
+    ``truncated[rptr[i]:rptr[i + 1]]``; an empty set has centre -1 and
+    no radii.  Made by :func:`_growth_table`."""
+
+    centres: np.ndarray
+    rptr: np.ndarray
+    counts: np.ndarray
+    truncated: np.ndarray
+
+    def report(self, i: int, r_max: Optional[int] = None) -> GrowthReport:
+        """The growth report of set i, read up to radius ``r_max``; a
+        negative ``r_max`` raises :class:`UnsupportedError`."""
+        i = range(len(self.centres))[i]
+        if r_max is not None and r_max < 0:
+            raise UnsupportedError("radius must be >= 0")
+        lo, hi = int(self.rptr[i]), int(self.rptr[i + 1])
+        if lo == hi:
+            raise DataError("empty subset")
+        if r_max is not None:
+            hi = min(hi, lo + r_max + 1)
+        return GrowthReport(center=int(self.centres[i]),
+                            radii=list(range(hi - lo)),
+                            counts=self.counts[lo:hi].tolist(),
+                            truncated=self.truncated[lo:hi].tolist())
+
+
+def _growth_table(centres: np.ndarray, length: np.ndarray,
+                  hit: Sequence[np.ndarray],
+                  edge: Sequence[np.ndarray]) -> GrowthTable:
+    """The one table builder: set i has radii 0..``length[i]`` - 1;
+    ``hit`` and ``edge`` are (set, radius) index arrays, one pair per
+    counted point and per point within the edge threshold of the window
+    boundary, a radius of -1 where the point was not reached.  A radius
+    counts the hits at or below it, and is truncated once an edge pair
+    lies at or below it."""
+    rptr = np.zeros(len(length) + 1, dtype=np.int64)
+    np.cumsum(length, out=rptr[1:])
+
+    def within_rows(pairs: Sequence[np.ndarray]) -> np.ndarray:
+        # cumulative sums of the pairs at each radius, restarted per set
+        sets, radii = pairs
+        at = (rptr[sets] + radii)[radii >= 0]
+        total = np.cumsum(np.bincount(at, minlength=rptr[-1]))
+        return total - np.repeat(np.r_[0, total][rptr[:-1]], length)
+
+    return GrowthTable(centres=centres, rptr=rptr, counts=within_rows(hit),
+                       truncated=within_rows(edge) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1229,20 +1279,15 @@ def growth_report(space: SpaceGraph, center: int,
     if r_max is not None and r_max < 0:
         raise UnsupportedError("radius must be >= 0")
     dist = space.graph_distances(center, limit=r_max)
-    reached = np.flatnonzero(dist >= 0)
-    d = dist[reached]
-    top = int(d.max())
-    counted = d
+    hit = dist
     if subset is not None:
         member = np.zeros(space.n, dtype=bool)
         member[list(subset)] = True
-        counted = d[member[reached]]
-    edge = np.zeros(top + 1, dtype=bool)
-    edge[d[space.margins()[reached] <= space.edge_threshold]] = True
-    return GrowthReport(
-        center=center, radii=list(range(top + 1)),
-        counts=np.cumsum(np.bincount(counted, minlength=top + 1)).tolist(),
-        truncated=np.logical_or.accumulate(edge).tolist())
+        hit = dist[member]
+    edge = dist[space.margins() <= space.edge_threshold]
+    return _growth_table(np.array([center]), np.array([dist.max() + 1]),
+                         (np.zeros_like(hit), hit),
+                         (np.zeros_like(edge), edge)).report(0)
 
 
 # -- net generation ---------------------------------------------------------

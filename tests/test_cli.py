@@ -433,6 +433,36 @@ class TestMalformedInputs:
                        "--checks", checks, "--out", str(tmp_path / "v")])
             assert rc == 2 and _error_exit(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("case, message", [
+        # once, the first two passed verify with exit 0, and the third
+        # printed Python's own "string indices must be integers"
+        ("point-twice", "piece 2 lists point"),
+        ("id-twice", "it lists piece id 1 twice"),
+        ("pieces-not-objects", "'pieces' must be a list of objects"),
+        # once, Python's own "'int' object is not iterable"
+        ("points-not-a-list", "the points of a piece in a list"),
+    ])
+    def test_cover_exit_2(self, case, message, tmp_path, capsys):
+        main(["build", "tiling", "--ball", "4", "--out", str(tmp_path)])
+        dec = json.loads(read(tmp_path / "decomposition.json"))
+        pieces = dec["pieces"]
+        if case == "point-twice":
+            point = pieces[2]["points"][0]
+            pieces[2]["points"].append(point)
+            message += f" {point} twice"
+        elif case == "id-twice":
+            pieces[3]["id"] = 1
+        elif case == "points-not-a-list":
+            pieces[0]["points"] = pieces[0]["points"][0]
+        else:
+            dec["pieces"] = {"0": pieces[0]}
+        (tmp_path / "bad.json").write_text(json.dumps(dec))
+        capsys.readouterr()
+        rc = main(["verify", str(tmp_path / "bad.json"), "--checks",
+                   "coverage,multiplicity", "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert rc == 2 and _error_exit(err) and message in err
+
     @pytest.mark.parametrize("case", [
         "three-entries", "skip-and-repeat", "negative-source", "string-target",
         "float-target", "float-source", "not-a-list", "provenance",

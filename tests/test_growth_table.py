@@ -1,15 +1,15 @@
 """Growth tables of every piece of a family, intrinsic and ambient.
 
-``PieceView.growth`` keeps one table per metric.  The intrinsic table
-searches the entry graph of a family (one node per (piece, point) entry,
-edges between adjacent points of one piece) in blocks of whole pieces;
-the ambient table runs one bit-parallel search of the space per block of
-64 pieces, a block when one of its pieces is first read, each level
-pushed or pulled; the search is tested push-only, pull-only, alternating
-and at the default switch.  ``piece_growth``
-and intrinsic ``set_growth`` read them.  Both are compared with deque BFS
-oracles (``object_oracles.intrinsic_growth_oracle`` and
-``ambient_growth_oracle``) on random and disconnected graphs, integer
+``PieceView.growth`` keeps one table per metric, made whole on the first
+read through the one builder ``spaces._growth_table``.  The intrinsic
+table searches the entry graph of the whole family (one node per
+(piece, point) entry, edges between adjacent points of one piece) at
+once; the ambient table runs one bit-parallel search of the space per
+block of 64 pieces, each level pushed or pulled; the search is tested
+push-only, pull-only, alternating and at the default switch.
+``piece_growth`` and intrinsic ``set_growth`` read them.  Both are
+compared with deque BFS oracles (``object_oracles.intrinsic_growth_oracle``
+and ``ambient_growth_oracle``) on random and disconnected graphs, integer
 windows and half-plane windows, for partitions, overlapping covers and
 empty pieces, default and explicit centres, and cut-off radii; ambient
 rows also with ``growth_report``.
@@ -79,24 +79,22 @@ def spaces_and_families(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(spaces_and_families(), st.sampled_from([1, 3, 40, 1 << 16]),
-       st.one_of(st.none(), st.integers(0, 6)))
-def test_tables_match_the_deque_bfs(case, block, r_max):
+@given(spaces_and_families(), st.one_of(st.none(), st.integers(0, 6)))
+def test_tables_match_the_deque_bfs(case, r_max):
     space, pieces, rng = case
     cover = Cover(space=space, pieces=pieces)
-    with mock.patch.object(covers, "_GROWTH_BLOCK", block):
-        for i, piece in enumerate(pieces):
-            want = intrinsic_growth_oracle(space, piece, r_max=r_max)
-            assert as_tuple(piece_growth(cover, i, r_max=r_max,
-                                         metric="intrinsic")) == as_tuple(want)
-            assert as_tuple(set_growth(space, piece, r_max=r_max,
-                                       metric="intrinsic")) == as_tuple(want)
-            center = int(rng.choice(piece))
-            got = set_growth(space, piece, center=center, r_max=r_max,
-                             metric="intrinsic")
-            want = intrinsic_growth_oracle(space, piece, center=center,
-                                           r_max=r_max)
-            assert as_tuple(got) == as_tuple(want)
+    for i, piece in enumerate(pieces):
+        want = intrinsic_growth_oracle(space, piece, r_max=r_max)
+        assert as_tuple(piece_growth(cover, i, r_max=r_max,
+                                     metric="intrinsic")) == as_tuple(want)
+        assert as_tuple(set_growth(space, piece, r_max=r_max,
+                                   metric="intrinsic")) == as_tuple(want)
+        center = int(rng.choice(piece))
+        got = set_growth(space, piece, center=center, r_max=r_max,
+                         metric="intrinsic")
+        want = intrinsic_growth_oracle(space, piece, center=center,
+                                       r_max=r_max)
+        assert as_tuple(got) == as_tuple(want)
 
 
 @pytest.fixture(scope="module")
@@ -118,34 +116,22 @@ def test_every_piece_of_a_tiling_matches_the_deque_bfs(decomp8):
                 space, decomp8.pieces.row(i).tolist(), r_max=3))
 
 
-def blocks_of(sizes, block):
-    """How many blocks of whole pieces, each of at most ``block`` entries
-    unless one piece alone is larger, the greedy split makes."""
-    count, used = 0, None
-    for size in sizes:
-        if used is None or used + size > block:
-            count, used = count + 1, 0
-        used += size
-    return count
-
-
 def test_one_search_per_block_for_a_loop_over_pieces(decomp8):
+    # the whole family is one block: one search for a loop over its pieces
     pieces = PieceView(decomp8.pieces.ptr, decomp8.pieces.pts, decomp8.space.n)
     family = Cover(space=decomp8.space, pieces=pieces)
-    sizes = np.diff(pieces.ptr).tolist()
-    with mock.patch.object(covers, "_GROWTH_BLOCK", 600), \
-            mock.patch.object(covers, "_path_lengths",
-                              wraps=covers._path_lengths) as search:
+    with mock.patch.object(covers, "_path_lengths",
+                           wraps=covers._path_lengths) as search:
         for _ in range(2):
             for i in range(len(pieces)):
                 piece_growth(family, i, metric="intrinsic")
-        assert search.call_count == blocks_of(sizes, 600) > 5
+        assert search.call_count == 1
         # the table is kept per space: another space is searched again
         other = generate_net("h2", {"kind": "ball", "radius": 8.0}, sep=0.8,
                              edge_threshold=1.6)
         pieces.growth(other)
         pieces.growth(other)
-        assert search.call_count == 2 * blocks_of(sizes, 600)
+        assert search.call_count == 2
 
 
 def test_empty_pieces_report_no_data():
@@ -253,7 +239,7 @@ def test_ambient_tables_match_the_deque_bfs(case, block, r_max, pull_first):
         with mock.patch.object(covers, "_AMBIENT_BLOCK", block), \
                 mock.patch.object(covers, "_AMBIENT_PULL", pull):
             table = view.growth(space, "ambient")
-            # blocks are filled in the order their pieces are first read
+            # the table is whole: its rows read in any order
             for i in rng.permutation(len(pieces)).tolist():
                 if i not in wants:
                     with pytest.raises(DataError):
@@ -286,15 +272,18 @@ def test_directions_on_isolated_points_and_components(block):
 
 def test_both_directions_give_the_same_arrays(decomp8):
     # the wide middle levels of a tiling's search pull by default; the
-    # arrays equal those of the push-only search, bit for bit
+    # arrays of every block, concatenated, equal those of the push-only
+    # search bit for bit, and so does the table a view makes on first read
     space, pieces = decomp8.space, decomp8.pieces
-    ptr, pts = pieces.ptr[:65], pieces.pts[:pieces.ptr[64]]
+    ptr, pts = pieces.ptr, pieces.pts
     centres = covers._default_centres(space, ptr, pts)
     tables = []
     for pull in [covers._AMBIENT_PULL, float("inf"), -1.0, _Alternate(True)]:
         with mock.patch.object(covers, "_AMBIENT_PULL", pull):
             t = covers._ambient_growth(space, ptr, pts, centres)
         tables.append([t.centres, t.rptr, t.counts, t.truncated])
+    t = PieceView(ptr, pts, space.n).growth(space, "ambient")
+    tables.append([t.centres, t.rptr, t.counts, t.truncated])
     for other in tables[1:]:
         for a, b in zip(tables[0], other):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -342,12 +331,12 @@ def test_one_ambient_search_per_64_pieces(decomp8):
     family = Cover(space=space, pieces=pieces)
     blocks = -(-len(pieces) // 64)
     assert blocks > 2
-    with mock.patch.object(covers, "_ambient_growth",
-                           wraps=covers._ambient_growth) as search, \
+    with mock.patch.object(covers, "_ambient_search",
+                           wraps=covers._ambient_search) as search, \
             mock.patch.object(covers, "_path_lengths") as csgraph:
-        # one read searches one block only
+        # the first read searches every block
         piece_growth(family, len(pieces) - 1)
-        assert search.call_count == 1
+        assert search.call_count == blocks
         for _ in range(2):
             for i in range(len(pieces)):
                 piece_growth(family, i, r_max=i % 5)
@@ -356,7 +345,7 @@ def test_one_ambient_search_per_64_pieces(decomp8):
         other = generate_net("h2", {"kind": "ball", "radius": 8.0}, sep=0.8,
                              edge_threshold=1.6)
         pieces.growth(other, "ambient").report(0)
-        assert search.call_count == blocks + 1
+        assert search.call_count == 2 * blocks
         assert csgraph.call_count == 0
     assert pieces.growth(other, "ambient") is pieces.growth(other, "ambient")
     assert pieces.growth(other) is not pieces.growth(other, "ambient")
