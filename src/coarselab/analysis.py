@@ -15,11 +15,10 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .covers import (ColoredDecomposition, Cover, PieceView, _components,
-                     _default_centres, _intrinsic_growth,
-                     iterated_neighborhood)
+                     _family_growth, iterated_neighborhood)
 from .errors import (DataError, DomainError, PreconditionError,
                      TruncationError, UnsupportedError)
-from .spaces import GrowthReport, SpaceGraph, _unique, growth_report
+from .spaces import GrowthReport, SpaceGraph, _unique
 
 __all__ = [
     "fit_growth",
@@ -84,24 +83,22 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
                center: Optional[int] = None,
                r_max: Optional[int] = None,
                metric: str = "ambient") -> GrowthReport:
-    """Growth of a point set, as ball-count table around a center.
+    """Growth of a point set around a center: the table of the set as a
+    one-piece family, by the builders of :meth:`PieceView.growth`.
 
     ``metric="ambient"`` counts subset points inside ambient graph balls
     (the subset as a metric subspace).  ``metric="intrinsic"`` searches
-    the subset's induced subgraph instead, with the kernel of
-    :meth:`PieceView.growth` on a one-piece view; this removes the
-    additive detour cost ambient balls pay to reach a thin set's far
-    side, which otherwise biases window-scale exponent fits upward, and
-    its center must be a subset point.  Default center: the subset point
-    with the largest window margin, the lowest index among equals.
-    Radii run to ``r_max`` or to the last radius that reaches a new
-    point.  A point outside ``range(space.n)`` raises
-    :class:`DomainError`; an intrinsic center outside the subset raises
-    :class:`PreconditionError` with the center as witness, and a
-    negative ``r_max`` raises :class:`UnsupportedError`.
+    the subset's induced subgraph instead; this removes the additive
+    detour cost ambient balls pay to reach a thin set's far side, which
+    otherwise biases window-scale exponent fits upward, and its center
+    must be a subset point.  Default center: the subset point with the
+    largest window margin, the lowest index among equals.  Radii run to
+    ``r_max`` or to the last radius that reaches a new point.  A point
+    outside ``range(space.n)`` raises :class:`DomainError`; an intrinsic
+    center outside the subset raises :class:`PreconditionError` with the
+    center as witness, and a negative ``r_max`` raises
+    :class:`UnsupportedError`.
     """
-    if metric not in ("ambient", "intrinsic"):
-        raise UnsupportedError(f"unknown metric {metric!r}")
     pts = _unique(np.fromiter(subset, dtype=np.int64))
     if not len(pts):
         raise DataError("empty subset")
@@ -109,15 +106,12 @@ def set_growth(space: SpaceGraph, subset: Iterable[int],
         if p is not None and not 0 <= p < space.n:
             raise DomainError(f"point {p} is outside the {space.n} points"
                               f" of the space")
-    ptr = np.array([0, len(pts)])
-    if center is None:
-        center = int(_default_centres(space, ptr, pts)[0])
-    if metric == "ambient":
-        return growth_report(space, center, r_max=r_max, subset=pts)
-    if center not in pts:
+    if metric == "intrinsic" and center is not None and center not in pts:
         raise PreconditionError(f"center {center} is not a point of the subset",
                                 witness=center)
-    return _intrinsic_growth(space, ptr, pts, np.array([center])).report(0, r_max)
+    return _family_growth(space, np.array([0, len(pts)]), pts, metric,
+                          None if center is None else np.array([center])
+                          ).report(0, r_max)
 
 
 def piece_growth(decomp_or_cover: Union[Cover, ColoredDecomposition],
@@ -416,20 +410,21 @@ def _distance_to_subset(space: SpaceGraph, members: frozenset, gx: float,
 
 
 def escalation(decomp: ColoredDecomposition, s: float, m_max: int,
-               piece: Optional[int] = None, r_min: int = 1,
-               metric: str = "ambient") -> list[dict]:
-    """Fitted growth exponent of the m-fold neighbourhood closure of a
-    piece, for m = 0..m_max.  Default piece: the one nearest the window
-    basepoint.  Raises when every radius of some level is truncated."""
+               piece: Optional[int] = None, r_min: int = 1) -> list[dict]:
+    """Fitted ambient growth exponent of the m-fold neighbourhood closure of
+    a piece, for m = 0..m_max, from one table of the levels.  Default piece:
+    the one nearest the window basepoint.  Raises when every radius of some
+    level is truncated."""
     space = decomp.space
     if piece is None:
         # the first of the nearest pieces
         piece = int(np.argmin(_distances_to_pieces(
             decomp, space.window.get("basepoint", 0))))
     chain = iterated_neighborhood(decomp, piece, s, m_max)
+    table = chain.levels.growth(space, "ambient")
     out = []
-    for m, level in enumerate(chain.levels):
-        rep = set_growth(space, level, metric=metric)
+    for m, size in enumerate(np.diff(chain.levels.ptr).tolist()):
+        rep = table.report(m)
         try:
             exp, resid = fit_growth(rep, r_min=r_min)
         except DataError as e:
@@ -437,6 +432,6 @@ def escalation(decomp: ColoredDecomposition, s: float, m_max: int,
                 f"level {m} of piece {piece}: {e}; enlarge the window or"
                 f" reduce m_max") from e
         out.append({"m": m, "exponent": exp, "residual": resid,
-                    "level_size": len(level), "center": rep.center,
+                    "level_size": size, "center": rep.center,
                     "truncated_chain": chain.truncated})
     return out

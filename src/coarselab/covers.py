@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import (ArityError, DomainError, PreconditionError,
                      UnsupportedError)
-from .spaces import (_VIEW_BLOCK, GrowthTable, SpaceGraph, _centre_distances,
-                     _concat_csr, _csr_from_rows, _csr_take, _group,
-                     _growth_table, _path_lengths, _sorted_lookup,
-                     _sorted_rows, _unique)
+from .spaces import (_VIEW_BLOCK, GrowthTable, SpaceGraph, _ball_growth,
+                     _centre_distances, _concat_csr, _csr_from_rows,
+                     _csr_take, _group, _growth_table, _path_lengths,
+                     _sorted_lookup, _sorted_rows, _unique)
 
 __all__ = [
     "PieceView",
@@ -129,16 +129,11 @@ class PieceView(collections.abc.Sequence):
         (``metric="ambient"``, see :func:`_ambient_growth`).  The table of
         a metric is made whole on the first call for ``space`` and kept
         with it."""
-        if metric not in ("ambient", "intrinsic"):
-            raise UnsupportedError(f"unknown metric {metric!r}")
         if self._growth is None or self._growth[0] is not space:
             self._growth = (space, {})
         tables = self._growth[1]
         if metric not in tables:
-            make = (_intrinsic_growth if metric == "intrinsic"
-                    else _ambient_growth)
-            tables[metric] = make(space, self.ptr, self.pts,
-                                  _default_centres(space, self.ptr, self.pts))
+            tables[metric] = _family_growth(space, self.ptr, self.pts, metric)
         return tables[metric]
 
 
@@ -149,6 +144,17 @@ _AMBIENT_BLOCK = 64
 # share of the CSR's adjacency entries, and pushes below it: on the hd3
 # source a pull costs about as much as a push over a tenth of the entries
 _AMBIENT_PULL = 0.1
+
+
+def _family_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
+                   metric: str, centres=None) -> GrowthTable:
+    """Growth table of the pieces ``pts[ptr[i]:ptr[i + 1]]`` (rows sorted)
+    in ``metric`` around ``centres[i]``, by default the default centres."""
+    if metric not in ("ambient", "intrinsic"):
+        raise UnsupportedError(f"unknown metric {metric!r}")
+    make = _intrinsic_growth if metric == "intrinsic" else _ambient_growth
+    return make(space, ptr, pts, _default_centres(space, ptr, pts)
+                if centres is None else centres)
 
 
 def _default_centres(space: SpaceGraph, ptr: np.ndarray,
@@ -191,12 +197,14 @@ def _intrinsic_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
 def _ambient_growth(space: SpaceGraph, ptr: np.ndarray, pts: np.ndarray,
                     centres: np.ndarray) -> GrowthTable:
     """Ambient ball counts of every piece ``pts[ptr[i]:ptr[i + 1]]``
-    around ``centres[i]``, equal to :func:`~coarselab.spaces.growth_report`
-    with the piece as ``subset``: a row runs to its centre's eccentricity
-    in its component, and a radius is flagged truncated once any point at
-    that distance, in the piece or not, comes within the edge threshold
-    of the window boundary.  The pieces are searched ``_AMBIENT_BLOCK``
-    at a time (:func:`_ambient_search`)."""
+    around ``centres[i]``: a row runs to its centre's eccentricity in its
+    component, and a radius is flagged truncated once any point at that
+    distance, in the piece or not, comes within the edge threshold of the
+    window boundary.  One nonempty piece is one csgraph search (one
+    centre shares nothing, and deep windows pay per level); families of
+    more are searched ``_AMBIENT_BLOCK`` at a time (:func:`_ambient_search`)."""
+    if len(centres) == 1 and centres[0] >= 0:
+        return _ball_growth(space, int(centres[0]), pts)
     length = np.zeros(len(centres), dtype=np.int64)
     empty = np.zeros((2, 0), dtype=np.int64)
     hit, edge = [empty], [empty]
@@ -307,10 +315,12 @@ def _entry_graph(ptr: np.ndarray, pts: np.ndarray, indptr: np.ndarray,
 
     m, n = len(pts), len(indptr) - 1
     owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    key = owner * n + pts  # sorted
     entry, nbr = _csr_take(indptr, indices, pts)
-    at = _sorted_lookup(key, owner[entry] * n + nbr)
-    gptr, gidx = _csr_from_rows(entry[at >= 0], at[at >= 0], m)
+    # each neighbour's entry in the entry's piece, if any (one at most)
+    sub, at = _csr_take(*_group(pts, np.arange(m), n), nbr)
+    entry = entry[sub]
+    keep = owner[at] == owner[entry]
+    gptr, gidx = _csr_from_rows(entry[keep], at[keep], m)
     return csr_matrix((np.ones(len(gidx), dtype=np.int8), gidx.astype(np.int32),
                        gptr.astype(np.int32)), shape=(m, m))
 
@@ -408,11 +418,12 @@ class ColoredDecomposition:
 
 @dataclass
 class NeighborhoodChain:
-    """Nested absorption levels of one piece under nearby-piece union."""
+    """Nested absorption levels of one piece under nearby-piece union;
+    level m is piece m of ``levels``."""
 
     base_piece: int
     s: float
-    levels: list[frozenset[int]]
+    levels: PieceView
     truncated: bool
 
 
@@ -607,31 +618,31 @@ def _close_pairs(space: SpaceGraph, pieces: PieceView, colors, r: float
 
 def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
                           m: int) -> NeighborhoodChain:
-    """Levels N^0..N^m: each next level unions all pieces meeting the
-    closed s-neighbourhood of the previous one (model metric)."""
+    """Levels N^0..N^m, as one family: each next level unions all pieces
+    meeting the closed s-neighbourhood of the previous one (model metric)."""
     if m < 0:
         raise UnsupportedError("m must be >= 0")
     if s < 1:
         raise UnsupportedError("s must be >= 1")
     space, view = family.space, family.pieces
     mptr, mpid = view.inverse()
-    margins = space.margins()
-    thr = max(s, space.edge_threshold)
     level = np.zeros(space.n, dtype=bool)
     level[view.row(piece)] = True
-    levels = [frozenset(view.row(piece).tolist())]
+    levels = [view.row(piece)]
     absorbed = np.zeros(len(view), dtype=bool)
     absorbed[piece] = True
-    truncated = bool(margins[level].min() <= thr)
     for _ in range(m):
         hood = _unique(space.neighbors(np.flatnonzero(level), s)[1])
         met = _unique(_csr_take(mptr, mpid, hood)[1])
         new = met[~absorbed[met]]
         absorbed[new] = True
         level[_csr_take(view.ptr, view.pts, new)[1]] = True
-        levels.append(frozenset(np.flatnonzero(level).tolist()))
-        if margins[level].min() <= thr:
-            truncated = True
+        levels.append(np.flatnonzero(level))
+    # the levels are nested: the last holds the points of every level
+    truncated = bool(space.margins()[level].min()
+                     <= max(s, space.edge_threshold))
+    levels = PieceView(np.cumsum([0] + list(map(len, levels))),
+                       np.concatenate(levels), space.n)
     return NeighborhoodChain(base_piece=piece, s=s, levels=levels,
                              truncated=truncated)
 
@@ -731,9 +742,8 @@ def _verify_greedy(decomp: ColoredDecomposition, cover: Cover) -> None:
 # colour amplification
 
 
-def kolmogorov_amplify(decomp: ColoredDecomposition,
-                       k: Optional[int] = None) -> ColoredDecomposition:
-    """Trade separation for redundancy: (3r, k) in, (r, k+1) out.
+def kolmogorov_amplify(decomp: ColoredDecomposition) -> ColoredDecomposition:
+    """Trade separation for redundancy: (3r, k) in, (r, k+1) out, k = d.
 
     The input's colour classes must cover every point at least
     (k+1)-n times for some n; the output's k+2 classes then cover every
@@ -741,11 +751,7 @@ def kolmogorov_amplify(decomp: ColoredDecomposition,
     fattened by r; the new class collects, per point, the colour sets
     that already contained it away from all fattened others.
     """
-    if k is None:
-        k = decomp.d
-    if k != decomp.d:
-        raise ArityError(f"decomposition has top colour {decomp.d}, not {k}")
-    space = decomp.space
+    k, space = decomp.d, decomp.space
     r_new = decomp.r / 3.0
     counts = decomp.coverage_counts()
     c_min = int(counts.min())

@@ -1257,37 +1257,34 @@ def ball(space: SpaceGraph, center: int, r: int) -> tuple[frozenset[int], bool]:
     """
     if r < 0:
         raise UnsupportedError("radius must be >= 0")
-    dist = space.graph_distances(center, limit=r)
-    members = np.nonzero((dist >= 0) & (dist <= r))[0]
-    frontier = members[dist[members] == r]
-    margins = space.margins()
-    truncated = bool(len(frontier)) and bool(
-        margins[frontier].min() <= space.edge_threshold)
-    return frozenset(int(v) for v in members), truncated
+    dist = space.graph_distances(center, limit=r)  # -1 beyond r
+    truncated = (space.margins()[dist == r] <= space.edge_threshold).any()
+    return frozenset(np.flatnonzero(dist >= 0).tolist()), bool(truncated)
 
 
 def growth_report(space: SpaceGraph, center: int,
-                  r_max: Optional[int] = None,
-                  subset: Optional[Iterable[int]] = None) -> GrowthReport:
-    """Ball-count table around ``center``, truncation-flagged per radius.
-
-    With ``subset`` given, counts are of subset points inside ambient
-    balls (the subset as a metric subspace).  Flags are cumulative: once
-    a frontier touches the boundary, all larger radii stay flagged.  A
-    negative ``r_max`` raises :class:`UnsupportedError`.
+                  r_max: Optional[int] = None) -> GrowthReport:
+    """Ball-count table of the whole space around ``center``,
+    truncation-flagged per radius (:func:`_ball_growth`).  Flags are
+    cumulative: once a frontier touches the boundary, all larger radii
+    stay flagged.  A negative ``r_max`` raises :class:`UnsupportedError`.
     """
     if r_max is not None and r_max < 0:
         raise UnsupportedError("radius must be >= 0")
+    return _ball_growth(space, center, slice(None), r_max).report(0)
+
+
+def _ball_growth(space: SpaceGraph, center: int, counted,
+                 r_max: Optional[int] = None) -> GrowthTable:
+    """One-row table of the points ``counted`` (index array or slice) in
+    graph balls around ``center``, by one csgraph search cut off at
+    ``r_max``; any point reached, counted or not, can flag truncation."""
     dist = space.graph_distances(center, limit=r_max)
-    hit = dist
-    if subset is not None:
-        member = np.zeros(space.n, dtype=bool)
-        member[list(subset)] = True
-        hit = dist[member]
+    hit = dist[counted]
     edge = dist[space.margins() <= space.edge_threshold]
     return _growth_table(np.array([center]), np.array([dist.max() + 1]),
                          (np.zeros_like(hit), hit),
-                         (np.zeros_like(edge), edge)).report(0)
+                         (np.zeros_like(edge), edge))
 
 
 # -- net generation ---------------------------------------------------------

@@ -694,17 +694,23 @@ class TestDeterminism:
 
 
 def test_walk_commands_stay_off_scipy_sparse(tmp_path):
-    # the walk and its checks need no sparse graph code; importing
+    # the walk and its checks, and the escalation of a tiling piece (two
+    # levels, one 64-bit search), need no sparse graph code; importing
     # scipy.sparse would add about 22 MB to each of these processes
     import subprocess
     import sys
 
     walk = str(tmp_path / "walk.json")
+    assert main(["build", "tiling", "--ball", "9", "--threshold", "1.6",
+                 "--out", str(tmp_path / "t")]) == 0
     for argv in (["build", "walk", "--n-max", "5", "--out", str(tmp_path)],
                  ["verify", walk, "--checks", "fibers:max=3,adjacent",
                   "--out", str(tmp_path / "v")],
                  ["analyze", "distortion", "--map", walk, "--out",
-                  str(tmp_path / "d")]):
+                  str(tmp_path / "d")],
+                 ["analyze", "escalation", "--cover",
+                  str(tmp_path / "t" / "decomposition.json"), "--m", "1",
+                  "--out", str(tmp_path / "e")]):
         code = ("import sys; from coarselab.cli import main; "
                 f"rc = main({argv!r}); print(rc, 'scipy.sparse' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,

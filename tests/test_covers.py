@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coarselab import covers
+from coarselab.analysis import set_growth
 from coarselab.covers import (ColoredDecomposition, Cover, check_disjointness,
                               greedy_decomposition, iterated_neighborhood,
                               kolmogorov_amplify, mesh_ball_cover,
@@ -204,12 +205,6 @@ class TestKolmogorov:
         assert int(counts.min()) >= 2
         assert check_disjointness(out) == []
 
-    def test_target_mismatch(self):
-        z = z_window(3)
-        dec = ColoredDecomposition(z, [frozenset(range(z.n))], [0], r=3.0, d=0)
-        with pytest.raises(ArityError):
-            kolmogorov_amplify(dec, k=2)
-
     def test_path_graph_two_colours(self):
         g = metric_graph(20, [(i, i + 1) for i in range(19)])
         pieces = [frozenset(range(0, 10)), frozenset(range(10, 20))]
@@ -329,9 +324,7 @@ class TestProductDecomposition:
             for i in a for j in a)
         origin = prod.index_of(TuplePoint((ZPoint(0), ZPoint(0))))
         # BFS oracle: counts of the product set inside l1 balls
-        from coarselab.spaces import growth_report
-
-        rep = growth_report(prod, origin, r_max=3, subset=piece)
+        rep = set_growth(prod, piece, center=origin, r_max=3)
         for n, c in zip(rep.radii, rep.counts):
             expect = sum(1 for i in range(-3, 4) for j in range(-3, 4)
                          if abs(i) + abs(j) <= n)

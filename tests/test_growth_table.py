@@ -12,7 +12,9 @@ compared with deque BFS oracles (``object_oracles.intrinsic_growth_oracle``
 and ``ambient_growth_oracle``) on random and disconnected graphs, integer
 windows and half-plane windows, for partitions, overlapping covers and
 empty pieces, default and explicit centres, and cut-off radii; ambient
-rows also with ``growth_report``.
+rows also with ``set_growth``.  A family of one piece takes one csgraph
+search instead of the 64-bit one, and its row equals both the oracle's
+and the 64-bit row of the same piece.
 """
 
 from __future__ import annotations
@@ -229,8 +231,8 @@ def test_ambient_tables_match_the_deque_bfs(case, block, r_max, pull_first):
     wants = {i: ambient_growth_oracle(space, p, r_max=r_max)
              for i, p in enumerate(pieces) if p}
     for i, want in wants.items():
-        assert as_tuple(growth_report(space, want.center, r_max=r_max,
-                                      subset=pieces[i])) == as_tuple(want)
+        assert as_tuple(set_growth(space, pieces[i], center=want.center,
+                                   r_max=r_max)) == as_tuple(want)
         assert as_tuple(set_growth(space, pieces[i], r_max=r_max)) \
             == as_tuple(want)
     # push-only, pull-only and alternating levels, and the default switch
@@ -289,17 +291,17 @@ def test_both_directions_give_the_same_arrays(decomp8):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_ambient_rows_of_a_tiling_match_growth_report(decomp8):
+def test_ambient_rows_of_a_tiling_match_set_growth(decomp8):
     space = decomp8.space
     for i in range(len(decomp8.pieces)):
         piece = decomp8.pieces.row(i).tolist()
         want = ambient_growth_oracle(space, piece)
         assert as_tuple(piece_growth(decomp8, i)) == as_tuple(want), i
-        assert as_tuple(growth_report(space, want.center, subset=piece)) \
+        assert as_tuple(set_growth(space, piece, center=want.center)) \
             == as_tuple(want)
         # r_max reads a prefix of the kept row
         assert as_tuple(piece_growth(decomp8, i, r_max=3)) == as_tuple(
-            growth_report(space, want.center, r_max=3, subset=piece))
+            set_growth(space, piece, center=want.center, r_max=3))
 
 
 def test_ambient_rows_run_past_the_piece_to_the_eccentricity():
@@ -323,6 +325,57 @@ def test_centres_on_the_window_edge_flag_radius_zero():
     inner = view.growth(z, "ambient").report(1)
     assert inner.center == 3 and inner.truncated[:2] == [False, False]
     assert as_tuple(edge) == as_tuple(ambient_growth_oracle(z, [0, 1]))
+
+
+@pytest.mark.parametrize("case", ["deep", "centre outside", "other component",
+                                  "h2"])
+def test_one_piece_families_are_one_csgraph_search(case):
+    # a one-piece family takes the csgraph search, not the 64-bit one; its
+    # row equals the oracle's and the 64-bit row of the piece in a family
+    # of two (the piece twice), array for array
+    if case == "deep":
+        # the whole of a long path: thousands of levels
+        space = generate_net("z", {"lo": -2000, "hi": 2000})
+        piece, centre = np.arange(space.n), None
+    elif case == "centre outside":
+        space = generate_net("z", {"lo": 0, "hi": 20})
+        piece, centre = np.array([5, 6, 7, 15]), 0
+    elif case == "other component":
+        space = metric_graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+        piece, centre = np.array([0, 2, 3]), 5
+    else:
+        space = space_of("h2", 12)
+        piece, centre = np.flatnonzero(space.margins() > 2.0), None
+    centres = (covers._default_centres(space, np.array([0, len(piece)]), piece)
+               if centre is None else np.array([centre]))
+    with mock.patch.object(covers, "_ambient_search",
+                           wraps=covers._ambient_search) as search:
+        one = covers._ambient_growth(space, np.array([0, len(piece)]), piece,
+                                     centres)
+        assert search.call_count == 0
+        two = covers._ambient_growth(space, np.array([0, len(piece), 2 * len(piece)]),
+                                     np.r_[piece, piece], np.r_[centres, centres])
+        assert search.call_count == 1
+    want = ambient_growth_oracle(space, piece.tolist(), center=int(centres[0]))
+    assert as_tuple(one.report(0)) == as_tuple(want)
+    for r_max in (0, 3):
+        assert as_tuple(one.report(0, r_max)) == as_tuple(ambient_growth_oracle(
+            space, piece.tolist(), center=int(centres[0]), r_max=r_max))
+    lo, hi = two.rptr[:2]
+    assert np.array_equal(one.counts, two.counts[lo:hi])
+    assert np.array_equal(one.truncated, two.truncated[lo:hi])
+    assert one.counts.dtype == two.counts.dtype
+
+
+def test_a_single_empty_piece_is_not_searched():
+    z = generate_net("z", {"lo": 0, "hi": 5})
+    with mock.patch.object(covers, "_ambient_search") as search, \
+            mock.patch.object(covers, "_ball_growth") as csgraph:
+        table = PieceView([0, 0], [], z.n).growth(z, "ambient")
+        assert search.call_count == csgraph.call_count == 0
+    assert table.centres.tolist() == [-1] and table.rptr.tolist() == [0, 0]
+    with pytest.raises(DataError):
+        table.report(0)
 
 
 def test_one_ambient_search_per_64_pieces(decomp8):
