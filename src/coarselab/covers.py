@@ -14,7 +14,6 @@ from __future__ import annotations
 import collections.abc
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import (ArityError, DomainError, PreconditionError,
                      UnsupportedError)
-from .spaces import (_VIEW_BLOCK, GrowthTable, SpaceGraph, _ball_growth,
+from .spaces import (GrowthTable, RowView, SpaceGraph, _ball_growth,
                      _centre_distances, _concat_csr, _csr_from_rows,
                      _csr_take, _group, _growth_table, _path_lengths,
                      _sorted_lookup, _sorted_rows, _unique)
@@ -46,19 +45,20 @@ __all__ = [
 ]
 
 
-class PieceView(collections.abc.Sequence):
+class PieceView(RowView):
     """Read-only sequence of the pieces of a family over ``n`` points, held
     as piece-major CSR: ``pts[ptr[i]:ptr[i + 1]]`` lists the points of
     piece i, sorted and without repeats.
 
-    Reading a piece builds its frozenset; none is stored, so the view costs
-    no more memory than its arrays.  Rows given unsorted or with repeats
-    are sorted and deduplicated once (frozenset semantics); a point outside
-    ``range(n)`` raises :class:`DomainError`.  A view equals a list, or a
-    view, of equal sets.
+    Reading a piece builds its frozenset (a :class:`RowView` of
+    frozensets); none is stored, so the view costs no more memory than its
+    arrays.  Rows given unsorted or with repeats are sorted and
+    deduplicated once (frozenset semantics); a point outside ``range(n)``
+    raises :class:`DomainError`.  A view equals a list, or a view, of
+    equal sets.
     """
 
-    __slots__ = ("ptr", "pts", "_n", "_inverse", "_growth")
+    __slots__ = ("_n", "_inverse", "_growth")
 
     def __init__(self, ptr, pts, n: int):
         ptr = np.asarray(ptr, dtype=np.int64)
@@ -75,38 +75,8 @@ class PieceView(collections.abc.Sequence):
             ptr, pts = _sorted_rows(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
                                     pts, len(ptr) - 1, n)
         ptr.flags.writeable = pts.flags.writeable = False
-        self.ptr, self.pts, self._n, self._inverse = ptr, pts, n, None
-        self._growth = None
-
-    def __len__(self) -> int:
-        return len(self.ptr) - 1
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return frozenset(self.row(i).tolist())
-
-    def __iter__(self):
-        ptr = self.ptr
-        for lo in range(0, len(self), _VIEW_BLOCK):
-            hi = min(len(self), lo + _VIEW_BLOCK)
-            ends = (ptr[lo:hi + 1] - ptr[lo]).tolist()
-            flat = self.pts[ptr[lo]:ptr[hi]].tolist()
-            yield from map(frozenset, map(flat.__getitem__,
-                                          map(slice, ends, ends[1:])))
-
-    def __eq__(self, other):
-        if isinstance(other, PieceView):
-            return (np.array_equal(self.ptr, other.ptr)
-                    and np.array_equal(self.pts, other.pts))
-        if not isinstance(other, list):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def row(self, i: int) -> np.ndarray:
-        """The sorted points of piece i, as a read-only array."""
-        i = range(len(self))[i]
-        return self.pts[self.ptr[i]:self.ptr[i + 1]]
+        super().__init__(ptr, pts, frozenset)
+        self._n, self._inverse, self._growth = n, None, None
 
     def owners(self) -> np.ndarray:
         """The piece of every entry of ``pts``."""
@@ -314,14 +284,19 @@ def _entry_graph(ptr: np.ndarray, pts: np.ndarray, indptr: np.ndarray,
     from scipy.sparse import csr_matrix
 
     m, n = len(pts), len(indptr) - 1
-    owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    # the lookups run over every adjacency needle at once: they are held
+    # in int32, and each is freed as soon as it is read
+    owner = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))
     entry, nbr = _csr_take(indptr, indices, pts)
+    entry = entry.astype(np.int32)
     # each neighbour's entry in the entry's piece, if any (one at most)
-    sub, at = _csr_take(*_group(pts, np.arange(m), n), nbr)
+    sub, at = _csr_take(*_group(pts, np.arange(m, dtype=np.int32), n), nbr)
+    del nbr
     entry = entry[sub]
+    del sub
     keep = owner[at] == owner[entry]
     gptr, gidx = _csr_from_rows(entry[keep], at[keep], m)
-    return csr_matrix((np.ones(len(gidx), dtype=np.int8), gidx.astype(np.int32),
+    return csr_matrix((np.ones(len(gidx), dtype=np.int8), gidx,
                        gptr.astype(np.int32)), shape=(m, m))
 
 

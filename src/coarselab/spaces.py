@@ -34,6 +34,7 @@ __all__ = [
     "TuplePoint",
     "ModelPoint",
     "PointView",
+    "RowView",
     "SpaceGraph",
     "GrowthReport",
     "generate_net",
@@ -64,7 +65,7 @@ _GUARD = 1e-12
 # point pairs one distance-kernel pass evaluates
 _DISTANCE_BLOCK = 1 << 16
 
-# points one pass over a point view builds
+# points or rows one pass over a point or row view builds
 _VIEW_BLOCK = 1 << 14
 
 PRODUCT_CAP = 2_000_000
@@ -216,6 +217,53 @@ class PointView(collections.abc.Sequence):
         if not isinstance(other, (list, PointView)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class RowView(collections.abc.Sequence):
+    """Read-only sequence of the rows ``pts[ptr[i]:ptr[i + 1]]`` of a CSR,
+    each built by ``make`` (``tuple`` or ``frozenset``) from the list of
+    its entries.
+
+    Every read builds fresh rows and none is stored, so the view costs no
+    more memory than its arrays; iteration builds ``_VIEW_BLOCK`` rows per
+    pass.  A view equals a list of equal rows, or a view with the same
+    ``make`` and equal arrays.
+    """
+
+    __slots__ = ("ptr", "pts", "_make")
+
+    def __init__(self, ptr: np.ndarray, pts: np.ndarray, make):
+        self.ptr, self.pts, self._make = ptr, pts, make
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self._make(self.row(i).tolist())
+
+    def __iter__(self):
+        ptr, make = self.ptr, self._make
+        for lo in range(0, len(self), _VIEW_BLOCK):
+            hi = min(len(self), lo + _VIEW_BLOCK)
+            ends = (ptr[lo:hi + 1] - ptr[lo]).tolist()
+            flat = self.pts[ptr[lo]:ptr[hi]].tolist()
+            yield from map(make, map(flat.__getitem__,
+                                     map(slice, ends, ends[1:])))
+
+    def __eq__(self, other):
+        if isinstance(other, RowView) and other._make is self._make:
+            return (np.array_equal(self.ptr, other.ptr)
+                    and np.array_equal(self.pts, other.pts))
+        if not isinstance(other, list):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def row(self, i: int) -> np.ndarray:
+        """The entries of row i, as an array."""
+        i = range(len(self))[i]
+        return self.pts[self.ptr[i]:self.ptr[i + 1]]
 
 
 def _prefix_tuples(cells: np.ndarray, lengths: np.ndarray) -> list[tuple]:
@@ -453,8 +501,16 @@ def _csr_take(indptr: np.ndarray, indices: np.ndarray,
               sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of the CSR rows ``sel``, as (position in sel, value) arrays."""
     sel = np.asarray(sel, dtype=np.int64)
-    owner, offset = _expand(indptr[sel + 1] - indptr[sel])
-    return owner, indices[indptr[sel][owner] + offset]
+    # entry j of the output, in row k, is indices[j + shift[k]]: row k
+    # starts at indptr[sel[k]] there and at ends[k] - counts[k] here
+    shift = indptr[sel + 1]
+    counts = shift - indptr[sel]
+    shift -= np.cumsum(counts)
+    owner = np.repeat(np.arange(len(sel)), counts)
+    del counts
+    at = np.arange(len(owner))
+    at += shift[owner]
+    return owner, indices[at]
 
 
 def _csr_from_rows(row: np.ndarray, indices: np.ndarray,
@@ -865,20 +921,17 @@ class SpaceGraph:
 
     # -- basic queries ----------------------------------------------------
 
-    @cached_property
-    def adj(self) -> list[tuple[int, ...]]:
-        """Sorted adjacency tuples, derived from the CSR arrays on first
-        read; the tuples share one int object per point."""
-        ids = list(range(self.n))
-        flat = list(map(ids.__getitem__, self.indices.tolist()))
-        ends = self.indptr.tolist()
-        return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
+    @property
+    def adj(self) -> RowView:
+        """The sorted neighbour tuples, as a :class:`RowView` of the CSR
+        arrays: each tuple is built when it is read, and none is kept."""
+        return RowView(self.indptr, self.indices, tuple)
 
-    @cached_property
+    @property
     def points(self) -> Sequence[ModelPoint]:
-        """The point objects, derived from the arrays: a list on integer
-        windows and metric graphs, elsewhere a :class:`PointView` that
-        builds each point when it is read."""
+        """The point objects, built from the arrays on every read and never
+        kept: a fresh list on integer windows and metric graphs, elsewhere
+        a :class:`PointView` that builds each point when it is read."""
         if self.model in ("z", "metric_graph"):
             return self._take(np.arange(self.n))
         return PointView(self.n, self._take)

@@ -106,14 +106,32 @@ def query_point(model: str, xs, y: float) -> ModelPoint:
     return HalfPlane(xs[0], float(y)) if model == "h2" else HalfSpace(xs, float(y))
 
 
+# the CSR arrays adjacency() last read, and the tuples it derived
+_last_adjacency: list = [None, None, None]
+
+
+def adjacency(space: SpaceGraph) -> list[tuple[int, ...]]:
+    """The sorted neighbour tuples of every point, derived from the CSR
+    arrays: what ``space.adj`` must equal, read once by each oracle call.
+    The tuples of the last arrays read are kept, so that oracles called
+    piece by piece on one net derive them once; callers only read them."""
+    last = _last_adjacency
+    if last[0] is not space.indptr or last[1] is not space.indices:
+        ends, flat = space.indptr.tolist(), space.indices.tolist()
+        last[:] = space.indptr, space.indices, [
+            tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
+    return last[2]
+
+
 def graph_distance_oracle(space: SpaceGraph, i: int, j: int) -> float:
-    """Path distance of points i and j, by one deque BFS over
-    ``space.adj`` from i; ``inf`` where j is not reached."""
+    """Path distance of points i and j, by one deque BFS over the
+    adjacency tuples from i; ``inf`` where j is not reached."""
+    adj = adjacency(space)
     dist = {i: 0}
     dq = deque([i])
     while dq and j not in dist:
         v = dq.popleft()
-        for w in space.adj[v]:
+        for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 dq.append(w)
@@ -134,17 +152,17 @@ def distance_oracle(space: SpaceGraph, i: int, j: int, pts=None) -> float:
 def intrinsic_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = None,
                             r_max: Optional[int] = None) -> GrowthReport:
     """Ball counts of a point set in its induced subgraph, by one deque BFS
-    over ``space.adj`` from ``center`` (default: the subset point with the
-    largest margin, the lowest index among equals)."""
+    over the adjacency tuples from ``center`` (default: the subset point
+    with the largest margin, the lowest index among equals)."""
     return _deque_growth(space, subset, center, r_max, intrinsic=True)
 
 
 def ambient_growth_oracle(space: SpaceGraph, subset, center: Optional[int] = None,
                           r_max: Optional[int] = None) -> GrowthReport:
     """Counts of a point set inside ambient graph balls, by one deque BFS
-    over ``space.adj`` from ``center`` (default as above).  Rows run to the
-    centre's eccentricity in its component, and every point reached, in
-    the set or not, can flag its radius truncated."""
+    over the adjacency tuples from ``center`` (default as above).  Rows
+    run to the centre's eccentricity in its component, and every point
+    reached, in the set or not, can flag its radius truncated."""
     return _deque_growth(space, subset, center, r_max, intrinsic=False)
 
 
@@ -155,13 +173,14 @@ def _deque_growth(space: SpaceGraph, subset, center: Optional[int],
     if center is None:
         center = max(subset, key=lambda i: (margins[i], -i))
     sset = set(subset)
+    adj = adjacency(space)
     dist = {center: 0}
     dq = deque([center])
     while dq:
         v = dq.popleft()
         if r_max is not None and dist[v] >= r_max:
             continue
-        for w in space.adj[v]:
+        for w in adj[v]:
             if (w in sset or not intrinsic) and w not in dist:
                 dist[w] = dist[v] + 1
                 dq.append(w)
@@ -182,16 +201,18 @@ def _deque_growth(space: SpaceGraph, subset, center: Optional[int],
                         truncated=trunc)
 
 
-def _nearest_source_distances(space: SpaceGraph, sources) -> list[int]:
+def _nearest_source_distances(adj: list[tuple[int, ...]],
+                              sources) -> list[int]:
     """Distance of every point from the nearest of ``sources``, by one
-    deque BFS over ``space.adj``; -1 where none is reached."""
-    dist = [-1] * space.n
+    deque BFS over the adjacency tuples ``adj``; -1 where none is
+    reached."""
+    dist = [-1] * len(adj)
     dq = deque(sources)
     for s in sources:
         dist[s] = 0
     while dq:
         v = dq.popleft()
-        for w in space.adj[v]:
+        for w in adj[v]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 dq.append(w)
@@ -203,10 +224,11 @@ def nerve_oracle(space: SpaceGraph, cover: Cover) -> list[dict[int, float]]:
     point x in piece P is its graph distance to the complement of P, by a
     deque BFS from the complement list, or 1 where x reaches no point
     outside P (P holds x's whole component, or is the whole space)."""
-    n = space.n
+    n, adj = space.n, adjacency(space)
     numerators: list[dict[int, float]] = [dict() for _ in range(n)]
     for pid, piece in enumerate(cover.pieces):
-        d = _nearest_source_distances(space, [i for i in range(n) if i not in piece])
+        d = _nearest_source_distances(
+            adj, [i for i in range(n) if i not in piece])
         for x in piece:
             numerators[x][pid] = float(d[x]) if d[x] >= 0 else 1.0
     return [{pid: v / sum(num.values()) for pid, v in num.items()}
@@ -215,9 +237,9 @@ def nerve_oracle(space: SpaceGraph, cover: Cover) -> list[dict[int, float]]:
 
 def nerve_lipschitz_oracle(space: SpaceGraph, coordinates) -> float:
     """Max l2 displacement of the barycentric ``coordinates`` over the
-    graph edges, one edge at a time over ``space.adj``."""
+    graph edges, one edge at a time over the adjacency tuples."""
     worst = 0.0
-    for i, nbrs in enumerate(space.adj):
+    for i, nbrs in enumerate(adjacency(space)):
         ci = coordinates[i]
         for j in nbrs:
             if j < i:

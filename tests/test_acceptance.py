@@ -28,6 +28,7 @@ from coarselab.covers import (Cover, check_disjointness,
                               refine_connected)
 from coarselab.spaces import (GrowthReport, generate_net, growth_report,
                               metric_graph)
+from object_oracles import adjacency
 
 
 def verdict(num: str, ok: bool, detail: str) -> None:
@@ -192,14 +193,14 @@ def _random_graph(rng):
 
 def _oracle_dist(space):
     # independent all-pairs BFS over adjacency lists
-    n = space.n
+    n, adj = space.n, adjacency(space)
     out = [[math.inf] * n for _ in range(n)]
     for s in range(n):
         out[s][s] = 0
         dq = deque([s])
         while dq:
             v = dq.popleft()
-            for w in space.adj[v]:
+            for w in adj[v]:
                 if out[s][w] == math.inf:
                     out[s][w] = out[s][v] + 1
                     dq.append(w)
@@ -269,13 +270,13 @@ def test_criterion_5_pullback_diameters():
     results = {}
     for n_max in (10, 12):
         walk = tree_walk(n_max)
+        pts = walk.source.points
         for R in (2, 4, 8):
             cov = mesh_ball_cover(walk.target, R)
             pulled = pullback_cover(walk, cov)
             refined = refine_connected(pulled, float(R), verify=False)
             diam = max(
-                max(walk.source.points[i].n for i in p)
-                - min(walk.source.points[i].n for i in p)
+                max(pts[i].n for i in p) - min(pts[i].n for i in p)
                 for p in refined.pieces)
             results[(n_max, R)] = diam
     ok = all(results[(n, R)] <= 2 * 4 ** R
@@ -314,11 +315,12 @@ def test_criterion_7_comb_growth():
         comb = build_comb(d, extent)
         origin = comb.window["basepoint"]
         # independent BFS oracle for the ball counts
+        adj = adjacency(comb)
         oracle = {origin: 0}
         dq = deque([origin])
         while dq:
             v = dq.popleft()
-            for w in comb.adj[v]:
+            for w in adj[v]:
                 if w not in oracle:
                     oracle[w] = oracle[v] + 1
                     dq.append(w)

@@ -142,7 +142,7 @@ class TestDistortionProfile:
         lo, hi = w.provenance["domain"]
         half = generate_net("z", {"lo": lo // 2, "hi": hi // 2})
         comp = MapRecord(source=half, target=w.target, assignment=[
-            w.assignment[half.points[i].n * 2 - lo] for i in range(half.n)])
+            w.assignment[p.n * 2 - lo] for p in half.points])
         base = distortion_profile(w, anchored=w.source.index_of(ZPoint(0)))
         comp_prof = distortion_profile(
             comp, anchored=half.index_of(ZPoint(0)))

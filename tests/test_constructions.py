@@ -15,7 +15,7 @@ from coarselab.constructions import (GeodesicComb, MapRecord, assign_tile,
 from coarselab.covers import Cover, check_disjointness
 from coarselab.errors import ArityError, DomainError
 from coarselab.spaces import CombNode, ZPoint, generate_net, metric_graph
-from object_oracles import point_distance
+from object_oracles import adjacency, point_distance
 from test_walk_arrays import _binary_walk, _spine_word
 
 SINH_1 = 1.1752011936438014
@@ -173,11 +173,12 @@ class TestComb:
     def test_c3_counts_match_independent_bfs(self):
         c = build_comb(3, 12)
         origin = c.index_of(CombNode(0))
+        adj = adjacency(c)
         dist = {origin: 0}
         dq = deque([origin])
         while dq:
             v = dq.popleft()
-            for w in c.adj[v]:
+            for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     dq.append(w)

@@ -40,11 +40,12 @@ class TestMultiplicity:
         z = z_window(6)
         cov = Cover(z, [frozenset({i}) for i in range(z.n)])
         # brute-force oracle over all centers and radii
+        pts = z.points
         for R in (0, 1, 2):
             best = 0
             for c in range(z.n):
                 met = sum(1 for i in range(z.n)
-                          if abs(z.points[i].n - z.points[c].n) <= R)
+                          if abs(pts[i].n - pts[c].n) <= R)
                 best = max(best, met)
             mult, _ = r_multiplicity(cov, float(R))
             assert mult == best
@@ -96,14 +97,14 @@ class TestIteratedNeighborhood:
     def test_singletons_absorb_like_balls(self):
         z = z_window(8)
         cov = Cover(z, [frozenset({i}) for i in range(z.n)])
-        center = z.index_of(ZPoint(0))
+        center, pts = z.index_of(ZPoint(0)), z.points
         for m in range(4):
             chain = iterated_neighborhood(cov, center, s=1.0, m=m)
             # oracle: direct induction on the definition
             level = {center}
             for _ in range(m):
                 hood = {y for x in level for y in range(z.n)
-                        if abs(z.points[y].n - z.points[x].n) <= 1}
+                        if abs(pts[y].n - pts[x].n) <= 1}
                 level = hood  # singleton pieces: union of pieces = the hood
             assert set(chain.levels[-1]) == level
 
@@ -131,10 +132,11 @@ class TestIteratedNeighborhood:
         for a, b in zip(chain.levels, chain.levels[1:]):
             assert a <= b
         # recomputing level m from level m-1 by definition reproduces it
+        pts = z.points
         for m in range(1, 4):
             prev = chain.levels[m - 1]
             hood = {y for y in range(z.n)
-                    if any(abs(z.points[y].n - z.points[x].n) <= 2 for x in prev)}
+                    if any(abs(pts[y].n - pts[x].n) <= 2 for x in prev)}
             expect = set()
             for piece in pieces:
                 if piece & hood:
@@ -318,10 +320,9 @@ class TestProductDecomposition:
     def test_growth_of_product_piece_is_product(self):
         z = z_window(8)
         a = interval_piece(z, -3, 3)
-        prod = build_product([z, z])
-        piece = frozenset(
-            prod.index_of(TuplePoint((z.points[i], z.points[j])))
-            for i in a for j in a)
+        prod, pts = build_product([z, z]), z.points
+        piece = frozenset(prod.index_of(TuplePoint((pts[i], pts[j])))
+                          for i in a for j in a)
         origin = prod.index_of(TuplePoint((ZPoint(0), ZPoint(0))))
         # BFS oracle: counts of the product set inside l1 balls
         rep = set_growth(prod, piece, center=origin, r_max=3)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from coarselab import constructions, spaces
 from coarselab.constructions import MapRecord
 from coarselab.spaces import _unique, build_product, generate_net
-from object_oracles import point_distance
+from object_oracles import adjacency, point_distance
 
 
 def _h2(radius):
@@ -161,7 +161,7 @@ def brute_remeasure(f):
     skipped (0 where the source distance is 0), and the largest fiber."""
     src, tgt = list(f.source.points), list(f.target.points)
     ratios = [0.0]
-    for i, nbrs in enumerate(f.source.adj):
+    for i, nbrs in enumerate(adjacency(f.source)):
         for j in nbrs:
             ds = point_distance(src[i], src[j])
             dt = point_distance(tgt[f.assignment[i]], tgt[f.assignment[j]])

@@ -23,7 +23,7 @@ from coarselab.constructions import MapRecord, tree_walk
 from coarselab.covers import (ColoredDecomposition, Cover, pullback_cover,
                               pullback_decomposition, r_multiplicity)
 from coarselab.spaces import build_product, generate_net, metric_graph
-from object_oracles import graph_distance_oracle, point_distance
+from object_oracles import adjacency, graph_distance_oracle, point_distance
 
 SPACES = {
     "z": lambda: generate_net("z", {"lo": -12, "hi": 12}),
@@ -49,7 +49,8 @@ def space(name):
 
 
 def scalar_distances(sp, i, j):
-    return [point_distance(sp.points[a], sp.points[b]) for a, b in zip(i, j)]
+    pts = sp.points
+    return [point_distance(pts[a], pts[b]) for a, b in zip(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,7 @@ def test_distances_on_explicit_graph():
 def bfs_multiplicity(cover, R):
     """The per-piece breadth-first count the sparse products replaced."""
     space, rad = cover.space, int(R)
+    adj = adjacency(space)
     hit = np.zeros(space.n, dtype=np.int64)
     for piece in cover.pieces:
         seen = set(piece)
@@ -133,7 +135,7 @@ def bfs_multiplicity(cover, R):
             v, d = dq.popleft()
             if d >= rad:
                 continue
-            for w in space.adj[v]:
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     hit[w] += 1
@@ -179,12 +181,14 @@ def test_graph_multiplicity_of_sparse_pieces_on_a_path():
 
 def bfs_mesh_cover(sp, R):
     """The greedy breadth-first mesh cover the ball patterns replaced."""
+    adj = adjacency(sp)
+
     def ball(v, r):
         seen, dq = {v}, deque([(v, 0)])
         while dq:
             u, d = dq.popleft()
             if d < r:
-                for w in sp.adj[u]:
+                for w in adj[u]:
                     if w not in seen:
                         seen.add(w)
                         dq.append((w, d + 1))
@@ -270,6 +274,7 @@ def test_partition_pulled_back_through_walk_stays_partition():
 
 
 def bfs(sp, sources, limit=None):
+    adj = adjacency(sp)
     dist = np.full(sp.n, -1, dtype=np.int64)
     dq = deque()
     for s in sources:
@@ -280,7 +285,7 @@ def bfs(sp, sources, limit=None):
         v = dq.popleft()
         if limit is not None and dist[v] >= limit:
             continue
-        for w in sp.adj[v]:
+        for w in adj[v]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 dq.append(w)
@@ -308,7 +313,7 @@ def test_graph_distances_match_bfs(seed, limit):
 def loop_lipschitz(f):
     src, tgt = list(f.source.points), list(f.target.points)
     lip = 0.0
-    for i, nbrs in enumerate(f.source.adj):
+    for i, nbrs in enumerate(adjacency(f.source)):
         for j in nbrs:
             if j < i:
                 continue

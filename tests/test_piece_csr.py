@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarselab import analysis, covers
+from coarselab import analysis, covers, spaces
 from coarselab.constructions import (MapRecord, nerve_lipschitz, nerve_map,
                                      tree_walk)
 from coarselab.covers import (ColoredDecomposition, Cover, PieceView,
@@ -112,7 +112,8 @@ def components_oracle(space, idx, R):
     if not idx:
         return []
     if space.model == "z":
-        vals = sorted((space.points[i].n, i) for i in idx)
+        pts = space.points
+        vals = sorted((pts[i].n, i) for i in idx)
         comps, cur, last = [], [], None
         for v, i in vals:
             if last is not None and v - last > R:
@@ -253,7 +254,7 @@ def test_view_normalises_rows_and_reads_like_a_list(monkeypatch):
         view.pts[0] = 3
     # every read builds a fresh set
     assert view[0] is not view[0]
-    monkeypatch.setattr(covers, "_VIEW_BLOCK", 2)
+    monkeypatch.setattr(spaces, "_VIEW_BLOCK", 2)
     assert list(view) == sets
     big = PieceView(np.arange(0, 22, 2), np.arange(20) % 7, 7)
     assert list(big) == [frozenset({i % 7, (i + 1) % 7}) for i in range(0, 20, 2)]

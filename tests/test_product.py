@@ -20,7 +20,7 @@ from coarselab import spaces
 from coarselab.constructions import brady_farb
 from coarselab.errors import ArityError, DomainError, SizeCapError
 from coarselab.spaces import TuplePoint, build_product, generate_net
-from object_oracles import point_distance
+from object_oracles import adjacency, point_distance
 
 
 def loop_build_product(factors, window=None):
@@ -29,6 +29,7 @@ def loop_build_product(factors, window=None):
         s = factors[0]
         return ([TuplePoint((p,)) for p in s.points], list(s.adj),
                 np.arange(s.n).reshape(-1, 1), {"kind": "full"})
+    fpts = [list(s.points) for s in factors]
     if window is None:
         combos = [()]
         for s in factors:
@@ -37,8 +38,8 @@ def loop_build_product(factors, window=None):
     else:
         radius = float(window["radius"])
         centers = list(window["centers"])
-        dists = [np.array([point_distance(p, s.points[c]) for p in s.points])
-                 for s, c in zip(factors, centers)]
+        dists = [np.array([point_distance(p, pts[c]) for p in pts])
+                 for pts, c in zip(fpts, centers)]
         # the factor distances summed left to right from 0, as
         # point_distance sums the parts
         stack = [((), 0.0)]
@@ -48,12 +49,13 @@ def loop_build_product(factors, window=None):
         combos = [c for c, _ in stack]
         wdesc = {"kind": "l1_ball", "radius": radius, "centers": centers}
     index = {c: i for i, c in enumerate(combos)}
-    pts = [TuplePoint(tuple(s.points[i] for s, i in zip(factors, combo)))
+    pts = [TuplePoint(tuple(f[i] for f, i in zip(fpts, combo)))
            for combo in combos]
     adj = [[] for _ in combos]
+    factor_adj = list(map(adjacency, factors))
     for idx, combo in enumerate(combos):
-        for f, s in enumerate(factors):
-            for nb in s.adj[combo[f]]:
+        for f, fadj in enumerate(factor_adj):
+            for nb in fadj[combo[f]]:
                 if nb > combo[f] or wdesc["kind"] != "full":
                     j = index.get(combo[:f] + (nb,) + combo[f + 1:])
                     if j is not None and j != idx:

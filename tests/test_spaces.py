@@ -14,7 +14,7 @@ from coarselab.errors import EmptySpaceError, PreconditionError, SizeCapError
 from coarselab.spaces import (CombNode, HalfPlane, TreeAddress, TuplePoint,
                               ZPoint, ball, build_product, generate_net,
                               growth_report)
-from object_oracles import greedy_select_oracle, point_distance
+from object_oracles import adjacency, greedy_select_oracle, point_distance
 
 # arcosh(1.5) evaluated independently with 60-digit decimal arithmetic
 ARCOSH_1_5 = 0.9624236501192069
@@ -186,9 +186,9 @@ class TestGenerateNet:
 
     def test_edges_characterised_by_threshold(self):
         net = generate_net("h2", {"kind": "ball", "radius": 4.0}, sep=1.0)
-        thr = net.edge_threshold
+        thr, adj = net.edge_threshold, adjacency(net)
         for i in range(net.n):
-            nbrs = set(net.adj[i])
+            nbrs = set(adj[i])
             for j in range(net.n):
                 if i == j:
                     continue
@@ -226,11 +226,12 @@ class TestBall:
         comb2 = generate_net("comb", {"d": 2, "extent": 8})
         origin = comb2.index_of(CombNode(0))
         # independent BFS over the adjacency lists
+        adj = adjacency(comb2)
         dist = {origin: 0}
         dq = deque([origin])
         while dq:
             v = dq.popleft()
-            for w in comb2.adj[v]:
+            for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     dq.append(w)
@@ -285,9 +286,10 @@ class TestProduct:
         p = build_product([t, z])
         origin = p.index_of(TuplePoint((TreeAddress(()), ZPoint(0))))
         # oracle BFS over an adjacency map built directly from tuples
+        tuples = adjacency(p)
         adj = {}
         for idx in range(p.n):
-            adj[idx] = set(p.adj[idx])
+            adj[idx] = set(tuples[idx])
         dist = {origin: 0}
         dq = deque([origin])
         while dq:

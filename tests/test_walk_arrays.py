@@ -10,6 +10,8 @@ lists and adjacency tuples the builders used to make, on every net kind.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -24,7 +26,8 @@ from coarselab.errors import SizeCapError
 from coarselab.spaces import (HalfPlane, HalfSpace, PointView, TreeAddress,
                               TuplePoint, ZPoint, build_product, generate_net,
                               metric_graph)
-from object_oracles import net_comb_oracle, net_t3_oracle, point_distance
+from object_oracles import (adjacency, net_comb_oracle, net_t3_oracle,
+                            point_distance)
 
 
 # -- the tuple walk -----------------------------------------------------------
@@ -376,13 +379,14 @@ def test_product_points_equal_the_object_construction(specs, l1, data):
     assert_points(net, [TuplePoint(t) for t in tuples])
 
 
-def test_integer_points_are_built_on_first_read():
+def test_integer_points_are_built_per_read():
     # generate_net builds no ZPoint: a walk's source is often used through
-    # its codes alone (the CLI's build walk, verify, analyze distortion)
+    # its codes alone (the CLI's build walk, verify, analyze distortion);
+    # each read builds a fresh list, and the graph keeps none
     net = generate_net("z", {"lo": -5, "hi": 5})
     assert "points" not in vars(net)
     assert net.points == [ZPoint(n) for n in range(-5, 6)]
-    assert "points" in vars(net)
+    assert "points" not in vars(net) and net.points is not net.points
     assert "points" not in vars(generate_net("t3", {"radius": 3}))
 
 
@@ -464,9 +468,62 @@ def test_list_nets_csr_matches_object_loop(name):
     assert net.degree_bound == max(map(len, want))
 
 
-def test_adjacency_tuples_share_point_ints():
-    net = generate_net("z", {"lo": 0, "hi": 2000})
-    assert net.adj[700][0] is net.adj[698][1]
+VIEW_NETS = {
+    "z": lambda: generate_net("z", {"lo": -17, "hi": 23}, edge_threshold=2.0),
+    "t3": lambda: generate_net("t3", {"radius": 5}),
+    "comb": lambda: generate_net("comb", {"d": 2, "extent": 6}),
+    "h2": lambda: generate_net("h2", {"kind": "ball", "radius": 3.0}, sep=1.0),
+    "hd": lambda: generate_net("hd", {"kind": "ball", "radius": 2.0, "d": 3},
+                               sep=0.5),
+    "metric_graph": lambda: metric_graph(6, [(0, 1), (1, 2), (4, 5)]),
+    "product": lambda: build_product([generate_net("t3", {"radius": 2}),
+                                      generate_net("z", {"lo": -3, "hi": 3})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_NETS))
+def test_adjacency_view_reads_the_csr_tuples(name, monkeypatch):
+    net = VIEW_NETS[name]()
+    want = adjacency(net)
+    # iterate in blocks of 7 rows, so every net spans several
+    monkeypatch.setattr(spaces, "_VIEW_BLOCK", 7)
+    assert net.adj == want and want == net.adj
+    assert list(net.adj) == want
+    assert [net.adj[i] for i in range(net.n)] == want
+    assert net.adj == net.adj and net.adj != want[:-1]
+    pts = net.points
+    assert len(pts) == net.n and pts[-1] == list(pts)[-1]
+    # neither the points nor the tuples are kept on the graph
+    assert "points" not in vars(net) and "adj" not in vars(net)
+
+
+def test_adjacency_view_slices_and_negative_indices():
+    net = generate_net("t3", {"radius": 3})
+    adj, want = net.adj, adjacency(net)
+    assert adj[-1] == want[-1] and adj[-net.n] == want[0]
+    for cut in (slice(3, 9), slice(-5, None), slice(None, None, -2),
+                slice(9, 3), slice(None)):
+        assert adj[cut] == want[cut]
+    for i in (net.n, -net.n - 1):
+        with pytest.raises(IndexError):
+            adj[i]
+
+
+def test_reads_of_points_and_adjacency_keep_nothing():
+    walk = tree_walk(12)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pts, adj = walk.source.points, walk.target.adj
+        assert len(pts) == walk.source.n
+        assert sum(map(len, adj)) == len(walk.target.indices)
+        del pts, adj
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, kept
 
 
 def test_walk_size_count_is_the_closed_form():
