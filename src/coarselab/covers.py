@@ -1,8 +1,8 @@
 """Covers, coloured decompositions, and the algebra between them.
 
 Pieces are index sets over a :class:`~coarselab.spaces.SpaceGraph`, held
-as piece-major CSR (:class:`PieceView`) with one point-to-piece inversion
-per family.
+as piece-major CSR (:class:`PieceView`) and inverted point-to-piece by each
+call that needs it.
 Separation and disjointness are judged in the model metric (the window
 is a sample of a continuous space); multiplicity is judged with graph
 balls unless a caller asks for the model metric.  Every constructive
@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import (ArityError, DomainError, PreconditionError,
                      UnsupportedError)
-from .spaces import (GrowthTable, RowView, SpaceGraph, _ball_growth,
-                     _centre_distances, _concat_csr, _csr_from_rows,
-                     _csr_take, _group, _growth_table, _path_lengths,
-                     _sorted_lookup, _sorted_rows, _unique)
+from .spaces import (GrowthTable, LabelView, RowView, SpaceGraph,
+                     _ball_growth, _centre_distances, _concat_csr,
+                     _csr_from_rows, _csr_take, _group, _growth_table,
+                     _path_lengths, _sorted_lookup, _sorted_rows, _unique)
 
 __all__ = [
     "PieceView",
@@ -58,7 +58,7 @@ class PieceView(RowView):
     equal sets.
     """
 
-    __slots__ = ("_n", "_inverse", "_growth")
+    __slots__ = ("_n", "_growth")
 
     def __init__(self, ptr, pts, n: int):
         ptr = np.asarray(ptr, dtype=np.int64)
@@ -76,7 +76,7 @@ class PieceView(RowView):
                                     pts, len(ptr) - 1, n)
         ptr.flags.writeable = pts.flags.writeable = False
         super().__init__(ptr, pts, frozenset)
-        self._n, self._inverse, self._growth = n, None, None
+        self._n, self._growth = n, None
 
     def owners(self) -> np.ndarray:
         """The piece of every entry of ``pts``."""
@@ -85,11 +85,9 @@ class PieceView(RowView):
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
         """Point-to-piece CSR ``(ptr, pids)``: ``pids[ptr[x]:ptr[x + 1]]``
         lists, in increasing order, the pieces that contain point x.
-        Computed on the first call, by one linear stable grouping of the
-        entries by point."""
-        if self._inverse is None:
-            self._inverse = _group(self.pts, self.owners(), self._n)
-        return self._inverse
+        Computed on every call, by one linear stable grouping of the
+        entries by point; none is kept."""
+        return _group(self.pts, self.owners(), self._n)
 
     def growth(self, space: SpaceGraph,
                metric: str = "intrinsic") -> GrowthTable:
@@ -326,11 +324,14 @@ def _point_counts(pieces: PieceView) -> tuple[np.ndarray, Optional[int]]:
 class Cover:
     """Indexed family of point sets whose union is the whole space.
     ``pieces`` is a :class:`PieceView`; any sequence of point iterables
-    is accepted and normalised once."""
+    is accepted and normalised once.  ``labels``, if given, is a sequence
+    of one string per piece: the constructions here give a
+    :class:`~coarselab.spaces.LabelView`, which formats each label on
+    read."""
 
     space: SpaceGraph
     pieces: Sequence[frozenset[int]]
-    labels: Optional[list[str]] = None
+    labels: Optional[Sequence[str]] = None
 
     def __post_init__(self):
         self.pieces = _piece_view(self.pieces, self.space.n)
@@ -441,7 +442,7 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
     balls = _ball_patterns(step, np.asarray(centers, dtype=np.int64), R)
     balls.sort_indices()
     return Cover(space=space, pieces=PieceView(balls.indptr, balls.indices, space.n),
-                 labels=[f"ball:{c}:{R}" for c in centers])
+                 labels=LabelView(f"ball:{{}}:{R}", centers))
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +883,7 @@ def _preimages(f, pieces) -> tuple[list[int], PieceView]:
 def pullback_cover(f, cover: Cover) -> Cover:
     """Cover of the map's source by nonempty preimages of target pieces."""
     ids, pieces = _preimages(f, cover.pieces)
-    return Cover(space=f.source, pieces=pieces,
-                 labels=[f"pre:{pid}" for pid in ids])
+    return Cover(space=f.source, pieces=pieces, labels=LabelView("pre:{}", ids))
 
 
 def pullback_decomposition(f, decomp: ColoredDecomposition,
@@ -921,7 +921,7 @@ def refine_connected(cover: Cover, R: float, verify: bool = True) -> Cover:
     owner, comps = _components(space, cover.pieces, R)
     index = np.arange(len(owner)) - np.searchsorted(owner, owner)
     out = Cover(space=space, pieces=comps,
-                labels=list(map("{}.{}".format, owner.tolist(), index.tolist())))
+                labels=LabelView("{}.{}", owner, index))
     if verify:
         rho = math.floor(R / 2)
         before, _ = r_multiplicity(cover, rho)

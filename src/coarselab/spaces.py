@@ -35,6 +35,7 @@ __all__ = [
     "ModelPoint",
     "PointView",
     "RowView",
+    "LabelView",
     "SpaceGraph",
     "GrowthReport",
     "generate_net",
@@ -264,6 +265,42 @@ class RowView(collections.abc.Sequence):
         """The entries of row i, as an array."""
         i = range(len(self))[i]
         return self.pts[self.ptr[i]:self.ptr[i + 1]]
+
+
+class LabelView(collections.abc.Sequence):
+    """Read-only sequence of the strings ``fmt.format(*fields[:, i])``, one
+    for each column i of a 2-D integer array ``fields`` that holds a row
+    per replacement field of ``fmt``.
+
+    Every read formats fresh strings and none is stored, so the view costs
+    no more memory than its array; iteration formats ``_VIEW_BLOCK``
+    strings per pass.  A view equals a list, or a view, of equal strings.
+    """
+
+    __slots__ = ("fmt", "fields")
+
+    def __init__(self, fmt: str, *columns):
+        self.fmt = fmt
+        self.fields = np.array(columns, dtype=np.int64)
+        self.fields.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.fields.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.fmt.format(*self.fields[:, range(len(self))[i]].tolist())
+
+    def __iter__(self):
+        for lo in range(0, len(self), _VIEW_BLOCK):
+            yield from map(self.fmt.format,
+                           *self.fields[:, lo:lo + _VIEW_BLOCK].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, LabelView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _prefix_tuples(cells: np.ndarray, lengths: np.ndarray) -> list[tuple]:
