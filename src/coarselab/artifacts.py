@@ -326,6 +326,10 @@ def cover_from_dict(d: dict):
                 space=space, pieces=pieces, colors=colors, r=r, d=top,
                 partition=partition)
         labels = [rec.get("label") for rec in recs]
+        for pid, lab in zip(ids, labels):
+            if lab is not None and type(lab) is not str:
+                raise SchemaError(f"bad cover file: piece {pid} has label "
+                                  f"{lab!r}, not a string")
         if any(lab is None for lab in labels):
             labels = None
         return Cover(space=space, pieces=pieces, labels=labels)

@@ -46,16 +46,12 @@ __all__ = [
 
 
 class PieceView(RowView):
-    """Read-only sequence of the pieces of a family over ``n`` points, held
-    as piece-major CSR: ``pts[ptr[i]:ptr[i + 1]]`` lists the points of
-    piece i, sorted and without repeats.
-
-    Reading a piece builds its frozenset (a :class:`RowView` of
-    frozensets); none is stored, so the view costs no more memory than its
-    arrays.  Rows given unsorted or with repeats are sorted and
-    deduplicated once (frozenset semantics); a point outside ``range(n)``
-    raises :class:`DomainError`.  A view equals a list, or a view, of
-    equal sets.
+    """The pieces of a family over ``n`` points, held as piece-major CSR:
+    ``pts[ptr[i]:ptr[i + 1]]`` lists the points of piece i, sorted and
+    without repeats, and reading piece i builds its frozenset (a
+    :class:`RowView` of frozensets).  Rows given unsorted or with repeats
+    are sorted and deduplicated once; a point outside ``range(n)`` raises
+    :class:`DomainError`.
     """
 
     __slots__ = ("_n", "_growth")
@@ -337,6 +333,8 @@ class Cover:
         self.pieces = _piece_view(self.pieces, self.space.n)
         if (np.diff(self.pieces.ptr) == 0).any():
             raise ValueError("cover pieces must be non-empty")
+        if self.labels is not None and len(self.labels) != len(self.pieces):
+            raise ValueError("one label per piece required")
         missing = _point_counts(self.pieces)[1]
         if missing is not None:
             raise ValueError(f"cover misses point {missing}")

@@ -33,6 +33,7 @@ __all__ = [
     "CombNode",
     "TuplePoint",
     "ModelPoint",
+    "ArrayView",
     "PointView",
     "RowView",
     "LabelView",
@@ -181,85 +182,79 @@ def _collector_paused():
             gc.enable()
 
 
-class PointView(collections.abc.Sequence):
-    """Read-only sequence of the points of a net held as arrays.
+class ArrayView(collections.abc.Sequence):
+    """Read-only sequence whose items are built from arrays on every read.
 
-    ``take(idx)`` builds the points at the integer array ``idx``.  Every
-    read builds fresh objects and none is stored, so the view costs no
-    more memory than its arrays.  A view equals a list, or a view, of
-    equal points.
+    A subclass sets the length ``_len`` and defines ``_build(idx)``, an
+    iterable of the items at the integer array ``idx``: a lazy one (a
+    ``map``) where the items allow, so that iteration, which reads
+    ``_VIEW_BLOCK`` indices per pass, holds one built item at a time.  No
+    item is stored, so a view costs no more memory than its arrays.
+    Indices may be negative (:class:`IndexError` out of range), and a
+    slice reads as a list.  A view equals a list, or a view, of equal
+    items.
     """
 
-    __slots__ = ("_n", "_take")
-
-    def __init__(self, n: int, take):
-        self._n, self._take = n, take
+    __slots__ = ("_len",)
 
     def __len__(self) -> int:
-        return self._n
+        return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self._take(np.arange(self._n)[i])
-        i = operator.index(i)
-        if not -self._n <= i < self._n:
-            raise IndexError(f"point index out of range: {i}")
-        return self._take(np.array([i % self._n]))[0]
+            return self.take(np.arange(self._len)[i])
+        return self.take([range(self._len)[i]])[0]
 
     def __iter__(self):
-        for lo in range(0, self._n, _VIEW_BLOCK):
-            yield from self._take(np.arange(lo, min(self._n, lo + _VIEW_BLOCK)))
+        for lo in range(0, self._len, _VIEW_BLOCK):
+            yield from self._build(np.arange(lo, min(self._len, lo + _VIEW_BLOCK)))
 
     def take(self, idx) -> list:
-        """The points at the indices ``idx``, built in one pass."""
-        return self._take(np.asarray(idx, dtype=np.int64))
+        """The items at the indices ``idx`` (negative ones count from the
+        end), built in one pass."""
+        return list(self._build(np.asarray(idx, dtype=np.int64)))
 
     def __eq__(self, other):
-        if not isinstance(other, (list, PointView)):
+        if not isinstance(other, (list, ArrayView)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-class RowView(collections.abc.Sequence):
-    """Read-only sequence of the rows ``pts[ptr[i]:ptr[i + 1]]`` of a CSR,
-    each built by ``make`` (``tuple`` or ``frozenset``) from the list of
-    its entries.
+class PointView(ArrayView):
+    """The n points of a net held as arrays, built by ``take`` (the net's
+    :meth:`SpaceGraph._take`) as a list of the points at an index array."""
 
-    Every read builds fresh rows and none is stored, so the view costs no
-    more memory than its arrays; iteration builds ``_VIEW_BLOCK`` rows per
-    pass.  A view equals a list of equal rows, or a view with the same
-    ``make`` and equal arrays.
-    """
+    __slots__ = ("_build",)
+
+    def __init__(self, n: int, take):
+        self._len, self._build = n, take
+
+
+class RowView(ArrayView):
+    """The rows ``pts[ptr[i]:ptr[i + 1]]`` of a CSR, each built by ``make``
+    (``tuple`` or ``frozenset``) from the list of its entries.  A view
+    with the same ``make`` compares by its arrays."""
 
     __slots__ = ("ptr", "pts", "_make")
 
     def __init__(self, ptr: np.ndarray, pts: np.ndarray, make):
         self.ptr, self.pts, self._make = ptr, pts, make
+        self._len = len(ptr) - 1
 
-    def __len__(self) -> int:
-        return len(self.ptr) - 1
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return self._make(self.row(i).tolist())
-
-    def __iter__(self):
-        ptr, make = self.ptr, self._make
-        for lo in range(0, len(self), _VIEW_BLOCK):
-            hi = min(len(self), lo + _VIEW_BLOCK)
-            ends = (ptr[lo:hi + 1] - ptr[lo]).tolist()
-            flat = self.pts[ptr[lo]:ptr[hi]].tolist()
-            yield from map(make, map(flat.__getitem__,
-                                     map(slice, ends, ends[1:])))
+    def _build(self, idx):
+        # one list of the entries from the lowest row read to the highest,
+        # sliced per row: a block of consecutive rows lists only its own
+        a, b = self.ptr[:-1][idx], self.ptr[1:][idx]
+        lo = a.min(initial=len(self.pts))
+        flat = self.pts[lo:b.max(initial=lo)].tolist()
+        return map(self._make, map(flat.__getitem__,
+                                   map(slice, (a - lo).tolist(), (b - lo).tolist())))
 
     def __eq__(self, other):
         if isinstance(other, RowView) and other._make is self._make:
             return (np.array_equal(self.ptr, other.ptr)
                     and np.array_equal(self.pts, other.pts))
-        if not isinstance(other, list):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return super().__eq__(other)
 
     def row(self, i: int) -> np.ndarray:
         """The entries of row i, as an array."""
@@ -267,15 +262,10 @@ class RowView(collections.abc.Sequence):
         return self.pts[self.ptr[i]:self.ptr[i + 1]]
 
 
-class LabelView(collections.abc.Sequence):
-    """Read-only sequence of the strings ``fmt.format(*fields[:, i])``, one
-    for each column i of a 2-D integer array ``fields`` that holds a row
-    per replacement field of ``fmt``.
-
-    Every read formats fresh strings and none is stored, so the view costs
-    no more memory than its array; iteration formats ``_VIEW_BLOCK``
-    strings per pass.  A view equals a list, or a view, of equal strings.
-    """
+class LabelView(ArrayView):
+    """The strings ``fmt.format(*fields[:, i])``, one for each column i of
+    a read-only 2-D integer array ``fields`` that holds a row per
+    replacement field of ``fmt``."""
 
     __slots__ = ("fmt", "fields")
 
@@ -283,24 +273,10 @@ class LabelView(collections.abc.Sequence):
         self.fmt = fmt
         self.fields = np.array(columns, dtype=np.int64)
         self.fields.flags.writeable = False
+        self._len = self.fields.shape[1]
 
-    def __len__(self) -> int:
-        return self.fields.shape[1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return self.fmt.format(*self.fields[:, range(len(self))[i]].tolist())
-
-    def __iter__(self):
-        for lo in range(0, len(self), _VIEW_BLOCK):
-            yield from map(self.fmt.format,
-                           *self.fields[:, lo:lo + _VIEW_BLOCK].tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, LabelView)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+    def _build(self, idx):
+        return map(self.fmt.format, *self.fields[:, idx].tolist())
 
 
 def _prefix_tuples(cells: np.ndarray, lengths: np.ndarray) -> list[tuple]:
@@ -927,7 +903,7 @@ def _kernel_pairs(distances, n: int, radius: float):
 class SpaceGraph:
     """Immutable net graph, built whole from its arrays.
 
-    The adjacency is CSR: the neighbours of point i, sorted, are
+    The adjacency is read-only CSR: the neighbours of point i, sorted, are
     ``indices[indptr[i]:indptr[i + 1]]``; edges join points at model
     distance <= ``edge_threshold``.  The points are held as integer codes
     (``_codes``) or, on half-plane/half-space nets, as the coordinate
@@ -949,6 +925,7 @@ class SpaceGraph:
     _codes: object = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.n = len(self.indptr) - 1
         if not self.n:
             # a product window holds its factor graphs: name it without them

@@ -441,6 +441,8 @@ class TestMalformedInputs:
         ("pieces-not-objects", "'pieces' must be a list of objects"),
         # once, Python's own "'int' object is not iterable"
         ("points-not-a-list", "the points of a piece in a list"),
+        # once, labels 5 and [1] loaded as they were and were written back
+        ("label-not-a-string", "piece 1 has label 5, not a string"),
     ])
     def test_cover_exit_2(self, case, message, tmp_path, capsys):
         main(["build", "tiling", "--ball", "4", "--out", str(tmp_path)])
@@ -454,6 +456,11 @@ class TestMalformedInputs:
             pieces[3]["id"] = 1
         elif case == "points-not-a-list":
             pieces[0]["points"] = pieces[0]["points"][0]
+        elif case == "label-not-a-string":
+            # a plain cover file carries the labels: no colours
+            for i, rec in enumerate(pieces):
+                del rec["colour"]
+                rec["label"] = {1: 5, 2: [1]}.get(i, f"p{i}")
         else:
             dec["pieces"] = {"0": pieces[0]}
         (tmp_path / "bad.json").write_text(json.dumps(dec))

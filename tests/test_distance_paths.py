@@ -8,8 +8,9 @@ dictionary by the points themselves.  ``nearest_points`` decides tied rows
 with the exact distances of its candidates, and is compared with a
 row-by-row argmin on queries built to tie, on rows it decides from its
 first query and on rows it queries again.  The last tests scan the
-library so that no second distance path grows back, and no graph search
-reads the adjacency tuples.
+library so that no second distance path grows back, no graph search
+reads the adjacency tuples, and no second copy of the views' sequence
+protocol is written.
 """
 
 from __future__ import annotations
@@ -295,3 +296,25 @@ def test_library_searches_the_csr_alone():
         found += [f"{path.name}:{node.lineno} .adj" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "adj"]
     assert not found, found
+
+
+def test_one_class_reads_every_view():
+    # points, CSR rows, pieces and labels share spaces.ArrayView's index,
+    # slice and block loop: no other class defines one of its methods
+    protocol = {"__len__", "__getitem__", "__iter__"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [getattr(node.target, "id", "")]
+                else:
+                    names = []
+                found |= {f"{path.name} {cls.name}.{name}" for name in names
+                          if name in protocol}
+    assert found == {f"spaces.py ArrayView.{name}" for name in protocol}

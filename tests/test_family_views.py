@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from coarselab import spaces
 from coarselab.artifacts import canonical_json, cover_to_dict, space_ref
 from coarselab.constructions import MapRecord, tree_walk
 from coarselab.covers import (ColoredDecomposition, Cover, PieceView,
@@ -98,30 +97,26 @@ def random_cover(sp, rng):
 # -- the view ----------------------------------------------------------------
 
 
-def test_view_reads_like_its_list(monkeypatch):
+def test_view_reads_like_its_list():
+    # the sequence protocol is read in test_views.py, on this view too;
+    # these are the label view's own cases
     view = LabelView("{}.{}", [0, 0, 2], [0, 1, 0])
-    labels = ["0.0", "0.1", "2.0"]
-    assert list(view) == labels and len(view) == 3
-    assert view == labels and labels == view and view != labels[:2]
-    assert view != ["0.0", "0.1", "2.1"]
-    assert view[-1] == "2.0" and view[-3] == "0.0" and view[1] == "0.1"
-    assert view[1:] == labels[1:] and view[::-2] == labels[::-2]
-    assert view[np.int64(2)] == "2.0"
-    for i in (3, -4):
-        with pytest.raises(IndexError):
-            view[i]
-    with pytest.raises(ValueError):
-        view.fields[0, 0] = 1
-    assert "0.1" in view and "1.0" not in view
+    assert view != ["0.0", "0.1", "2.1"] and "1.0" not in view
     # views of equal strings are equal, whatever their fields
-    assert view == LabelView("{}.{}", np.array([0, 0, 2]), [0, 1, 0])
     assert LabelView("{}.0", [1, 2]) == LabelView("{}.{}", [1, 2], [0, 0])
     assert view != LabelView("{}.{}", [0, 0, 2], [0, 1, 1])
-    assert view != tuple(labels)
-    monkeypatch.setattr(spaces, "_VIEW_BLOCK", 2)
-    big = LabelView("ball:{}:3", np.arange(7))
-    assert list(big) == [f"ball:{c}:3" for c in range(7)]
     assert list(LabelView("pre:{}", [])) == [] and not LabelView("pre:{}", [])
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], []])
+def test_cover_needs_one_label_per_piece(labels):
+    # once, a missing label wrote a piece with none, and a third was dropped
+    z = generate_net("z", {"lo": 0, "hi": 3})
+    with pytest.raises(ValueError, match="one label per piece required"):
+        Cover(z, [[0, 1], [2, 3]], labels=labels)
+    with pytest.raises(ValueError, match="one label per piece required"):
+        Cover(z, [[0, 1], [2, 3]], labels=LabelView("x{}", [0, 1, 2]))
+    assert Cover(z, [[0, 1], [2, 3]], labels=["a", "b"]).labels == ["a", "b"]
 
 
 @settings(max_examples=30, deadline=None)
