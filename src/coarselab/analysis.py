@@ -275,9 +275,9 @@ def _distances_to_pieces(family: Union[Cover, ColoredDecomposition],
     :meth:`SpaceGraph.distances` from ``point`` over the piece."""
     space = family.space
     d = space.distances(np.full(space.n, point), np.arange(space.n))
-    ptr, pids = family.pieces.inverse()
-    out = np.full(len(family.pieces), math.inf)
-    np.minimum.at(out, pids, np.repeat(d, np.diff(ptr)))
+    pieces = family.pieces
+    out = np.full(len(pieces), math.inf)
+    np.minimum.at(out, pieces.owners(), d[pieces.pts])
     return out
 
 

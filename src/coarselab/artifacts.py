@@ -330,7 +330,10 @@ def cover_from_dict(d: dict):
             if lab is not None and type(lab) is not str:
                 raise SchemaError(f"bad cover file: piece {pid} has label "
                                   f"{lab!r}, not a string")
-        if any(lab is None for lab in labels):
+        if None in labels:
+            if labels.count(None) < len(labels):
+                raise SchemaError(f"bad cover file: piece {ids[labels.index(None)]}"
+                                  " has no label, and other pieces have one")
             labels = None
         return Cover(space=space, pieces=pieces, labels=labels)
     except (KeyError, TypeError, ValueError) as e:

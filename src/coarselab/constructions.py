@@ -22,9 +22,9 @@ from .covers import (ColoredDecomposition, Cover, PieceView, _entry_graph,
 from .errors import (ArityError, AssignmentError, DomainError, NumericError,
                      SizeCapError, UnsupportedError)
 from .spaces import (_HIGHER_CHILD, _LOWER_CHILD, PRODUCT_CAP, SpaceGraph,
-                     _centre_distances, _csr_from_edges, _group, _path_lengths,
-                     _product_space, _radix_strides, _t_values, _within,
-                     generate_net)
+                     _centre_distances, _csr_from_edges, _path_lengths,
+                     _product_space, _radix_strides, _t_values, _transpose,
+                     _within, generate_net)
 
 __all__ = [
     "MapRecord",
@@ -762,7 +762,7 @@ def nerve_map(space: SpaceGraph, cover: Cover) -> NerveComplex:
     num = np.where(d < 0, 1, d + 1)  # whole numbers: each point's sum is exact
     weight = num / np.bincount(pieces.pts, weights=num)[pieces.pts]
     # the entries by point, in increasing piece id
-    ptr, entry = _group(pieces.pts, np.arange(len(num)), space.n)
+    ptr, entry = _transpose(pieces.ptr, pieces.pts, space.n, np.arange(len(num)))
     pid, weight = pieces.owners()[entry].tolist(), weight[entry].tolist()
     rows = list(map(slice, ptr[:-1].tolist(), ptr[1:].tolist()))
     return NerveComplex(vertices=list(range(len(pieces))),

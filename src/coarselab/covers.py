@@ -23,8 +23,8 @@ from .errors import (ArityError, DomainError, PreconditionError,
                      UnsupportedError)
 from .spaces import (GrowthTable, LabelView, RowView, SpaceGraph,
                      _ball_growth, _centre_distances, _concat_csr,
-                     _csr_from_rows, _csr_take, _group, _growth_table,
-                     _path_lengths, _sorted_lookup, _sorted_rows, _unique)
+                     _csr_from_rows, _csr_take, _growth_table, _path_lengths,
+                     _sorted_lookup, _sorted_rows, _transpose, _unique)
 
 __all__ = [
     "PieceView",
@@ -81,9 +81,10 @@ class PieceView(RowView):
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
         """Point-to-piece CSR ``(ptr, pids)``: ``pids[ptr[x]:ptr[x + 1]]``
         lists, in increasing order, the pieces that contain point x.
-        Computed on every call, by one linear stable grouping of the
-        entries by point; none is kept."""
-        return _group(self.pts, self.owners(), self._n)
+        Computed on every call, as the transpose of ``(ptr, pts)``, and
+        none is kept; graph multiplicity, iterated neighbourhoods and piece
+        distances read the pieces piece-major and take none."""
+        return _transpose(self.ptr, self.pts, self._n)
 
     def growth(self, space: SpaceGraph,
                metric: str = "intrinsic") -> GrowthTable:
@@ -284,7 +285,7 @@ def _entry_graph(ptr: np.ndarray, pts: np.ndarray, indptr: np.ndarray,
     entry, nbr = _csr_take(indptr, indices, pts)
     entry = entry.astype(np.int32)
     # each neighbour's entry in the entry's piece, if any (one at most)
-    sub, at = _csr_take(*_group(pts, np.arange(m, dtype=np.int32), n), nbr)
+    sub, at = _csr_take(*_transpose(ptr, pts, n, np.arange(m, dtype=np.int32)), nbr)
     del nbr
     entry = entry[sub]
     del sub
@@ -429,15 +430,16 @@ def mesh_ball_cover(space: SpaceGraph, R: int) -> Cover:
     flags = memoryview(blocked)  # Python bools, read without numpy scalars
     centers: list[int] = []
     for lo in range(0, space.n, _ROW_BLOCK):
+        hi = min(space.n, lo + _ROW_BLOCK)
         # a center blocks everything within R-1 (their distance to it is < R)
-        near = _ball_patterns(step, np.arange(lo, min(space.n, lo + _ROW_BLOCK)),
-                              R - 1)
+        near = _ball_patterns(step, np.arange(hi - lo + 1), np.arange(lo, hi), R - 1)
         ends = near.indptr.tolist()
-        for v in range(lo, lo + near.shape[0]):
+        for v in range(lo, hi):
             if not flags[v]:
                 centers.append(v)
                 blocked[near.indices[ends[v - lo]:ends[v - lo + 1]]] = True
-    balls = _ball_patterns(step, np.asarray(centers, dtype=np.int64), R)
+    balls = _ball_patterns(step, np.arange(len(centers) + 1),
+                           np.asarray(centers, dtype=np.int64), R)
     balls.sort_indices()
     return Cover(space=space, pieces=PieceView(balls.indptr, balls.indices, space.n),
                  labels=LabelView(f"ball:{{}}:{R}", centers))
@@ -455,14 +457,20 @@ def _closed_adjacency(space: SpaceGraph):
             ).astype(bool).tocsr()
 
 
-def _ball_patterns(step, rows: np.ndarray, r: int):
-    """CSR rows holding the closed graph r-ball of each point of ``rows``."""
+def _ball_patterns(step, ptr: np.ndarray, pts, r: int):
+    """CSR rows holding the closed graph r-neighbourhood of each point set
+    ``pts[ptr[i]:ptr[i + 1]]``, grown one product by ``step`` at a time.
+    Neighbourhoods only grow, so a product that adds no entry is a
+    fixpoint, and so is every later one: the growth stops there."""
     from scipy.sparse import csr_matrix
 
-    ball = csr_matrix((np.ones(len(rows), dtype=bool), rows,
-                       np.arange(len(rows) + 1)), shape=(len(rows), step.shape[0]))
+    ball = csr_matrix((np.ones(len(pts), dtype=bool), pts, ptr),
+                      shape=(len(ptr) - 1, step.shape[0]))
     for _ in range(r):
+        nnz = ball.nnz
         ball = _pattern_product(ball, step)
+        if ball.nnz == nnz:
+            break
     return ball
 
 
@@ -482,43 +490,29 @@ def _pattern_product(a, b):
 
 def r_multiplicity(cover: PieceFamily, R: float,
                    metric: str = "graph") -> tuple[int, int]:
-    """Max number of pieces met by a closed R-ball; returns (count, witness).
+    """Max number of pieces met by a closed R-ball; returns (count, witness),
+    the witness being the least point whose ball meets that many.
 
-    ``metric="graph"`` uses graph balls of integer radius floor(R), grown
-    one sparse product at a time until they stop growing (at the latest at
-    radius n - 1); ``metric="model"`` uses model-metric balls (useful at
-    sub-edge scales).  R must be finite and >= 0, or
-    :class:`UnsupportedError` is raised before any work.
+    ``metric="graph"`` uses graph balls of integer radius floor(R): the
+    ball of x meets a piece exactly when x lies in the piece's closed
+    floor(R)-neighbourhood, so each point counts the neighbourhoods
+    holding it, grown piece-major (:func:`_ball_patterns`, at most n - 1
+    steps) with no point-to-piece inversion.  ``metric="model"`` uses
+    model-metric balls (useful at sub-edge scales).  R must be finite and
+    >= 0, or :class:`UnsupportedError` is raised before any work.
     """
     if not 0 <= R < math.inf:
         raise UnsupportedError(f"R must be finite and >= 0, got {R}")
     space = cover.space
     pieces = cover.pieces
     if metric == "graph":
-        from scipy.sparse import csr_matrix
-
-        # row x of (A + I)^floor(R) M is nonzero at the pieces within
-        # graph distance floor(R) of x
-        mptr, mpid = pieces.inverse()
-        met = csr_matrix((np.ones(len(mpid), dtype=bool), mpid, mptr),
-                         shape=(space.n, len(pieces)))
-        hit = np.diff(met.indptr)
         # no graph distance passes n - 1
         rounds = min(math.floor(R), space.n - 1)
+        met = pieces.pts
         if rounds >= 1:
-            step = _closed_adjacency(space)
-            for _ in range(rounds - 1):
-                grown = _pattern_product(step, met)
-                # balls only grow: a product that adds no entry is a
-                # fixpoint, and so is every later one
-                if grown.nnz == met.nnz:
-                    hit = np.diff(met.indptr)
-                    break
-                met = grown
-            else:
-                # of the last product only the row counts are needed
-                hit = np.concatenate([np.diff((step[lo:lo + _ROW_BLOCK] @ met).indptr)
-                                      for lo in range(0, space.n, _ROW_BLOCK)])
+            met = _ball_patterns(_closed_adjacency(space), pieces.ptr, met,
+                                 rounds).indices
+        hit = np.bincount(met, minlength=space.n)
         best = int(hit.argmax())
         return int(hit[best]), best
     if metric != "model":
@@ -593,22 +587,24 @@ def _close_pairs(space: SpaceGraph, pieces: PieceView, colors, r: float
 def iterated_neighborhood(family: PieceFamily, piece: int, s: float,
                           m: int) -> NeighborhoodChain:
     """Levels N^0..N^m, as one family: each next level unions all pieces
-    meeting the closed s-neighbourhood of the previous one (model metric)."""
+    meeting the closed s-neighbourhood of the previous one (model metric),
+    read piece-major from a mask of the neighbourhood."""
     if m < 0:
         raise UnsupportedError("m must be >= 0")
     if s < 1:
         raise UnsupportedError("s must be >= 1")
     space, view = family.space, family.pieces
-    mptr, mpid = view.inverse()
+    owners = view.owners()
     level = np.zeros(space.n, dtype=bool)
     level[view.row(piece)] = True
     levels = [view.row(piece)]
     absorbed = np.zeros(len(view), dtype=bool)
     absorbed[piece] = True
+    # the levels only grow, and so do their neighbourhoods
+    near = np.zeros(space.n, dtype=bool)
     for _ in range(m):
-        hood = _unique(space.neighbors(np.flatnonzero(level), s)[1])
-        met = _unique(_csr_take(mptr, mpid, hood)[1])
-        new = met[~absorbed[met]]
+        near[space.neighbors(np.flatnonzero(level), s)[1]] = True
+        new = _unique(owners[near[view.pts] & ~absorbed[owners]])
         absorbed[new] = True
         level[_csr_take(view.ptr, view.pts, new)[1]] = True
         levels.append(np.flatnonzero(level))
@@ -850,12 +846,12 @@ def product_decomposition(dx: ColoredDecomposition, dy: ColoredDecomposition,
     if (pid < 0).any():
         raise DomainError(f"product point {int(point[np.argmax(pid < 0)])}"
                           " lies outside its window")
-    ptr = np.r_[0, np.cumsum(np.bincount(pid, minlength=len(keys)))]
+    # the entries run point-major: their transpose lists each piece's points
+    ptr, point = _transpose(*_csr_from_rows(point, pid, product.n), len(keys))
 
     # ColoredDecomposition rejects a product point that no piece covers
     return ColoredDecomposition(
-        space=product,
-        pieces=PieceView(ptr, point[np.lexsort((point, pid))], product.n),
+        space=product, pieces=PieceView(ptr, point, product.n),
         colors=cx[pa].tolist(), r=min(dx.r, dy.r), d=k, partition=False,
         provenance={"construction": "product_decomposition",
                     "factor_pieces": list(zip(pa.tolist(), pb.tolist()))},
@@ -872,8 +868,9 @@ def _preimages(f, pieces) -> tuple[list[int], PieceView]:
     if len(f.image) != f.source.n:
         raise DomainError("map is not total on its source window")
     pieces = _piece_view(pieces, f.target.n)
+    # the pieces of each source point's image, source-major, transposed
     src, pid = _csr_take(*pieces.inverse(), f.image)
-    ptr, src = _group(pid, src, len(pieces))
+    ptr, src = _transpose(*_csr_from_rows(src, pid, f.source.n), len(pieces))
     hit = np.flatnonzero(np.diff(ptr))
     return hit.tolist(), PieceView(np.r_[ptr[hit], len(src)], src, f.source.n)
 
@@ -954,5 +951,5 @@ def _components(space: SpaceGraph, pieces: PieceView,
     first = np.unique(label, return_index=True)[1]
     rank = np.empty(ncomp, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(ncomp)
-    ptr, grouped = _group(rank[label], pts, ncomp)
+    ptr, grouped = _transpose(pieces.ptr, rank[label], ncomp, pts)
     return row[np.sort(first)], PieceView(ptr, grouped, n)

@@ -519,11 +519,12 @@ def _csr_take(indptr: np.ndarray, indices: np.ndarray,
     shift = indptr[sel + 1]
     counts = shift - indptr[sel]
     shift -= np.cumsum(counts)
-    owner = np.repeat(np.arange(len(sel)), counts)
-    del counts
-    at = np.arange(len(owner))
-    at += shift[owner]
-    return owner, indices[at]
+    at = np.repeat(shift, counts)
+    del shift
+    at += np.arange(len(at))
+    values = indices[at]
+    del at  # at most two entry-sized arrays are alive at once
+    return np.repeat(np.arange(len(sel)), counts), values
 
 
 def _csr_from_rows(row: np.ndarray, indices: np.ndarray,
@@ -534,20 +535,25 @@ def _csr_from_rows(row: np.ndarray, indices: np.ndarray,
     return indptr, indices
 
 
-def _group(keys: np.ndarray, values: np.ndarray,
-           nkeys: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, grouped)`` of the entries ``values`` by their key in
-    ``range(nkeys)``: ``grouped`` is ``values[np.argsort(keys,
-    kind="stable")]``, found in linear time by a radix sort on 16-bit
-    digits, lowest first (numpy sorts 16-bit keys stably by radix), and
-    ``indptr`` bounds each key's run."""
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    for shift in range(16, (nkeys - 1).bit_length(), 16):
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-    indptr = np.zeros(nkeys + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=nkeys), out=indptr[1:])
-    return indptr, values[order]
+def _transpose(ptr: np.ndarray, idx: np.ndarray, ncols: int,
+               data: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Transpose of the CSR ``(ptr, idx)`` over the columns ``range(ncols)``:
+    int64 CSR ``(tptr, rows)``, each column's rows in increasing order, or
+    given ``data``, the entries' data in that order instead of their rows.
+    The one point-to-piece inversion: scipy's linear CSR -> CSC pass."""
+    from scipy.sparse._sparsetools import csr_tocsc
+
+    carried = np.zeros(len(idx), dtype=bool) if data is None else data
+    # the native pass checks no index: one out of range would write outside
+    if (ptr[0] != 0 or ptr[-1] != len(idx) or (np.diff(ptr) < 0).any()
+            or len(carried) != len(idx)
+            or len(idx) and not (0 <= idx.min() and idx.max() < ncols)):
+        raise ValueError(f"not a CSR over {ncols} columns")
+    tptr = np.empty(ncols + 1, dtype=np.int64)
+    rows = np.empty(len(idx), dtype=np.int64)
+    out = np.empty_like(carried)
+    csr_tocsc(len(ptr) - 1, ncols, ptr, idx, carried, tptr, rows, out)
+    return tptr, rows if data is None else out
 
 
 def _sorted_rows(row: np.ndarray, pts: np.ndarray, nrows: int,

@@ -443,6 +443,8 @@ class TestMalformedInputs:
         ("points-not-a-list", "the points of a piece in a list"),
         # once, labels 5 and [1] loaded as they were and were written back
         ("label-not-a-string", "piece 1 has label 5, not a string"),
+        # once, a file labelling some pieces loaded with no labels at all
+        ("label-missing", "piece 2 has no label, and other pieces have one"),
     ])
     def test_cover_exit_2(self, case, message, tmp_path, capsys):
         main(["build", "tiling", "--ball", "4", "--out", str(tmp_path)])
@@ -461,6 +463,11 @@ class TestMalformedInputs:
             for i, rec in enumerate(pieces):
                 del rec["colour"]
                 rec["label"] = {1: 5, 2: [1]}.get(i, f"p{i}")
+        elif case == "label-missing":
+            for i, rec in enumerate(pieces):
+                del rec["colour"]
+                if i not in (2, 4):
+                    rec["label"] = f"p{i}"
         else:
             dec["pieces"] = {"0": pieces[0]}
         (tmp_path / "bad.json").write_text(json.dumps(dec))

@@ -6,6 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarselab import covers
 from coarselab.analysis import set_growth
@@ -142,6 +144,27 @@ class TestIteratedNeighborhood:
                 if piece & hood:
                     expect |= piece
             assert set(chain.levels[m]) == expect
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_levels_match_the_definition_on_overlapping_pieces(self, data):
+        z = z_window(10)
+        point = st.integers(0, z.n - 1)
+        pieces = data.draw(st.lists(st.sets(point, min_size=1), min_size=1,
+                                    max_size=8))
+        rest = set(range(z.n)) - set().union(*pieces)
+        pieces += [rest] if rest else []
+        piece = data.draw(st.integers(0, len(pieces) - 1))
+        s, m = data.draw(st.sampled_from([1.0, 1.5, 3.0])), data.draw(st.integers(0, 3))
+        chain = iterated_neighborhood(Cover(z, pieces), piece, s=s, m=m)
+        # each level unions the pieces meeting the s-neighbourhood of the last
+        pts, level, expect = z.points, pieces[piece], [pieces[piece]]
+        for _ in range(m):
+            hood = {y for y in range(z.n)
+                    if any(abs(pts[y].n - pts[x].n) <= s for x in level)}
+            level = set().union(*(p for p in pieces if p & hood))
+            expect.append(level)
+        assert [set(lev) for lev in chain.levels] == expect
 
 
 class TestGreedy:

@@ -2,7 +2,9 @@
 
 ``SpaceGraph.distances`` is compared, bit for bit, with the object oracle
 ``point_distance`` (a deque BFS on metric graphs); graph-metric
-``r_multiplicity`` with the per-piece breadth-first search it replaced;
+``r_multiplicity`` with the per-piece breadth-first search it replaced,
+and, count and witness, with a breadth-first search of every point's
+ball on random covers of random graphs;
 the shared pullback helper with a set-based preimage oracle; the csgraph
 distances with a plain BFS; and ``MapRecord.remeasure`` and
 ``distortion_profile`` with per-pair loops.
@@ -10,6 +12,7 @@ distances with a plain BFS; and ``MapRecord.remeasure`` and
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 
@@ -177,6 +180,72 @@ def test_graph_multiplicity_of_sparse_pieces_on_a_path():
     cov = Cover(z, pieces + [frozenset(range(1, z.n, 2))])
     for R in range(4):
         assert r_multiplicity(cov, R) == bfs_multiplicity(cov, R)
+
+
+def ball_multiplicity(cover, R):
+    """The definition, point by point: the pieces met by each point's closed
+    graph R-ball (a deque BFS), and the least point whose ball meets the
+    most."""
+    space, rad = cover.space, math.floor(R)
+    adj = adjacency(space)
+    holders = [set() for _ in range(space.n)]
+    for pid, piece in enumerate(cover.pieces):
+        for x in piece:
+            holders[x].add(pid)
+    best, witness = -1, None
+    for x in range(space.n):
+        met, seen, dq = set(holders[x]), {x}, deque([(x, 0)])
+        while dq:
+            v, d = dq.popleft()
+            if d < rad:
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        met |= holders[w]
+                        dq.append((w, d + 1))
+        if len(met) > best:
+            best, witness = len(met), x
+    return best, witness
+
+
+@st.composite
+def graph_families(draw):
+    """A random graph on 1-14 points (often disconnected, loops and repeated
+    edges given) with a family of overlapping pieces that covers it: a
+    cover, or a decomposition holding an empty piece."""
+    n = draw(st.integers(1, 14))
+    point = st.integers(0, n - 1)
+    g = metric_graph(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
+    pieces = draw(st.lists(st.sets(point, min_size=1), min_size=1, max_size=6))
+    pieces.append(set(range(n)) - set().union(*pieces))
+    if draw(st.booleans()):
+        return Cover(g, [p for p in pieces if p])
+    return ColoredDecomposition(g, pieces, colors=[0] * len(pieces), r=1.0,
+                                d=0, partition=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=graph_families(),
+       R=st.sampled_from([0, 0.5, 1, 2, 2.7, 3, 15, 10 ** 6]))
+def test_graph_multiplicity_matches_ball_bfs(family, R):
+    # R = 15 and 10**6 pass every diameter: the growth stops at its fixpoint
+    assert r_multiplicity(family, R) == ball_multiplicity(family, R)
+
+
+def test_graph_multiplicity_stops_at_the_fixpoint(monkeypatch):
+    # a path of 30 points: a piece's neighbourhoods stop growing within 29
+    # steps, and one more product finds that, however large R is
+    g = metric_graph(30, [(i, i + 1) for i in range(29)])
+    cov = Cover(g, [frozenset(range(0, 10)), frozenset(range(5, 30))])
+    calls = []
+    product = covers._pattern_product
+    monkeypatch.setattr(covers, "_pattern_product",
+                        lambda a, b: calls.append(1) or product(a, b))
+    assert r_multiplicity(cov, 10 ** 9) == ball_multiplicity(cov, 30) == (2, 0)
+    assert len(calls) == 21
+    calls.clear()
+    assert r_multiplicity(cov, 0) == (2, 5)
+    assert calls == []
 
 
 def bfs_mesh_cover(sp, R):

@@ -1,11 +1,12 @@
-"""Oracles for the packed t3 word codes and the linear stable grouping.
+"""Oracles for the packed t3 word codes and the linear transpose.
 
 Both t3 distance kernels read one uint64 code per 32 letters
 (``spaces._pack_words``); they are checked against ``point_distance`` on
 random reduced words of 0 to 70 letters (one to three code rows), with
-exact ties at the row boundaries.  ``spaces._group`` is checked against a
-stable argsort, with one and two radix passes.  ``MapRecord.image`` is
-the assignment as a read-only array.
+exact ties at the row boundaries.  ``spaces._transpose`` is checked
+against a stable argsort of the entries by column, with empty rows,
+empty columns, no columns, and int32 and int64 data carried along.
+``MapRecord.image`` is the assignment as a read-only array.
 """
 
 from __future__ import annotations
@@ -119,24 +120,34 @@ def test_net_and_walk_kernels_agree_with_points():
         space.model_distance(space.n, 0)
 
 
-# -- the linear stable grouping -----------------------------------------------
+# -- the linear transpose --------------------------------------------------
 
 
-def group_oracle(keys, values, nkeys):
+def transpose_oracle(ptr, idx, ncols, data):
+    """Column pointers, and the rows and data of the entries, sorted stably
+    by column."""
+    idx = np.asarray(idx, dtype=np.int64)
+    order = np.argsort(idx, kind="stable")
+    tptr = np.zeros(ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=ncols), out=tptr[1:])
+    rows = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    return tptr, rows[order], np.asarray(data)[order]
+
+
+def check_group(keys, values, nkeys, cuts=(), dtype=np.int64):
+    """The entries ``keys`` (columns) and ``values`` (data), split into rows
+    at ``cuts``, grouped by column with their rows, and with their data."""
     keys = np.asarray(keys, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    indptr = np.zeros(nkeys + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=nkeys), out=indptr[1:])
-    return indptr, np.asarray(values)[order]
-
-
-def check_group(keys, values, nkeys):
-    keys = np.asarray(keys, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
-    indptr, grouped = spaces._group(keys, values, nkeys)
-    want_ptr, want = group_oracle(keys, values, nkeys)
-    assert indptr.dtype == np.int64 and grouped.dtype == np.int64
-    assert indptr.tolist() == want_ptr.tolist()
+    values = np.asarray(values, dtype=dtype)
+    ptr = np.array([0, *sorted(cuts), len(keys)], dtype=np.int64)
+    want_ptr, want_rows, want = transpose_oracle(ptr, keys, nkeys, values)
+    tptr, rows = spaces._transpose(ptr, keys, nkeys)
+    assert tptr.dtype == rows.dtype == np.int64
+    assert tptr.tolist() == want_ptr.tolist()
+    assert rows.tolist() == want_rows.tolist()
+    tptr, grouped = spaces._transpose(ptr, keys, nkeys, values)
+    assert tptr.tolist() == want_ptr.tolist()
+    assert grouped.dtype == dtype
     assert grouped.tolist() == want.tolist()
 
 
@@ -144,14 +155,17 @@ def check_group(keys, values, nkeys):
                                      (20000, 200_000), (3000, 2 ** 16 + 1)])
 def test_group_matches_stable_argsort(m, nkeys):
     rng = np.random.default_rng(m + nkeys)
-    check_group(rng.integers(0, nkeys, m), rng.integers(-10 ** 12, 10 ** 12, m),
-                nkeys)
+    keys = rng.integers(0, nkeys, m)
+    # rows of every length, some of them empty
+    cuts = rng.integers(0, m + 1, m // 10)
+    check_group(keys, rng.integers(-10 ** 12, 10 ** 12, m), nkeys, cuts)
+    check_group(keys, rng.integers(-2 ** 31, 2 ** 31, m), nkeys, cuts, np.int32)
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_group_edge_cases(data):
-    # one radix pass below 2**16 keys, two above
+    # no columns, a few, and many: empty columns below and above 2**16
     nkeys = data.draw(st.one_of(st.integers(0, 6), st.integers(2 ** 16 - 2, 2 ** 16 + 2),
                                 st.just(200_000)))
     if nkeys == 0:
@@ -162,9 +176,33 @@ def test_group_edge_cases(data):
                                   | st.integers(0, nkeys - 1), min_size=1,
                                   max_size=3))
         keys = data.draw(st.lists(st.sampled_from(used), max_size=30))
-    values = data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+    # no rows, or rows of any length, empty ones among them
+    cuts = data.draw(st.lists(st.integers(0, len(keys)), max_size=8))
+    bits = data.draw(st.sampled_from([32, 64]))
+    values = data.draw(st.lists(st.integers(-2 ** (bits - 1), 2 ** (bits - 1) - 1),
                                 min_size=len(keys), max_size=len(keys)))
-    check_group(keys, values, nkeys)
+    check_group(keys, values, nkeys, cuts, np.int32 if bits == 32 else np.int64)
+
+
+def test_transpose_refuses_what_the_native_pass_would_overrun():
+    ptr = np.array([0, 2, 3], dtype=np.int64)
+    for idx, ncols in (([0, 3, 1], 3), ([0, -1, 1], 3), ([0, 1], 3)):
+        with pytest.raises(ValueError, match="not a CSR over 3 columns"):
+            spaces._transpose(ptr, np.array(idx, dtype=np.int64), ncols)
+    for bad in (ptr + 1, np.array([0, 4, 3]), np.array([0, 1, 2])):
+        with pytest.raises(ValueError):
+            spaces._transpose(bad, np.array([0, 1, 2]), 3)
+    with pytest.raises(ValueError):
+        spaces._transpose(ptr, np.array([0, 1, 2]), 3, np.arange(2))
+
+
+def test_transpose_of_no_rows():
+    tptr, rows = spaces._transpose(np.zeros(1, dtype=np.int64),
+                                   np.zeros(0, dtype=np.int64), 3)
+    assert tptr.tolist() == [0, 0, 0, 0] and rows.tolist() == []
+    tptr, rows = spaces._transpose(np.zeros(1, dtype=np.int64),
+                                   np.zeros(0, dtype=np.int64), 0)
+    assert tptr.tolist() == [0] and rows.tolist() == []
 
 
 # -- the map record's image ---------------------------------------------------
